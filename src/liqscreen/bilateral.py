@@ -20,8 +20,8 @@ import numpy as np
 from .economy import (EconomyPrimitives, cost_prime_at, financing_cost,
                       marginal_ell, signal_prime_at, with_tightness)
 from .errors import BracketError, DegeneracyError, DomainError
-from .numerics import (Bracket, Tolerance, find_root, integrate,
-                       maximize_scalar)
+from .numerics import (Bracket, Tolerance, best_candidate, find_root,
+                       integrate, maximize_scalar)
 
 DEFAULT_TOL = Tolerance()
 _TIE = 1e-12
@@ -66,19 +66,22 @@ class MixedSolution:
 # participation manifold
 
 
-def binding_ir_advance(econ: EconomyPrimitives, b1: float) -> float:
-    """Advance making the lowest type's participation bind, clamped to [0, K].
+def binding_ir_advance(econ: EconomyPrimitives, b1: float,
+                       theta: float | None = None) -> float:
+    """Advance making type theta's participation bind, clamped to [0, K].
 
-    Solves a + b1*mu(lo) = c(lo) + Phi(K - a); the left side net of the
-    right is strictly increasing in a, so the root is unique.
+    theta defaults to the lowest type. Solves a + b1*mu(theta) =
+    c(theta) + Phi(K - a); the left side net of the right is strictly
+    increasing in a, so the root is unique.
     """
-    lo = econ.dist.lower
+    if theta is None:
+        theta = econ.dist.lower
     K = econ.working_capital
-    mu_lo = float(econ.signal_mean(lo))
-    c_lo = float(econ.cost(lo))
+    mu_t = float(econ.signal_mean(theta))
+    c_t = float(econ.cost(theta))
 
     def gap(a):
-        return a + b1 * mu_lo - c_lo - financing_cost(econ.financing, K - a)
+        return a + b1 * mu_t - c_t - financing_cost(econ.financing, K - a)
 
     if gap(0.0) >= 0.0:
         return 0.0
@@ -184,31 +187,38 @@ def principal_value(econ: EconomyPrimitives, b1: float,
     the identity W = surplus - financing - rent - outlay holds exactly.
     An empty service set yields W = 0 with decomposition["empty_set"] = 1.
     """
+    return _screening_value(econ, binding_ir_advance(econ, b1), b1, panels)[:2]
+
+
+def _screening_value(econ: EconomyPrimitives, a: float, slope: float,
+                     panels: int = 512) -> tuple[float, dict, float]:
+    """Screening value of advance a when rents accrue at the given slope.
+
+    Serves the types above the virtual-surplus cutoff and charges the
+    rent tail slope * integral of mu' * (1 - F). Returns (W,
+    decomposition, cutoff) with W assembled from the decomposition.
+    """
     d = econ.dist
-    a = binding_ir_advance(econ, b1)
-    K = econ.working_capital
-    phi = financing_cost(econ.financing, K - a)
-    that = cutoff(econ, a, b1)
-    empty = float(virtual_surplus(econ, d.upper, a, b1)) < 0.0
-    if empty:
+    phi = financing_cost(econ.financing, econ.working_capital - a)
+    that = cutoff(econ, a, slope)
+    if float(virtual_surplus(econ, d.upper, a, slope)) < 0.0:
         decomp = {"productive_surplus": 0.0, "aggregate_financing_cost": 0.0,
                   "aggregate_information_rent": 0.0, "advance_outlay": 0.0,
                   "empty_set": 1.0}
-        return 0.0, decomp
+        return 0.0, decomp, that
     tail = 1.0 - float(d.cdf(that))
     ps = integrate(lambda t: (np.asarray(econ.surplus(t), float)
                               - np.asarray(econ.cost(t), float))
                    * np.asarray(d.pdf(t), float), that, d.upper, panels)
-    rent = b1 * integrate(lambda t: _mu_prime(econ, t)
-                          * (1.0 - np.asarray(d.cdf(t), float)),
-                          that, d.upper, panels)
+    rent = slope * integrate(lambda t: _mu_prime(econ, t)
+                             * (1.0 - np.asarray(d.cdf(t), float)),
+                             that, d.upper, panels)
     decomp = {"productive_surplus": ps,
               "aggregate_financing_cost": phi * tail,
               "aggregate_information_rent": rent,
               "advance_outlay": a,
               "empty_set": 0.0}
-    w = ps - phi * tail - rent - a
-    return w, decomp
+    return ps - phi * tail - rent - a, decomp, that
 
 
 def _rent_of_advance(econ, a_target, b1_hint, b1_hi):
@@ -370,29 +380,13 @@ def contract_value(econ: EconomyPrimitives, a: float, b0: float = 0.0,
     return integrate(integrand, span[0], span[1], panels)
 
 
-def _ir_root_at(econ, b1, theta):
-    """Advance making type theta's participation bind, clamped to [0, K]."""
-    K = econ.working_capital
-    mu_t = float(econ.signal_mean(theta))
-    c_t = float(econ.cost(theta))
-
-    def gap(a):
-        return a + b1 * mu_t - c_t - financing_cost(econ.financing, K - a)
-
-    if gap(0.0) >= 0.0:
-        return 0.0
-    if gap(K) <= 0.0:
-        return K
-    return find_root(gap, Bracket(0.0, K), DEFAULT_TOL)
-
-
 def _best_advance(econ, b1, points=17, panels=128):
     """Best advance for a fixed slope in the mixed program."""
     K = econ.working_capital
     d = econ.dist
     cands = {0.0, K,
-             _ir_root_at(econ, b1, d.lower),
-             _ir_root_at(econ, b1, d.upper)}
+             binding_ir_advance(econ, b1, d.lower),
+             binding_ir_advance(econ, b1, d.upper)}
 
     def val(a):
         return contract_value(econ, a, 0.0, b1, panels)
@@ -402,15 +396,8 @@ def _best_advance(econ, b1, points=17, panels=128):
     i = int(np.argmax(vals))
     lo = float(xs[max(i - 1, 0)])
     hi = float(xs[min(i + 1, points - 1)])
-    x_g, f_g = maximize_scalar(val, lo, hi, Tolerance(abs_x=1e-11), scan_points=9)
-    best_a, best_v = x_g, f_g
-    for c in sorted(cands):
-        fc = val(c)
-        if fc > best_v + _TIE * max(1.0, abs(best_v)):
-            best_a, best_v = c, fc
-        elif abs(fc - best_v) <= _TIE * max(1.0, abs(best_v)) and c < best_a:
-            best_a, best_v = c, fc
-    return best_a, best_v
+    best = maximize_scalar(val, lo, hi, Tolerance(abs_x=1e-11), scan_points=9)
+    return best_candidate([best] + [(c, val(c)) for c in sorted(cands)], _TIE)
 
 
 def solve_mixed(econ: EconomyPrimitives, outer_points: int = 33,
@@ -442,12 +429,7 @@ def solve_mixed(econ: EconomyPrimitives, outer_points: int = 33,
     for c in (0.0, b1_flat, solve_optimal(econ).contract.slope):
         if 0.0 <= c <= b1_flat:
             cands.append((c, outer(c)))
-    b1_star, v_star = cands[0]
-    for c, fc in cands[1:]:
-        if fc > v_star + _TIE * max(1.0, abs(v_star)):
-            b1_star, v_star = c, fc
-        elif abs(fc - v_star) <= _TIE * max(1.0, abs(v_star)) and c < b1_star:
-            b1_star, v_star = c, fc
+    b1_star, _ = best_candidate(cands, _TIE)
     a_star, v_star = _best_advance(econ, b1_star, inner_points, panels)
     span = served_interval(econ, a_star, 0.0, b1_star)
     if abs(b1_star - b1_flat) <= 1e-9:

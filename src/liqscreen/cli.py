@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,9 +39,6 @@ class RunConfig:
     config_path: str | None
     out_dir: str
     seed: int = 42
-    grid: int = 0
-    tol: float = 0.0
-    raw: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.config_path is not None and not os.path.exists(self.config_path):
@@ -350,10 +347,6 @@ def _build_parser():
     p.add_argument("--config", default=None, help="JSON config path")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--grid", type=int, default=0,
-                   help="grid density override (0 = defaults)")
-    p.add_argument("--tol", type=float, default=0.0,
-                   help="tolerance override (0 = defaults)")
     sub = p.add_subparsers(dest="command")
     t = sub.add_parser("table", help="write a named table as CSV")
     t.add_argument("name", choices=sorted(_TABLES))
@@ -376,7 +369,7 @@ def main(argv=None) -> int:
         cfg = RunConfig(command=args.command,
                         name=getattr(args, "name", None),
                         config_path=args.config, out_dir=args.out,
-                        seed=args.seed, grid=args.grid, tol=args.tol)
+                        seed=args.seed)
         os.makedirs(cfg.out_dir, exist_ok=True)
         if args.command == "verify":
             return cmd_verify(cfg)

@@ -14,14 +14,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bilateral import (BilateralSolution, Contract, binding_ir_advance,
-                        solve_mixed, solve_optimal)
+from .bilateral import (BilateralSolution, Contract, _screening_value,
+                        binding_ir_advance, solve_mixed, solve_optimal)
 from .economy import (EconomyPrimitives, TypeDistribution, cost_prime_at,
                       financing_cost, marginal_ell, signal_prime_at,
                       with_tightness)
 from .errors import (BracketError, DegeneracyError, DomainError,
                      SingularityError)
-from .numerics import Bracket, Tolerance, find_root, integrate, kernels
+from .numerics import Bracket, Tolerance, find_root, integrate
 from .oracle import DiscreteMechanism, ic_verify
 
 _EPS_W = 1e-15  # support threshold for posterior weights
@@ -315,58 +315,14 @@ def solve_renegotiation(econ: EconomyPrimitives, lam: float) -> BilateralSolutio
         a_lam = find_root(gap, Bracket(a_s, K), Tolerance())
     lo = econ.dist.lower
     mu_lo = float(econ.signal_mean(lo))
-    phi = financing_cost(econ.financing, K - a_lam)
-    need = float(econ.cost(lo)) + phi - a_lam
+    need = (float(econ.cost(lo)) + financing_cost(econ.financing, K - a_lam)
+            - a_lam)
     survive = 1.0 - lam
     if need > 1e-12 and mu_lo > 1e-12 and survive > 1e-12:
         b1 = need / (survive * mu_lo)
     else:
         b1 = 0.0
-    d = econ.dist
-
-    def psi(t):
-        t = np.asarray(t, float)
-        mu_p = (np.asarray(econ.signal_mean_prime(t), float)
-                if econ.signal_mean_prime is not None
-                else np.full_like(t, signal_prime_at(econ, float(np.mean(t)))))
-        F = np.asarray(d.cdf(t), float)
-        f = np.asarray(d.pdf(t), float)
-        return (np.asarray(econ.surplus(t), float)
-                - np.asarray(econ.cost(t), float) - phi
-                - survive * b1 * mu_p * (1.0 - F) / f)
-
-    ts = np.linspace(d.lower, d.upper, 257)
-    vals = psi(ts)
-    if vals[0] >= 0.0:
-        that = d.lower
-    else:
-        idx = np.nonzero(vals >= 0.0)[0]
-        that = d.upper if idx.size == 0 else find_root(
-            lambda t: float(psi(t)), Bracket(float(ts[idx[0] - 1]),
-                                             float(ts[idx[0]])), Tolerance())
-    empty = float(vals[-1]) < 0.0
-    if empty:
-        decomp = {"productive_surplus": 0.0, "aggregate_financing_cost": 0.0,
-                  "aggregate_information_rent": 0.0, "advance_outlay": 0.0,
-                  "empty_set": 1.0}
-        value = 0.0
-    else:
-        tail = 1.0 - float(d.cdf(that))
-        ps = integrate(lambda t: (np.asarray(econ.surplus(t), float)
-                                  - np.asarray(econ.cost(t), float))
-                       * np.asarray(d.pdf(t), float), that, d.upper, 512)
-        rent = survive * b1 * integrate(
-            lambda t: (np.asarray(econ.signal_mean_prime(t), float)
-                       if econ.signal_mean_prime is not None
-                       else np.full_like(np.asarray(t, float),
-                                         signal_prime_at(econ, that)))
-            * (1.0 - np.asarray(d.cdf(t), float)), that, d.upper, 512)
-        decomp = {"productive_surplus": ps,
-                  "aggregate_financing_cost": phi * tail,
-                  "aggregate_information_rent": rent,
-                  "advance_outlay": a_lam,
-                  "empty_set": 0.0}
-        value = ps - phi * tail - rent - a_lam
+    value, decomp, that = _screening_value(econ, a_lam, survive * b1)
     flag = "corner_b1_zero" if b1 <= 1e-9 else "interior"
     return BilateralSolution(contract=Contract(a_lam, 0.0, b1), cutoff=that,
                              value=value, decomposition=decomp,
@@ -562,26 +518,6 @@ class BidFunction:
             raise DomainError("bids must move with the full-information schedule")
 
 
-def full_info_advance(econ: EconomyPrimitives, theta: float,
-                      b1: float = 0.0) -> float:
-    """Advance extracting all surplus from a known type.
-
-    Solves a = c(theta) + Phi(K - a) - b1 * mu(theta), clamped to [0, K].
-    """
-    K = econ.working_capital
-    c_t = float(econ.cost(theta))
-    mu_t = float(econ.signal_mean(theta))
-
-    def gap(a):
-        return a + b1 * mu_t - c_t - financing_cost(econ.financing, K - a)
-
-    if gap(0.0) >= 0.0:
-        return 0.0
-    if gap(K) <= 0.0:
-        return K
-    return find_root(gap, Bracket(0.0, K), Tolerance())
-
-
 def solve_bid_function(econ: EconomyPrimitives, n: int,
                        eps: float | None = None,
                        steps: int = 2000) -> BidFunction:
@@ -604,21 +540,45 @@ def solve_bid_function(econ: EconomyPrimitives, n: int,
     b1 = solve_optimal(econ).contract.slope
     t_hi = d.upper - eps
     ts_half = np.linspace(t_hi, d.lower, 2 * steps + 1)
-    fb_half = np.array([full_info_advance(econ, float(t), b1) for t in ts_half])
+    fb_half = np.array([binding_ir_advance(econ, b1, float(t)) for t in ts_half])
     F = np.asarray(d.cdf(ts_half), float)
     f = np.asarray(d.pdf(ts_half), float)
     k_half = (n - 1) * f / (1.0 - F)
     h = -(t_hi - d.lower) / steps
     try:
-        ys = kernels.rk4_affine(np.ascontiguousarray(k_half),
-                                np.ascontiguousarray(fb_half),
-                                float(fb_half[0]), h, steps)
+        ys = _rk4_affine(k_half.tolist(), fb_half.tolist(),
+                         float(fb_half[0]), h, steps)
     except OverflowError as exc:
         raise SingularityError(str(exc), t=None) from exc
     grid = ts_half[::2][::-1]
     bids = np.asarray(ys, float)[::-1]
     fb = fb_half[::2][::-1]
     return BidFunction(grid=grid, bids=bids, full_info=fb, n_bidders=n)
+
+
+def _rk4_affine(k_half, m_half, y0, h, steps):
+    """Fixed-step RK4 for y' = k(t) * (y - m(t)) with tabulated coefficients.
+
+    k_half and m_half hold k and m sampled at half-step resolution
+    (2*steps + 1 values, node i at t0 + i*h/2; h may be negative for
+    backward integration). Returns the list of steps+1 y values. A
+    non-finite iterate raises OverflowError naming the failing step.
+    """
+    if len(k_half) != 2 * steps + 1 or len(m_half) != 2 * steps + 1:
+        raise ValueError("coefficient tables must have 2*steps + 1 entries")
+    out = [0.0] * (steps + 1)
+    out[0] = y = y0
+    for i in range(steps):
+        j = 2 * i
+        k1 = k_half[j] * (y - m_half[j])
+        k2 = k_half[j + 1] * (y + 0.5 * h * k1 - m_half[j + 1])
+        k3 = k_half[j + 1] * (y + 0.5 * h * k2 - m_half[j + 1])
+        k4 = k_half[j + 2] * (y + h * k3 - m_half[j + 2])
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not math.isfinite(y):
+            raise OverflowError(f"trajectory diverged at step {i + 1}")
+        out[i + 1] = y
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,31 +1,21 @@
 """Shared numerical routines with pinned tolerance semantics.
 
 All solvers in the package route through these primitives so that
-tolerance handling, tie-breaking, and failure modes stay uniform. The
-hot loops delegate to the compiled kernels when they are available; set
-LIQSCREEN_PURE=1 to force the pure-Python fallback.
+tolerance handling, tie-breaking, and failure modes stay uniform.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import BracketError, ConvergenceError, SingularityError
+from .errors import BracketError, ConvergenceError
 
-if os.environ.get("LIQSCREEN_PURE"):
-    from . import _kernels_py as kernels
-else:
-    try:
-        from . import _kernels as kernels  # type: ignore[no-redef]
-    except ImportError:
-        from . import _kernels_py as kernels  # type: ignore[no-redef]
-
-BACKEND = "compiled" if kernels.IS_COMPILED else "pure"
+# Name of the only numerical backend; kept for tools that record it.
+BACKEND = "pure"
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # inverse golden ratio
 
@@ -129,13 +119,26 @@ def maximize_scalar(f: Callable[[float], float], lo: float, hi: float,
     a = float(xs[max(i - 1, 0)])
     b = float(xs[min(i + 1, scan_points - 1)])
     x_best, f_best = _golden_max(f, a, b, tol)
-    candidates = [(float(xs[0]), float(fs[0])), (float(xs[-1]), float(fs[-1])),
-                  (float(xs[i]), float(fs[i])), (x_best, f_best)]
+    return best_candidate([(float(xs[0]), float(fs[0])),
+                           (float(xs[-1]), float(fs[-1])),
+                           (float(xs[i]), float(fs[i])), (x_best, f_best)],
+                          1e-13)
+
+
+def best_candidate(candidates, rel_tol: float) -> tuple[float, float]:
+    """Best (x, f) pair of a list whose first entry is the incumbent.
+
+    A later pair replaces the running best when its f is higher by more
+    than rel_tol * max(1, |best f|), or when it lies within that band
+    and has a smaller x. Ties within tolerance are not transitive, so
+    the result depends on the order of the list.
+    """
     best_x, best_f = candidates[0]
     for x, fx in candidates[1:]:
-        if fx > best_f + 1e-13 * max(1.0, abs(best_f)):
+        band = rel_tol * max(1.0, abs(best_f))
+        if fx > best_f + band:
             best_x, best_f = x, fx
-        elif abs(fx - best_f) <= 1e-13 * max(1.0, abs(best_f)) and x < best_x:
+        elif abs(fx - best_f) <= band and x < best_x:
             best_x, best_f = x, fx
     return best_x, best_f
 
@@ -210,31 +213,5 @@ def integrate(f: Callable, lo: float, hi: float, panels: int = 512) -> float:
     except (TypeError, ValueError):
         ys = np.array([float(f(float(x))) for x in xs])
     h = (hi - lo) / panels
-    return float(kernels.simpson_sum(np.ascontiguousarray(ys), h))
-
-
-def integrate_ode(f: Callable[[float, float], float], t0: float, y0: float,
-                  t1: float, steps: int = 1000) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-step RK4 for scalar y' = f(t, y) from t0 to t1.
-
-    Returns (t, y) arrays of length steps + 1; t1 < t0 integrates
-    backward. Raises SingularityError (carrying .t) if the trajectory
-    stops being finite.
-    """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    ts = np.linspace(t0, t1, steps + 1)
-    h = (t1 - t0) / steps
-    ys = np.empty(steps + 1)
-    ys[0] = y = y0
-    for i in range(steps):
-        t = ts[i]
-        k1 = f(t, y)
-        k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = f(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not math.isfinite(y):
-            raise SingularityError(f"ODE diverged at t={ts[i + 1]:.6g}", t=float(ts[i + 1]))
-        ys[i + 1] = y
-    return ts, ys
+    return float((ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum()
+                  + 2.0 * ys[2:-1:2].sum()) * (h / 3.0))

@@ -19,7 +19,7 @@ from .bilateral import (Contract, binding_ir_advance, cutoff, solve_mixed,
 from .economy import (EconomyPrimitives, marginal_ell, marginal_r,
                       signal_prime_at, with_tightness)
 from .errors import DegeneracyError, DomainError
-from .numerics import Bracket, Tolerance, find_root, fixed_point, integrate, kernels
+from .numerics import Bracket, Tolerance, find_root, fixed_point, integrate
 
 FP_TOL = Tolerance(abs_x=1e-10, abs_f=1e-12, max_iter=20000)
 
@@ -157,16 +157,16 @@ def symmetric_cutoff_iterative(a: float, b1: float, delta: float,
 
     Iterates theta <- clamp((phi + b1 - delta(1 - theta)) / (v - 1 + b1));
     phi defaults to a via the manifold identity. Returns (theta,
-    residual, iterations); runs on the compiled kernel when available.
+    residual, iterations); raises ConvergenceError when the budget runs
+    out.
     """
     if phi is None:
         phi = a
     den = (v - 1.0) + b1
     c0 = (phi + b1 - delta) / den
     c1 = delta / den
-    x, r, it = kernels.damped_affine_fp(c0, c1, x0, 0.0, 1.0, 0.5,
-                                        tol.abs_f, tol.max_iter)
-    return float(x), float(r), int(it)
+    return fixed_point(lambda x: c0 + c1 * x, x0, tol, damping=0.5,
+                       lo=0.0, hi=1.0)
 
 
 def _cutoff_given_coupling(econ, contract, load):

@@ -22,6 +22,11 @@ def test_unknown_names_are_usage_errors(tmp_path):
     assert main(["--out", str(tmp_path), "figure", "nonsense"]) == 2
 
 
+def test_removed_override_flags_are_usage_errors(tmp_path):
+    assert main(["--grid", "5", "--out", str(tmp_path), "verify"]) == 2
+    assert main(["--tol", "1e-3", "--out", str(tmp_path), "verify"]) == 2
+
+
 def test_missing_config_is_usage_error(tmp_path, capsys):
     code = main(["--config", str(tmp_path / "gone.json"),
                  "--out", str(tmp_path), "verify"])

@@ -1,20 +1,22 @@
 """Learning, monitoring, renegotiation, menus, auctions, 2D reduction."""
 
+import math
+
 import numpy as np
 import pytest
 
-from liqscreen.bilateral import solve_optimal
+from liqscreen.bilateral import binding_ir_advance, solve_optimal
 from liqscreen.economy import EconomyPrimitives, benchmark, uniform, with_tightness
 from liqscreen.errors import BracketError, DegeneracyError, DomainError
 from liqscreen.extensions import (
     MonitoringConfig,
     PosteriorState,
+    _rk4_affine,
     analytic_reduced_economy,
     bayes_update,
     d_statistic,
     discrete_hazard,
     dynamic_path,
-    full_info_advance,
     hazard_shrink_check,
     menu_equivalence_check,
     point_mass_posterior,
@@ -154,11 +156,24 @@ def test_menu_cannot_beat_single_contract():
 # --- auctions ----------------------------------------------------------------
 
 
-def test_full_info_advance_root_property():
+def test_interior_type_participation_root_property():
     econ = benchmark(v=2.0, mu0=0.0, K=1.0, R=1.0)
-    a = full_info_advance(econ, 0.4)
+    a = binding_ir_advance(econ, 0.0, 0.4)
     # a covers cost plus financing of the residual gap at theta
     assert abs(a - (0.4 + 0.5 * (1.0 - a) ** 2)) < 1e-9
+
+
+def test_rk4_affine_exponential_decay():
+    # y' = k * (y - m) with k = -1, m = 0 is y' = -y
+    ys = _rk4_affine([-1.0] * 401, [0.0] * 401, 1.0, 1.0 / 200, 200)
+    assert abs(ys[-1] - math.exp(-1.0)) < 1e-9
+    assert len(ys) == 201
+
+
+def test_rk4_affine_backward():
+    ys = _rk4_affine([-1.0] * 401, [0.0] * 401, math.exp(-1.0), -1.0 / 200, 200)
+    assert abs(ys[-1] - 1.0) < 1e-9
+    assert len(ys) == 201
 
 
 def test_bid_function_invariants_and_errors():

@@ -1,4 +1,4 @@
-"""Root finding, optimization, quadrature, and kernel backends."""
+"""Root finding, optimization, tie-breaking, quadrature, fixed points."""
 
 import math
 
@@ -9,14 +9,12 @@ from liqscreen.errors import BracketError, ConvergenceError
 from liqscreen.numerics import (
     Bracket,
     Tolerance,
+    best_candidate,
     find_root,
     fixed_point,
     integrate,
-    integrate_ode,
-    kernels,
     maximize_scalar,
 )
-from liqscreen import _kernels_py
 
 
 def test_find_root_cosine():
@@ -69,9 +67,38 @@ def test_maximize_scalar_corner():
     assert abs(x - 1.0) < 1e-7
 
 
+@pytest.mark.parametrize("rel_tol", [1e-13, 1e-12])
+def test_best_candidate_tie_goes_to_smaller_x(rel_tol):
+    near = 1.0 + 0.5 * rel_tol
+    assert best_candidate([(0.7, 1.0), (0.2, near)], rel_tol) == (0.2, near)
+    assert best_candidate([(0.2, near), (0.7, 1.0)], rel_tol) == (0.2, near)
+
+
+@pytest.mark.parametrize("rel_tol", [1e-13, 1e-12])
+def test_best_candidate_strict_improvement_wins(rel_tol):
+    better = 1.0 + 3.0 * rel_tol
+    assert best_candidate([(0.2, 1.0), (0.7, better)], rel_tol) == (0.7, better)
+    assert best_candidate([(0.7, better), (0.2, 1.0)], rel_tol) == (0.7, better)
+
+
 def test_integrate_polynomial():
     got = integrate(lambda x: 3.0 * x ** 2, 0.0, 2.0, panels=256)
     assert abs(got - 8.0) < 1e-8
+
+
+@pytest.mark.parametrize("panels", [128, 512])
+def test_integrate_matches_sequential_simpson_loop(panels):
+    f = lambda x: np.exp(np.sin(3.0 * x))
+    xs = np.linspace(0.0, 2.0, panels + 1)
+    ys = [float(y) for y in f(xs)]
+    odd = even = 0.0
+    for i in range(1, panels, 2):
+        odd += ys[i]
+    for i in range(2, panels - 1, 2):
+        even += ys[i]
+    ref = (ys[0] + ys[-1] + 4.0 * odd + 2.0 * even) * (2.0 / panels / 3.0)
+    # numpy sums pairwise, the loop sequentially: only the rounding differs
+    assert abs(integrate(f, 0.0, 2.0, panels) - ref) <= 8 * panels * 2.2e-16 * abs(ref)
 
 
 def test_integrate_zero_width():
@@ -90,25 +117,3 @@ def test_fixed_point_budget():
     with pytest.raises(ConvergenceError):
         fixed_point(lambda x: 2.0 * x + 1.0, 0.3,
                     Tolerance(abs_x=1e-12, abs_f=1e-12, max_iter=50))
-
-
-def test_integrate_ode_exponential_decay():
-    ts, ys = integrate_ode(lambda t, y: -y, 0.0, 1.0, 1.0, steps=200)
-    assert abs(ys[-1] - math.exp(-1.0)) < 1e-9
-    assert len(ts) == 201
-
-
-def test_integrate_ode_backward():
-    ts, ys = integrate_ode(lambda t, y: -y, 1.0, math.exp(-1.0), 0.0, steps=200)
-    assert abs(ys[-1] - 1.0) < 1e-9
-    assert ts[0] > ts[-1]
-
-
-def test_compiled_and_pure_kernels_agree():
-    if not kernels.IS_COMPILED:
-        pytest.skip("compiled backend unavailable")
-    ks = np.linspace(0.5, 2.0, 33)
-    gs = np.sin(ks)
-    y_c = kernels.rk4_affine(ks, gs, 1.0, -0.01, 16)
-    y_p = _kernels_py.rk4_affine(ks, gs, 1.0, -0.01, 16)
-    np.testing.assert_allclose(y_c, y_p, rtol=0, atol=1e-13)

@@ -7,7 +7,7 @@ import pytest
 
 from liqscreen.bilateral import cutoff
 from liqscreen.economy import benchmark
-from liqscreen.errors import DegeneracyError, DomainError
+from liqscreen.errors import ConvergenceError, DegeneracyError, DomainError
 from liqscreen.numerics import Tolerance
 from liqscreen.portfolio import (
     advance_response,
@@ -86,6 +86,12 @@ def test_iterative_cutoff_agrees_with_closed_form():
     assert abs(x - closed) < 1e-9
     assert abs(resid) < 1e-9
     assert its >= 1
+
+
+def test_iterative_cutoff_budget_exhaustion_raises():
+    with pytest.raises(ConvergenceError):
+        symmetric_cutoff_iterative(0.3, 0.5, 0.2,
+                                   tol=Tolerance(abs_f=1e-12, max_iter=3))
 
 
 def test_zero_coupling_reduces_to_bilateral_cutoffs():

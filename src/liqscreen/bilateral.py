@@ -21,10 +21,15 @@ from .economy import (EconomyPrimitives, cost_prime_at, financing_cost,
                       marginal_ell, signal_prime_at, with_tightness)
 from .errors import BracketError, DegeneracyError, DomainError
 from .numerics import (Bracket, Tolerance, best_candidate, find_root,
-                       integrate, maximize_scalar)
+                       find_roots, integrate, integrate_rows, maximize_rows,
+                       maximize_scalar, refine_scan)
 
 DEFAULT_TOL = Tolerance()
 _TIE = 1e-12
+# rows per Simpson matrix in contract_values: at 128 panels each array of
+# the integrand stays near 64 kB, so a batch of hundreds of contracts does
+# not raise the process's peak memory
+_SIMPSON_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -325,6 +330,23 @@ def _monotone_region(f_lo, f_hi, root_fn, lo, hi):
     return (r, hi) if f_lo < 0.0 else (lo, r)
 
 
+def _acceptance(econ, t, a, b0, b1, phi):
+    """Acceptance payoff U = a + b0 + b1*mu - c - Phi of type t; elementwise."""
+    return a + b0 + b1 * np.asarray(econ.signal_mean(t), float) \
+        - np.asarray(econ.cost(t), float) - phi
+
+
+def _profit(econ, t, a, b0, b1):
+    """Principal's profit pi = V - a - b0 - b1*mu from type t; elementwise."""
+    return np.asarray(econ.surplus(t), float) - a - b0 \
+        - b1 * np.asarray(econ.signal_mean(t), float)
+
+
+def _profit_flow(econ, t, a, b0, b1):
+    """Density-weighted profit, the integrand of the contract value."""
+    return _profit(econ, t, a, b0, b1) * np.asarray(econ.dist.pdf(t), float)
+
+
 def served_interval(econ: EconomyPrimitives, a: float, b0: float,
                     b1: float) -> tuple[float, float] | None:
     """Types that accept (U >= 0) and are worth serving (pi >= 0).
@@ -334,14 +356,13 @@ def served_interval(econ: EconomyPrimitives, a: float, b0: float,
     the served set is then an interval, possibly empty (None).
     """
     d = econ.dist
-    K = econ.working_capital
-    phi = financing_cost(econ.financing, K - a)
+    phi = financing_cost(econ.financing, econ.working_capital - a)
 
     def u(t):
-        return a + b0 + b1 * float(econ.signal_mean(t)) - float(econ.cost(t)) - phi
+        return float(_acceptance(econ, t, a, b0, b1, phi))
 
     def profit(t):
-        return float(econ.surplus(t)) - a - b0 - b1 * float(econ.signal_mean(t))
+        return float(_profit(econ, t, a, b0, b1))
 
     span_u = _monotone_region(
         u(d.lower), u(d.upper),
@@ -360,6 +381,51 @@ def served_interval(econ: EconomyPrimitives, a: float, b0: float,
     return (lo, hi) if lo < hi else None
 
 
+def _served_intervals(econ, a, b0, b1):
+    """served_interval over arrays a, b1: (lo, hi, served) arrays.
+
+    Roots come from find_roots, so each endpoint equals served_interval's
+    bit for bit; lo and hi are meaningful only where served holds.
+    """
+    d = econ.dist
+    K = econ.working_capital
+    phi = np.array([financing_cost(econ.financing, K - x) for x in a.tolist()])
+
+    def u(t, m):
+        return _acceptance(econ, t, a[m], b0, b1[m], phi[m])
+
+    def profit(t, m):
+        return _profit(econ, t, a[m], b0, b1[m])
+
+    lo_u, hi_u, ok_u = _monotone_regions(u, np.ones(a.size, bool), d)
+    lo_p, hi_p, ok_p = _monotone_regions(profit, ok_u, d)
+    lo, hi = np.maximum(lo_u, lo_p), np.minimum(hi_u, hi_p)
+    return lo, hi, ok_u & ok_p & (lo < hi)
+
+
+def _monotone_regions(g, rows, d):
+    """_monotone_region for the rows where the mask rows holds.
+
+    g(t, m) evaluates the monotone function of each row selected by m
+    at the points t. Returns (lo, hi, nonempty) over all rows; rows
+    outside the mask come back empty.
+    """
+    n = rows.size
+    lo, hi = np.full(n, d.lower), np.full(n, d.upper)
+    g_lo, g_hi = np.zeros(n), np.zeros(n)
+    g_lo[rows] = g(lo[rows], rows)
+    g_hi[rows] = g(hi[rows], rows)
+    whole = (g_lo >= 0.0) & (g_hi >= 0.0)
+    empty = ~rows | ((g_lo < 0.0) & (g_hi < 0.0))
+    cross = ~whole & ~empty
+    if cross.any():
+        r = find_roots(lambda t: g(t, cross), lo[cross], hi[cross], DEFAULT_TOL)
+        rises = g_lo[cross] < 0.0
+        lo[cross] = np.where(rises, r, lo[cross])
+        hi[cross] = np.where(rises, hi[cross], r)
+    return lo, hi, ~empty
+
+
 def contract_value(econ: EconomyPrimitives, a: float, b0: float = 0.0,
                    b1: float = 0.0, panels: int = 128) -> float:
     """Expected profit of an arbitrary contract at actual payment flows.
@@ -370,34 +436,76 @@ def contract_value(econ: EconomyPrimitives, a: float, b0: float = 0.0,
     span = served_interval(econ, a, b0, b1)
     if span is None:
         return 0.0
+    return integrate(lambda t: _profit_flow(econ, t, a, b0, b1),
+                     span[0], span[1], panels)
 
-    def integrand(t):
-        t = np.asarray(t, dtype=float)
-        return (np.asarray(econ.surplus(t), float) - a - b0
-                - b1 * np.asarray(econ.signal_mean(t), float)) \
-            * np.asarray(econ.dist.pdf(t), float)
 
-    return integrate(integrand, span[0], span[1], panels)
+def contract_values(econ: EconomyPrimitives, a, b0: float = 0.0, b1=0.0,
+                    panels: int = 128) -> np.ndarray:
+    """contract_value over arrays of advances and slopes.
+
+    a and b1 broadcast together; element i equals contract_value(econ,
+    a[i], b0, b1[i], panels) bit for bit. The served intervals are found
+    in lockstep and the integrals run as Simpson matrices of up to
+    _SIMPSON_ROWS rows.
+    """
+    a, b1 = np.broadcast_arrays(np.asarray(a, float), np.asarray(b1, float))
+    shape = a.shape
+    a, b1 = a.ravel(), b1.ravel()
+    lo, hi, served = _served_intervals(econ, a, b0, b1)
+    out = np.zeros(a.size)
+    rows = np.flatnonzero(served)
+    for k in range(0, rows.size, _SIMPSON_ROWS):
+        r = rows[k:k + _SIMPSON_ROWS]
+        out[r] = integrate_rows(
+            lambda t: _profit_flow(econ, t, a[r, None], b0, b1[r, None]),
+            lo[r], hi[r], panels)
+    return out.reshape(shape)
+
+
+def _best_advances(econ, b1, points=17, panels=128):
+    """Best advance for each slope of an array, in lockstep.
+
+    Returns (advances, values); element i equals the scalar search for
+    slope b1[i]: a uniform scan of [0, K], maximize_scalar around its
+    best point, then the corners and the participation roots as
+    candidates.
+    """
+    b1 = np.asarray(b1, float)
+    K = econ.working_capital
+    d = econ.dist
+    col = b1[:, None]
+
+    def vals(a):
+        return contract_values(econ, a, 0.0, col, panels)
+
+    xs = np.linspace(0.0, K, points)
+    i = np.argmax(vals(np.broadcast_to(xs, (b1.size, points))), axis=1)
+    lo = xs[np.maximum(i - 1, 0)]
+    hi = xs[np.minimum(i + 1, points - 1)]
+    f_at = None
+    if b1.size == 1:
+        def f_at(a):
+            return contract_value(econ, a, 0.0, float(b1[0]), panels)
+    x_m, v_m = maximize_rows(vals, lo, hi, Tolerance(abs_x=1e-11),
+                             scan_points=9, f_at=f_at)
+    cands = [sorted({0.0, K, binding_ir_advance(econ, b, d.lower),
+                     binding_ir_advance(econ, b, d.upper)})
+             for b in b1.tolist()]
+    sizes = [len(c) for c in cands]
+    c_vals = np.split(contract_values(econ, np.concatenate(cands), 0.0,
+                                      np.repeat(b1, sizes), panels),
+                      np.cumsum(sizes)[:-1])
+    best = [best_candidate([(float(x), float(v))] + list(zip(c, cv.tolist())),
+                           _TIE)
+            for x, v, c, cv in zip(x_m, v_m, cands, c_vals)]
+    return np.array([x for x, _ in best]), np.array([v for _, v in best])
 
 
 def _best_advance(econ, b1, points=17, panels=128):
     """Best advance for a fixed slope in the mixed program."""
-    K = econ.working_capital
-    d = econ.dist
-    cands = {0.0, K,
-             binding_ir_advance(econ, b1, d.lower),
-             binding_ir_advance(econ, b1, d.upper)}
-
-    def val(a):
-        return contract_value(econ, a, 0.0, b1, panels)
-
-    xs = np.linspace(0.0, K, points)
-    vals = [val(float(x)) for x in xs]
-    i = int(np.argmax(vals))
-    lo = float(xs[max(i - 1, 0)])
-    hi = float(xs[min(i + 1, points - 1)])
-    best = maximize_scalar(val, lo, hi, Tolerance(abs_x=1e-11), scan_points=9)
-    return best_candidate([best] + [(c, val(c)) for c in sorted(cands)], _TIE)
+    a, v = _best_advances(econ, [b1], points, panels)
+    return float(a[0]), float(v[0])
 
 
 def solve_mixed(econ: EconomyPrimitives, outer_points: int = 33,
@@ -406,8 +514,10 @@ def solve_mixed(econ: EconomyPrimitives, outer_points: int = 33,
 
     The slope search runs on [0, c'/mu'] (rents weakly increase in the
     slope beyond the flat-rent point) with the exact flat-rent slope and
-    the screening-program slope injected as candidates. An uninformative
-    signal reduces the program to the pure-advance choice.
+    the screening-program slope injected as candidates. The outer scan
+    and the candidates are solved as one batch; the golden refinement
+    of the slope is sequential. An uninformative signal reduces the
+    program to the pure-advance choice.
     """
     d = econ.dist
     mid = 0.5 * (d.lower + d.upper)
@@ -423,13 +533,16 @@ def solve_mixed(econ: EconomyPrimitives, outer_points: int = 33,
     def outer(b1):
         return _best_advance(econ, b1, inner_points, panels)[1]
 
-    b1_g, v_g = maximize_scalar(outer, 0.0, b1_flat,
-                                Tolerance(abs_x=1e-9), scan_points=outer_points)
-    cands = [(b1_g, v_g)]
-    for c in (0.0, b1_flat, solve_optimal(econ).contract.slope):
-        if 0.0 <= c <= b1_flat:
-            cands.append((c, outer(c)))
-    b1_star, _ = best_candidate(cands, _TIE)
+    xs = np.linspace(0.0, b1_flat, outer_points)
+    extra = [c for c in (0.0, b1_flat, solve_optimal(econ).contract.slope)
+             if 0.0 <= c <= b1_flat]
+    _, vals = _best_advances(econ, np.concatenate([xs, extra]),
+                             inner_points, panels)
+    b1_g, v_g = refine_scan(outer, xs, vals[:outer_points],
+                            Tolerance(abs_x=1e-9))
+    b1_star, _ = best_candidate(
+        [(b1_g, v_g)] + [(c, float(v)) for c, v in zip(extra, vals[outer_points:])],
+        _TIE)
     a_star, v_star = _best_advance(econ, b1_star, inner_points, panels)
     span = served_interval(econ, a_star, 0.0, b1_star)
     if abs(b1_star - b1_flat) <= 1e-9:

@@ -34,7 +34,6 @@ R_TABLE = (0.5, 1.0, 2.0, 3.0, 5.0)
 class RunConfig:
     """Resolved invocation settings."""
 
-    command: str
     name: str | None
     config_path: str | None
     out_dir: str
@@ -366,8 +365,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        cfg = RunConfig(command=args.command,
-                        name=getattr(args, "name", None),
+        cfg = RunConfig(name=getattr(args, "name", None),
                         config_path=args.config, out_dir=args.out,
                         seed=args.seed)
         os.makedirs(cfg.out_dir, exist_ok=True)

@@ -97,6 +97,60 @@ def find_root(f: Callable[[float], float], bracket: Bracket,
     raise ConvergenceError(f"root iteration exhausted {tol.max_iter} steps", last=x)
 
 
+def find_roots(f: Callable[[np.ndarray], np.ndarray], lo, hi,
+               tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """find_root over arrays of brackets [lo[i], hi[i]], in lockstep.
+
+    f maps an array of points, one per bracket, to the values there and
+    must act elementwise. Each element takes find_root's own secant and
+    forced-bisection steps, so each root equals find_root's bit for bit.
+    Raises BracketError when any bracket lacks a sign change and
+    ConvergenceError (carrying .last) when any element runs out of
+    budget.
+    """
+    lo, hi = np.array(lo, float), np.array(hi, float)
+    flo, fhi = f(lo), f(hi)
+    root = np.where(flo == 0.0, lo, hi)
+    done = (flo == 0.0) | (fhi == 0.0)
+    if np.any(~done & (flo * fhi > 0.0)):
+        raise BracketError("no sign change on some brackets")
+    x = 0.5 * (lo + hi)
+    for _ in range(tol.max_iter):
+        if done.all():
+            return root
+        # secant proposal, kept only if it lands strictly inside
+        denom = fhi - flo
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xs = hi - fhi * (hi - lo) / denom
+        x = np.where((denom != 0.0) & (lo < xs) & (xs < hi), xs, 0.5 * (lo + hi))
+        fx = f(x)
+        hit = ~done & ((np.abs(fx) <= tol.abs_f) | ((hi - lo) <= tol.abs_x))
+        root = np.where(hit, x, root)
+        done = done | hit
+        width_prev = hi - lo
+        lo, flo, hi, fhi = _shrink(~done, lo, flo, hi, fhi, x, fx)
+        # guard: forced bisection where the secant barely shrank the bracket
+        force = ~done & ((hi - lo) > 0.7 * width_prev)
+        if force.any():
+            xm = 0.5 * (lo + hi)
+            fm = f(xm)
+            hit = force & (np.abs(fm) <= tol.abs_f)
+            root = np.where(hit, xm, root)
+            done = done | hit
+            lo, flo, hi, fhi = _shrink(force & ~hit, lo, flo, hi, fhi, xm, fm)
+    if done.all():
+        return root
+    raise ConvergenceError(f"root iteration exhausted {tol.max_iter} steps", last=x)
+
+
+def _shrink(mask, lo, flo, hi, fhi, x, fx):
+    """Move the bracket end that keeps the sign change to x where mask holds."""
+    to_hi = mask & (flo * fx < 0.0)
+    to_lo = mask & ~(flo * fx < 0.0)
+    return (np.where(to_lo, x, lo), np.where(to_lo, fx, flo),
+            np.where(to_hi, x, hi), np.where(to_hi, fx, fhi))
+
+
 def maximize_scalar(f: Callable[[float], float], lo: float, hi: float,
                     tol: Tolerance = DEFAULT_TOL,
                     scan_points: int = 65) -> tuple[float, float]:
@@ -111,18 +165,72 @@ def maximize_scalar(f: Callable[[float], float], lo: float, hi: float,
     if lo == hi:
         return lo, f(lo)
     xs = np.linspace(lo, hi, scan_points)
-    fs = np.array([f(float(x)) for x in xs])
-    i = int(np.argmax(fs))
-    # tie-break the scan itself toward smaller x
-    tie = np.abs(fs - fs[i]) <= 1e-13 * max(1.0, abs(float(fs[i])))
-    i = int(np.argmin(np.where(tie, xs, np.inf)))
+    return refine_scan(f, xs, np.array([f(float(x)) for x in xs]), tol)
+
+
+def refine_scan(f: Callable[[float], float], xs, fs,
+                tol: Tolerance = DEFAULT_TOL) -> tuple[float, float]:
+    """Finish maximize_scalar from a scan evaluated elsewhere.
+
+    xs is the uniform scan grid and fs the values of f there. Refines
+    around the best scan point by golden-section search on f and
+    compares against both ends of the grid, as maximize_scalar does.
+    """
+    if not (xs[0] <= xs[-1]):
+        raise ValueError("maximize_scalar needs lo <= hi")
+    i = int(_scan_peak(xs, fs))
     a = float(xs[max(i - 1, 0)])
-    b = float(xs[min(i + 1, scan_points - 1)])
-    x_best, f_best = _golden_max(f, a, b, tol)
+    b = float(xs[min(i + 1, len(xs) - 1)])
+    return _scan_choice(xs, fs, i, *_golden_max(f, a, b, tol))
+
+
+def maximize_rows(f: Callable[[np.ndarray], np.ndarray], lo, hi,
+                  tol: Tolerance = DEFAULT_TOL, scan_points: int = 65,
+                  f_at: Callable[[float], float] | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """maximize_scalar over rows of intervals, in lockstep.
+
+    f maps an (n, k) array of points, row i inside [lo[i], hi[i]], to
+    the values there and must act elementwise. Row i of the result
+    equals maximize_scalar(f_i, lo[i], hi[i], tol, scan_points) bit for
+    bit. Needs lo < hi in every row. With one row and f_at, the row's
+    objective at a single point, the golden refinement calls f_at
+    through _golden_max, which is cheaper than batches of one.
+    """
+    lo, hi = np.asarray(lo, float), np.asarray(hi, float)
+    if not np.all(lo < hi):
+        raise ValueError("maximize_rows needs lo < hi in every row")
+    xs = np.linspace(lo, hi, scan_points, axis=-1)
+    fs = np.asarray(f(xs), float)
+    if lo.size == 1 and f_at is not None:
+        x, v = refine_scan(f_at, xs[0], fs[0], tol)
+        return np.array([x]), np.array([v])
+    rows = np.arange(lo.size)
+    i = _scan_peak(xs, fs)
+    x_g, f_g = golden_max_rows(lambda x: f(x[:, None])[:, 0],
+                               xs[rows, np.maximum(i - 1, 0)],
+                               xs[rows, np.minimum(i + 1, scan_points - 1)], tol)
+    best = [_scan_choice(xs[r], fs[r], i[r], x_g[r], f_g[r]) for r in rows]
+    return np.array([x for x, _ in best]), np.array([v for _, v in best])
+
+
+def _scan_peak(xs, fs):
+    """Index of the best scan point along the last axis.
+
+    Values within 1e-13 relative of the maximum tie, and a tie goes to
+    the smallest x.
+    """
+    top = np.take_along_axis(fs, np.argmax(fs, axis=-1)[..., None], -1)
+    tie = np.abs(fs - top) <= 1e-13 * np.maximum(1.0, np.abs(top))
+    return np.argmin(np.where(tie, xs, np.inf), axis=-1)
+
+
+def _scan_choice(xs, fs, i, x_g, f_g):
+    """maximize_scalar's pick: both scan ends, scan point i, the golden point."""
     return best_candidate([(float(xs[0]), float(fs[0])),
                            (float(xs[-1]), float(fs[-1])),
-                           (float(xs[i]), float(fs[i])), (x_best, f_best)],
-                          1e-13)
+                           (float(xs[i]), float(fs[i])),
+                           (float(x_g), float(f_g))], 1e-13)
 
 
 def best_candidate(candidates, rel_tol: float) -> tuple[float, float]:
@@ -157,6 +265,35 @@ def _golden_max(f, a, b, tol):
             a, c, fc = c, d, fd
             d = a + GOLDEN * (b - a)
             fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
+def golden_max_rows(f: Callable[[np.ndarray], np.ndarray], a, b,
+                    tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """_golden_max over arrays of intervals [a[i], b[i]], in lockstep.
+
+    f maps an array of points, one per interval, to the values there and
+    must act elementwise. Each element takes _golden_max's own steps, so
+    element i equals _golden_max(f_i, a[i], b[i], tol) bit for bit.
+    """
+    a, b = np.array(a, float), np.array(b, float)
+    c = b - GOLDEN * (b - a)
+    d = a + GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    active = (b - a) > tol.abs_x
+    while active.any():
+        left = active & (fc >= fd)  # keep [a, d]: old c becomes d
+        right = active & ~left  # keep [c, b]: old d becomes c
+        b, d, fd, a, c, fc = (np.where(left, d, b), np.where(left, c, d),
+                              np.where(left, fc, fd), np.where(right, c, a),
+                              np.where(right, d, c), np.where(right, fd, fc))
+        c = np.where(left, b - GOLDEN * (b - a), c)
+        d = np.where(right, a + GOLDEN * (b - a), d)
+        fnew = f(np.where(left, c, d))
+        fc = np.where(left, fnew, fc)
+        fd = np.where(right, fnew, fd)
+        active = (b - a) > tol.abs_x
     x = 0.5 * (a + b)
     return x, f(x)
 
@@ -212,6 +349,29 @@ def integrate(f: Callable, lo: float, hi: float, panels: int = 512) -> float:
             raise TypeError
     except (TypeError, ValueError):
         ys = np.array([float(f(float(x))) for x in xs])
-    h = (hi - lo) / panels
-    return float((ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum()
-                  + 2.0 * ys[2:-1:2].sum()) * (h / 3.0))
+    return float(_simpson(ys, (hi - lo) / panels))
+
+
+def integrate_rows(f: Callable[[np.ndarray], np.ndarray], lo, hi,
+                   panels: int = 512) -> np.ndarray:
+    """Composite Simpson integrals over each [lo[i], hi[i]] at once.
+
+    f maps an (n, panels + 1) grid, row i spanning [lo[i], hi[i]], to
+    the values there and must act elementwise. Row i equals integrate()
+    of the same integrand bit for bit. Needs lo < hi in every row.
+    """
+    lo, hi = np.asarray(lo, float), np.asarray(hi, float)
+    if not np.all(lo < hi):
+        raise ValueError("integrate_rows needs lo < hi in every row")
+    if panels < 2 or panels % 2:
+        raise ValueError("panels must be even and >= 2")
+    xs = np.linspace(lo, hi, panels + 1, axis=-1)
+    # C order keeps each row's sums in integrate's (pairwise) order
+    ys = np.ascontiguousarray(np.asarray(f(xs), dtype=float))
+    return _simpson(ys, (hi - lo) / panels)
+
+
+def _simpson(ys, h):
+    """Simpson weights applied along the last axis of ys."""
+    return (ys[..., 0] + ys[..., -1] + 4.0 * ys[..., 1:-1:2].sum(axis=-1)
+            + 2.0 * ys[..., 2:-1:2].sum(axis=-1)) * (h / 3.0)

@@ -363,14 +363,20 @@ def contagion_derivative(port: PortfolioEconomy, j: int,
             "analytic": direct + spillover, "flagged": flagged}
 
 
+EMPIRICAL_DELTA_GRID = np.arange(0.0, 2.5 + 1e-9, 0.05)
+
+
 def contagion_threshold(econ: EconomyPrimitives,
                         delta_grid=None) -> dict:
     """Coupling strength at which tighter credit starts raising book value.
 
     analytic inverts the sign condition of the fixed-contract value
-    derivative at the uncoupled cutoff; empirical scans a coupling grid
-    for the first sign flip of the full finite-difference derivative
-    (contracts re-calibrated).
+    derivative at the uncoupled cutoff. empirical is the first coupling
+    in delta_grid where the full finite-difference derivative (contracts
+    re-calibrated) turns positive, nan when none does. The scan solves
+    three coupled books per grid point, so it runs only when a grid is
+    given (EMPIRICAL_DELTA_GRID is the customary one); without one,
+    empirical is nan.
     """
     c = calibrated_contract(econ)
     if c.slope <= 1e-12:
@@ -383,11 +389,9 @@ def contagion_threshold(econ: EconomyPrimitives,
         raise DegeneracyError("uncoupled service set is empty")
     analytic = (K - c.advance) * (1.0 + c.slope) \
         * marginal_r(econ.financing, ell) / (c.slope * tail)
-    if delta_grid is None:
-        delta_grid = np.arange(0.0, 2.5 + 1e-9, 0.05)
     empirical = math.nan
     R = econ.financing.tightness
-    for dlt in delta_grid:
+    for dlt in (() if delta_grid is None else delta_grid):
         port = symmetric_portfolio(R, float(dlt))
         if contagion_derivative(port, 0)["total"] > 0.0:
             empirical = float(dlt)

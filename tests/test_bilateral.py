@@ -7,9 +7,11 @@ import pytest
 
 from liqscreen.bilateral import (
     Contract,
+    _best_advances,
     binding_ir_advance,
     closed_form_ell_star,
     contract_value,
+    contract_values,
     crossing_threshold,
     cutoff,
     ir_slope,
@@ -24,8 +26,9 @@ from liqscreen.bilateral import (
     sweep_R,
     virtual_surplus,
 )
-from liqscreen.economy import benchmark
+from liqscreen.economy import benchmark, power, truncated_exponential
 from liqscreen.errors import DomainError
+from liqscreen.numerics import Tolerance, best_candidate, maximize_scalar
 
 
 def test_contract_rejects_negative_terms():
@@ -161,3 +164,61 @@ def test_sweep_rows_have_stable_schema():
                     "W_M", "W_A", "W_C"):
             assert key in row, key
         assert abs(row["a_star"] + row["ell_star"] - 1.0) < 1e-9
+
+
+BATCH_ECONOMIES = {
+    "uniform": benchmark(v=2.0, mu0=0.1, K=1.0, R=1.0),
+    "truncated_exponential": benchmark(v=2.5, mu0=0.2, K=1.1, R=0.7,
+                                       signal_scale=0.7,
+                                       dist=truncated_exponential(1.5)),
+    "power": benchmark(v=2.2, mu0=0.05, K=0.9, R=2.0, signal_scale=1.3,
+                       dist=power(1.7)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_ECONOMIES))
+def test_contract_values_match_contract_value(name):
+    econ = BATCH_ECONOMIES[name]
+    K = econ.working_capital
+    rng = np.random.Generator(np.random.Philox(5))
+    a = np.concatenate([[0.0, 0.0, K, K, 0.3 * K], rng.uniform(0.0, K, 40)])
+    b1 = np.concatenate([[0.0, 0.8, 0.0, 1.5, 0.0], rng.uniform(0.0, 2.0, 40)])
+    got = contract_values(econ, a, 0.0, b1)
+    ref = np.array([contract_value(econ, x, 0.0, b) for x, b in zip(a, b1)])
+    assert ref[0] == 0.0  # a = b1 = 0: nobody accepts, the service set is empty
+    assert np.all(np.abs(got - ref) <= 1e-15), np.max(np.abs(got - ref))
+    # a and b1 broadcast, and the batch keeps their shape
+    grid = contract_values(econ, a[:6, None], 0.0, b1[None, :4])
+    assert grid.shape == (6, 4)
+    assert np.all(np.abs(grid[:, 0] - contract_values(econ, a[:6], 0.0, b1[0]))
+                  <= 1e-15)
+
+
+def _scalar_best_advance(econ, b1, points=17, panels=128):
+    """The mixed program's advance search one contract value at a time."""
+    K = econ.working_capital
+    d = econ.dist
+
+    def val(a):
+        return contract_value(econ, a, 0.0, b1, panels)
+
+    xs = np.linspace(0.0, K, points)
+    i = int(np.argmax([val(float(x)) for x in xs]))
+    best = maximize_scalar(val, float(xs[max(i - 1, 0)]),
+                           float(xs[min(i + 1, points - 1)]),
+                           Tolerance(abs_x=1e-11), scan_points=9)
+    cands = sorted({0.0, K, binding_ir_advance(econ, b1, d.lower),
+                    binding_ir_advance(econ, b1, d.upper)})
+    return best_candidate([best] + [(c, val(c)) for c in cands], 1e-12)
+
+
+@pytest.mark.parametrize("name", ["uniform", "truncated_exponential"])
+def test_best_advances_equal_the_scalar_search(name):
+    econ = BATCH_ECONOMIES[name]
+    slopes = [0.0, 0.2, 0.55, 1.0, 1.7]
+    a, v = _best_advances(econ, slopes)
+    for i, b1 in enumerate(slopes):
+        assert (a[i], v[i]) == _scalar_best_advance(econ, b1), b1
+    # a batch of one takes the scalar golden steps and agrees as well
+    one = _best_advances(econ, slopes[2:3])
+    assert (one[0][0], one[1][0]) == (a[2], v[2])

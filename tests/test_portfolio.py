@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from liqscreen import portfolio
 from liqscreen.bilateral import cutoff
 from liqscreen.economy import benchmark
 from liqscreen.errors import ConvergenceError, DegeneracyError, DomainError
 from liqscreen.numerics import Tolerance
 from liqscreen.portfolio import (
+    EMPIRICAL_DELTA_GRID,
     advance_response,
     breadth_comparison,
     calibrated_contract,
@@ -129,13 +131,39 @@ def test_contagion_derivative_sign_flips_with_coupling():
     assert np.isfinite(analytic_only["analytic"])
 
 
-def test_contagion_threshold_reports_both_routes():
+@pytest.fixture(scope="module")
+def scanned_threshold():
+    """Both threshold routes at the benchmark, empirical scan included."""
     econ = benchmark(v=2.0, mu0=0.0, K=1.0, R=1.0)
-    out = contagion_threshold(econ)
+    return contagion_threshold(econ, EMPIRICAL_DELTA_GRID)
+
+
+def test_contagion_threshold_reports_both_routes(scanned_threshold):
+    out = scanned_threshold
     # fixed-contract analytic flip vs re-calibrated empirical scan; the
     # contract response moves the flip earlier, so empirical comes first
     assert out["analytic"] > 0.0
     assert 0.0 < out["empirical"] <= out["analytic"]
+
+
+def test_contagion_threshold_without_grid_skips_the_scan(scanned_threshold,
+                                                         monkeypatch):
+    calls = []
+    real = portfolio.contagion_derivative
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(portfolio, "contagion_derivative", counted)
+    econ = benchmark(v=2.0, mu0=0.0, K=1.0, R=1.0)
+    out = contagion_threshold(econ)
+    assert out["analytic"] == scanned_threshold["analytic"]
+    assert math.isnan(out["empirical"])
+    assert calls == []
+    # the counter does see the scan when a grid is given
+    contagion_threshold(econ, [1.2])
+    assert len(calls) == 1
 
 
 def test_hump_scan_peak_only_when_coupled():

@@ -19,7 +19,7 @@ import numpy as np
 
 from .economy import (EconomyPrimitives, cost_prime_at, financing_cost,
                       marginal_ell, signal_prime_at, with_tightness)
-from .errors import BracketError, DegeneracyError, DomainError
+from .errors import BracketError, DomainError
 from .numerics import (Bracket, Tolerance, best_candidate, find_root,
                        find_roots, integrate, integrate_rows, maximize_rows,
                        maximize_scalar, refine_scan)
@@ -184,6 +184,23 @@ def rent_schedule(econ: EconomyPrimitives, b1: float, theta: float) -> float:
     return integrate(integrand, lo, theta, panels=256)
 
 
+def rent_tail(econ: EconomyPrimitives, x: float, panels: int = 512) -> float:
+    """Integral of the pointwise mu' * (1 - F) from x to the top type."""
+    d = econ.dist
+    return integrate(lambda t: _mu_prime(econ, t)
+                     * (1.0 - np.asarray(d.cdf(t), float)), x, d.upper, panels)
+
+
+def screening_integral(econ: EconomyPrimitives, x: float, a: float, b1: float,
+                       panels: int = 512) -> float:
+    """Integral of psi(t; a, b1) * f(t) over (x, upper]; 0 when x >= upper."""
+    d = econ.dist
+    if x >= d.upper:
+        return 0.0
+    return integrate(lambda t: virtual_surplus(econ, t, a, b1)
+                     * np.asarray(d.pdf(t), float), x, d.upper, panels)
+
+
 def principal_value(econ: EconomyPrimitives, b1: float,
                     panels: int = 512) -> tuple[float, dict]:
     """Screening-program value of slope b1 with the advance on the manifold.
@@ -215,9 +232,7 @@ def _screening_value(econ: EconomyPrimitives, a: float, slope: float,
     ps = integrate(lambda t: (np.asarray(econ.surplus(t), float)
                               - np.asarray(econ.cost(t), float))
                    * np.asarray(d.pdf(t), float), that, d.upper, panels)
-    rent = slope * integrate(lambda t: _mu_prime(econ, t)
-                             * (1.0 - np.asarray(d.cdf(t), float)),
-                             that, d.upper, panels)
+    rent = slope * rent_tail(econ, that, panels)
     decomp = {"productive_surplus": ps,
               "aggregate_financing_cost": phi * tail,
               "aggregate_information_rent": rent,
@@ -583,8 +598,7 @@ def contingent_value(econ: EconomyPrimitives, b1: float,
     that = cutoff(econ, 0.0, b1)
     if float(virtual_surplus(econ, d.upper, 0.0, b1)) < 0.0:
         return 0.0
-    return integrate(lambda t: virtual_surplus(econ, t, 0.0, b1)
-                     * np.asarray(d.pdf(t), float), that, d.upper, panels)
+    return screening_integral(econ, that, 0.0, b1, panels)
 
 
 def pure_contingent_value(econ: EconomyPrimitives) -> float:
@@ -616,6 +630,20 @@ def crossing_threshold(econ: EconomyPrimitives) -> float:
     return find_root(gap, Bracket(lo, hi), DEFAULT_TOL)
 
 
+def advance_share(econ: EconomyPrimitives, mix: MixedSolution) -> float:
+    """Advance share beta of expected pay to served types (1 if none contingent)."""
+    if mix.implemented is None or mix.contract.slope <= 0:
+        return 1.0
+    d = econ.dist
+    lo_s, hi_s = mix.implemented
+    mass = float(d.cdf(hi_s)) - float(d.cdf(lo_s))
+    mean_mu = integrate(
+        lambda t: np.asarray(econ.signal_mean(t), float)
+        * np.asarray(d.pdf(t), float), lo_s, hi_s, 256) / max(mass, 1e-12)
+    expected_pay = mix.contract.advance + mix.contract.slope * mean_mu
+    return mix.contract.advance / expected_pay if expected_pay > 0 else 1.0
+
+
 def sweep_R(econ: EconomyPrimitives, R_grid) -> tuple[list[dict], dict]:
     """Comparative statics of the benchmark contracts over tightness.
 
@@ -632,21 +660,11 @@ def sweep_R(econ: EconomyPrimitives, R_grid) -> tuple[list[dict], dict]:
         mix = solve_mixed(e)
         a = sol.contract.advance
         K = e.working_capital
-        if mix.implemented is not None and mix.contract.slope > 0:
-            lo_s, hi_s = mix.implemented
-            mass = float(d.cdf(hi_s)) - float(d.cdf(lo_s))
-            mean_mu = integrate(
-                lambda t: np.asarray(e.signal_mean(t), float)
-                * np.asarray(d.pdf(t), float), lo_s, hi_s, 256) / max(mass, 1e-12)
-            expected_pay = mix.contract.advance + mix.contract.slope * mean_mu
-            beta = mix.contract.advance / expected_pay if expected_pay > 0 else 1.0
-        else:
-            beta = 1.0
         rows.append({
             "R": float(R),
             "a_star": a,
             "ell_star": K - a,
-            "beta_star": beta,
+            "beta_star": advance_share(e, mix),
             "phi_share": financing_cost(e.financing, K - a) / scale,
             "W_M": mix.value,
             "W_A": pure_advance_value(e),

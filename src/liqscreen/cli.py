@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .bilateral import (closed_form_ell_star, pure_advance_value,
-                        pure_contingent_value, solve_mixed, solve_optimal,
-                        sweep_R)
+from .bilateral import (advance_share, closed_form_ell_star,
+                        pure_advance_value, pure_contingent_value,
+                        solve_mixed, solve_optimal, sweep_R)
 from .economy import (benchmark, economy_from_config, financing_cost,
                       load_config, with_tightness)
 from .errors import LiqscreenError
@@ -97,22 +97,7 @@ def _table_menu(cfg: RunConfig) -> list[str]:
         for R in R_TABLE:
             e = with_tightness(econ, R)
             a_share = 1.0 - closed_form_ell_star(R)
-            m = solve_mixed(e)
-            if m.implemented is None:
-                beta = 1.0
-            else:
-                lo, hi = m.implemented
-                d = e.dist
-                span_mass = float(d.cdf(hi)) - float(d.cdf(lo))
-                if span_mass <= 0 or m.contract.advance + m.contract.slope <= 0:
-                    beta = 1.0
-                else:
-                    ts = np.linspace(lo, hi, 257)
-                    mu_bar = float(np.trapezoid(
-                        np.asarray(e.signal_mean(ts), float)
-                        * np.asarray(d.pdf(ts), float), ts)) / span_mass
-                    adv = m.contract.advance
-                    beta = adv / (adv + m.contract.slope * mu_bar)
+            beta = advance_share(e, solve_mixed(e))
             rows.append((f"{ratio:g}", f"{R:.1f}", float(a_share), float(beta)))
     path = os.path.join(cfg.out_dir, "table_menu.csv")
     return [_write_csv(path, header, rows)]

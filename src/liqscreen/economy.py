@@ -244,9 +244,12 @@ def benchmark(v: float = 2.0, mu0: float = 0.0, K: float = 1.0, R: float = 1.0,
     Uniform types on [0, 1] unless dist overrides, V = v*theta,
     c = theta, quadratic financing with tightness R, and signal
     mu = mu0 + signal_scale*theta (kind "affine") or mu identically 0
-    (kind "flat", which requires mu0 = 0).
+    (kind "flat", which requires mu0 = 0). A negative affine scale is
+    rejected: the signal would fall in the type.
     """
     if signal_kind == "affine":
+        if signal_scale < 0:
+            raise DomainError("affine signal scale must be nonnegative")
         mu = (lambda t, s=signal_scale: mu0 + s * np.asarray(t, float))
         mu_prime = (lambda t, s=signal_scale: s * np.ones_like(np.asarray(t, float)))
     elif signal_kind == "flat":

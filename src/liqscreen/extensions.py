@@ -15,13 +15,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bilateral import (BilateralSolution, Contract, _screening_value,
-                        binding_ir_advance, solve_mixed, solve_optimal)
+                        binding_ir_advance, rent_tail, solve_mixed,
+                        solve_optimal)
 from .economy import (EconomyPrimitives, TypeDistribution, cost_prime_at,
                       financing_cost, marginal_ell, signal_prime_at,
                       with_tightness)
 from .errors import (BracketError, DegeneracyError, DomainError,
                      SingularityError)
-from .numerics import Bracket, Tolerance, find_root, integrate
+from .numerics import Bracket, Tolerance, find_root
 from .oracle import DiscreteMechanism, ic_verify
 
 _EPS_W = 1e-15  # support threshold for posterior weights
@@ -57,10 +58,15 @@ def uniform_posterior(lo: float = 0.0, hi: float = 1.0,
     return PosteriorState(np.linspace(lo, hi, m), np.full(m, 1.0 / m))
 
 
+def _tail_mass(w: np.ndarray) -> np.ndarray:
+    """Posterior mass strictly above each grid point."""
+    return np.concatenate((np.cumsum(w[::-1])[-2::-1], [0.0]))
+
+
 def discrete_hazard(post: PosteriorState) -> np.ndarray:
     """Right-tail mass over point mass, nan where the point is unsupported."""
     w = np.asarray(post.weights, float)
-    tail = np.concatenate((np.cumsum(w[::-1])[-2::-1], [0.0]))
+    tail = _tail_mass(w)
     out = np.full(w.shape, np.nan)
     sup = w > _EPS_W
     out[sup] = tail[sup] / w[sup]
@@ -74,9 +80,8 @@ def d_statistic(post: PosteriorState) -> float:
     and collapses to 0 at a point mass.
     """
     w = np.asarray(post.weights, float)
-    tail = np.concatenate((np.cumsum(w[::-1])[-2::-1], [0.0]))
     step = float(post.grid[1] - post.grid[0])
-    return float(np.sum(tail[w > _EPS_W]) * step)
+    return float(np.sum(_tail_mass(w)[w > _EPS_W]) * step)
 
 
 def bayes_update(post: PosteriorState, x: int) -> PosteriorState:
@@ -230,17 +235,8 @@ def _monitoring_gap(econ, cfg, sigma):
     """FOC gap: marginal screening improvement minus marginal cost."""
     m = solve_mixed(scale_signal(econ, 1.0 + sigma),
                     outer_points=17, inner_points=9, panels=64)
-    if m.implemented is None:
-        lhs = 0.0
-    else:
-        d = econ.dist
-        lo_s = m.implemented[0]
-        base_p = econ.signal_mean_prime
-        lhs = m.contract.slope * integrate(
-            lambda t: (np.asarray(base_p(t), float) if base_p is not None
-                       else np.full_like(np.asarray(t, float),
-                                         signal_prime_at(econ, lo_s)))
-            * (1.0 - np.asarray(d.cdf(t), float)), lo_s, d.upper, 128)
+    lhs = (0.0 if m.implemented is None
+           else m.contract.slope * rent_tail(econ, m.implemented[0], 128))
     return lhs - 2.0 * cfg.kappa0 * sigma
 
 
@@ -624,17 +620,7 @@ def reduce_2d(alpha, theta, econ: EconomyPrimitives, v_scale: float = 2.0,
 
     dist = TypeDistribution(lower=lo, upper=hi, cdf=cdf, pdf=pdf,
                             name="empirical_xi")
-    reduced = EconomyPrimitives(
-        dist=dist,
-        surplus=lambda t: v_scale * np.asarray(t, float),
-        cost=lambda t: np.ones_like(np.asarray(t, float)),
-        signal_mean=lambda t: np.asarray(t, float),
-        financing=econ.financing,
-        working_capital=econ.working_capital,
-        cost_prime=lambda t: np.zeros_like(np.asarray(t, float)),
-        signal_mean_prime=lambda t: np.ones_like(np.asarray(t, float)),
-        label="reduced_2d")
-    sol = solve_optimal(reduced)
+    sol = solve_optimal(_reduced_economy(econ, dist, v_scale, "reduced_2d"))
     return {"xi_distribution": dist, "solution_2d": sol,
             "rejected": rejected, "degenerate": False, "xi_range": (lo, hi)}
 
@@ -642,6 +628,11 @@ def reduce_2d(alpha, theta, econ: EconomyPrimitives, v_scale: float = 2.0,
 def analytic_reduced_economy(econ: EconomyPrimitives, dist: TypeDistribution,
                              v_scale: float = 2.0) -> EconomyPrimitives:
     """Reference reduced economy with an exact ratio distribution."""
+    return _reduced_economy(econ, dist, v_scale, "reduced_2d_analytic")
+
+
+def _reduced_economy(econ, dist, v_scale, label):
+    """Ratio economy: surplus v_scale * xi, unit cost, signal mean xi."""
     return EconomyPrimitives(
         dist=dist,
         surplus=lambda t: v_scale * np.asarray(t, float),
@@ -651,4 +642,4 @@ def analytic_reduced_economy(econ: EconomyPrimitives, dist: TypeDistribution,
         working_capital=econ.working_capital,
         cost_prime=lambda t: np.zeros_like(np.asarray(t, float)),
         signal_mean_prime=lambda t: np.ones_like(np.asarray(t, float)),
-        label="reduced_2d_analytic")
+        label=label)

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bilateral import (Contract, binding_ir_advance, cutoff, solve_mixed,
-                        virtual_surplus)
+from .bilateral import (Contract, binding_ir_advance, cutoff, rent_tail,
+                        screening_integral, solve_mixed, virtual_surplus)
 from .economy import (EconomyPrimitives, marginal_ell, marginal_r,
-                      signal_prime_at, with_tightness)
+                      with_tightness)
 from .errors import DegeneracyError, DomainError
-from .numerics import Bracket, Tolerance, find_root, fixed_point, integrate
+from .numerics import Bracket, Tolerance, find_root, fixed_point
 
 FP_TOL = Tolerance(abs_x=1e-10, abs_f=1e-12, max_iter=20000)
 
@@ -195,28 +195,27 @@ def solve_cutoffs(port: PortfolioEconomy,
     Starts from the uncoupled cutoffs; each step re-solves every
     relationship's threshold at the current complementarity load.
     """
-    n = len(port.economies)
-    tails = lambda x: np.array(  # noqa: E731
-        [1.0 - float(port.economies[i].dist.cdf(x[i])) for i in range(n)])
-
-    def g(x):
-        load = port.coupling @ tails(x)
-        return np.array([_cutoff_given_coupling(port.economies[i],
-                                                port.contracts[i],
-                                                float(load[i]))[0]
-                         for i in range(n)])
+    def responses(x):
+        load = port.coupling @ _tails(port, x)
+        return [_cutoff_given_coupling(e, c, float(l))
+                for e, c, l in zip(port.economies, port.contracts, load)]
 
     x0 = np.array([cutoff(e, c.advance, c.slope)
                    for e, c in zip(port.economies, port.contracts)])
-    x, residual, iters = fixed_point(g, x0, tol)
-    load = port.coupling @ tails(x)
-    clamped = tuple(_cutoff_given_coupling(port.economies[i], port.contracts[i],
-                                           float(load[i]))[1] for i in range(n))
+    x, residual, iters = fixed_point(
+        lambda x: np.array([t for t, _ in responses(x)]), x0, tol)
+    clamped = tuple(flag for _, flag in responses(x))
     total, per = portfolio_value(port, x)
     cents = _all_centralities(port, x, clamped)
     return PortfolioSolution(cutoffs=x, clamped=clamped, total_value=total,
                              per_value=per, centralities=cents,
                              residual=residual, iterations=iters)
+
+
+def _tails(port: PortfolioEconomy, x) -> np.ndarray:
+    """Mass 1 - F_i(x_i) each relationship serves at its cutoff."""
+    return np.array([1.0 - float(e.dist.cdf(t))
+                     for e, t in zip(port.economies, x)])
 
 
 def portfolio_value(port: PortfolioEconomy, cutoffs) -> tuple[float, np.ndarray]:
@@ -227,18 +226,10 @@ def portfolio_value(port: PortfolioEconomy, cutoffs) -> tuple[float, np.ndarray]
     split half-and-half between the two relationships involved.
     """
     x = np.asarray(cutoffs, float)
-    n = len(port.economies)
-    tails = np.array([1.0 - float(port.economies[i].dist.cdf(x[i]))
-                      for i in range(n)])
-    per = np.empty(n)
+    tails = _tails(port, x)
+    per = np.empty(len(x))
     for i, (e, c) in enumerate(zip(port.economies, port.contracts)):
-        d = e.dist
-        if x[i] >= d.upper:
-            base = 0.0
-        else:
-            base = integrate(
-                lambda t: virtual_surplus(e, t, c.advance, c.slope)
-                * np.asarray(d.pdf(t), float), float(x[i]), d.upper, 256)
+        base = screening_integral(e, float(x[i]), c.advance, c.slope, 256)
         pair = 0.5 * float(np.sum(port.coupling[i] * tails)) * tails[i]
         per[i] = base + pair - c.advance
     return float(np.sum(per)), per
@@ -267,51 +258,43 @@ def fd_cutoff_sensitivity(port: PortfolioEconomy, j: int, h: float = 1e-4,
     return (up - dn) / (2.0 * h)
 
 
-def _jacobian_sensitivity(port, cutoffs, clamped, j):
-    """Cutoff responses to R_j at fixed contracts via the implicit system.
+def _cutoff_jacobian(port, cutoffs, free):
+    """Jacobian of the cutoff conditions in the free (unclamped) cutoffs.
 
-    Rows of clamped relationships are frozen (their cutoffs sit at a
-    support endpoint and do not move locally).
+    Clamped cutoffs sit at a support endpoint and do not move locally.
     """
-    n = len(port.economies)
-    jac = np.zeros((n, n))
-    rhs = np.zeros(n)
-    for i, (e, c) in enumerate(zip(port.economies, port.contracts)):
-        if clamped[i] != "none":
-            jac[i, i] = 1.0
-            continue
-        t = float(cutoffs[i])
-        h = 1e-6
-        dpsi = (float(virtual_surplus(e, t + h, c.advance, c.slope))
-                - float(virtual_surplus(e, t - h, c.advance, c.slope))) / (2 * h)
-        jac[i, i] = dpsi
-        for k in range(n):
-            if k != i and clamped[k] == "none":
-                jac[i, k] -= port.coupling[i, k] \
-                    * float(port.economies[k].dist.pdf(cutoffs[k]))
-        if i == j:
-            ell = e.working_capital - c.advance
-            rhs[i] = marginal_r(e.financing, ell)
-    try:
-        return np.linalg.solve(jac, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise DegeneracyError(f"singular cutoff Jacobian: {exc}") from exc
-
-
-def contagion_centrality(port: PortfolioEconomy, sol: PortfolioSolution,
-                         j: int) -> float:
-    """Coupling-weighted response of other cutoffs to j's credit tightness."""
-    sens = _jacobian_sensitivity(port, sol.cutoffs, sol.clamped, j)
-    return float(sum(port.coupling[i, j] * sens[i]
-                     for i in range(len(port.economies)) if i != j))
+    x = cutoffs[free].tolist()
+    pdf = np.array([float(port.economies[k].dist.pdf(t))
+                    for k, t in zip(free, x)])
+    jac = -(port.coupling[np.ix_(free, free)] * pdf)
+    h = 1e-6
+    for m, (i, t) in enumerate(zip(free, x)):
+        e, c = port.economies[i], port.contracts[i]
+        jac[m, m] = (float(virtual_surplus(e, t + h, c.advance, c.slope))
+                     - float(virtual_surplus(e, t - h, c.advance, c.slope))) \
+            / (2 * h)
+    return jac
 
 
 def _all_centralities(port, cutoffs, clamped):
-    n = len(port.economies)
-    out = np.empty(n)
-    for j in range(n):
-        sens = _jacobian_sensitivity(port, cutoffs, clamped, j)
-        out[j] = sum(port.coupling[i, j] * sens[i] for i in range(n) if i != j)
+    """Coupling-weighted response of the other cutoffs to each R_j.
+
+    One Jacobian solve, a column per free j; clamped relationships get 0.
+    """
+    out = np.zeros(len(port.economies))
+    free = np.flatnonzero(np.asarray(clamped) == "none")
+    if free.size == 0:
+        return out
+    rhs = np.diag([marginal_r(port.economies[j].financing,
+                              port.economies[j].working_capital
+                              - port.contracts[j].advance) for j in free])
+    try:
+        sens = np.linalg.solve(_cutoff_jacobian(port, cutoffs, free), rhs)
+    except np.linalg.LinAlgError as exc:
+        raise DegeneracyError(f"singular cutoff Jacobian: {exc}") from exc
+    weighted = port.coupling[np.ix_(free, free)] * sens
+    np.fill_diagonal(weighted, 0.0)
+    out[free] = weighted.sum(axis=0)
     return out
 
 
@@ -337,24 +320,14 @@ def contagion_derivative(port: PortfolioEconomy, j: int,
         dn = solve_cutoffs(_rebuild(port, j, R_j - h, True)).total_value
         total = (up - dn) / (2.0 * h)
 
-    d = e_j.dist
     that = float(base.cutoffs[j])
-    tail = 1.0 - float(d.cdf(that))
+    tail = 1.0 - float(e_j.dist.cdf(that))
     ell = e_j.working_capital - c_j.advance
     b1p = slope_calibration_prime(R_j)
     ap = advance_response(e_j, c_j.slope, b1p)
-    if that >= d.upper:
-        rent_sens = 0.0
-    else:
-        rent_sens = integrate(
-            lambda t: (np.asarray(e_j.signal_mean_prime(t), float)
-                       if e_j.signal_mean_prime is not None
-                       else np.full_like(np.asarray(t, float),
-                                         signal_prime_at(e_j, that)))
-            * (1.0 - np.asarray(d.cdf(t), float)), that, d.upper, 256)
     direct = -marginal_r(e_j.financing, ell) * tail
     spillover = ap * (marginal_ell(e_j.financing, ell) * tail - 1.0) \
-        - b1p * rent_sens
+        - b1p * rent_tail(e_j, that, 256)
     K = e_j.working_capital
     flagged = (c_j.advance <= 1e-9 or c_j.advance >= K - 1e-9
                or c_j.slope <= 1e-9)
@@ -432,19 +405,6 @@ def hump_scan(R_grid, delta: float, v: float = 2.0, mu0: float = 0.0) -> dict:
             "positive_intervals": positive, "peak": peak}
 
 
-def _bilateral_value_at(econ: EconomyPrimitives, contract: Contract) -> float:
-    """Uncoupled screening value of a given contract, net of the advance."""
-    d = econ.dist
-    that = cutoff(econ, contract.advance, contract.slope)
-    if that >= d.upper:
-        base = 0.0
-    else:
-        base = integrate(lambda t: virtual_surplus(econ, t, contract.advance,
-                                                   contract.slope)
-                         * np.asarray(d.pdf(t), float), that, d.upper, 256)
-    return base - contract.advance
-
-
 def breadth_comparison(port: PortfolioEconomy,
                        single: str = "reoptimized") -> dict:
     """Two coupled relationships against independent bilateral ones.
@@ -460,7 +420,9 @@ def breadth_comparison(port: PortfolioEconomy,
     if single == "reoptimized":
         w1 = solve_mixed(port.economies[0]).value
     elif single == "matched":
-        w1 = _bilateral_value_at(port.economies[0], port.contracts[0])
+        e, c = port.economies[0], port.contracts[0]
+        w1 = screening_integral(e, cutoff(e, c.advance, c.slope),
+                                c.advance, c.slope, 256) - c.advance
     else:
         raise DomainError(f"unknown single-value convention {single!r}")
     return {"dual_value": dual, "single_value": w1,

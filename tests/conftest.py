@@ -2,7 +2,9 @@
 
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from liqscreen.economy import benchmark
@@ -18,6 +20,20 @@ def bench_mu0():
 def bench_informative():
     """Benchmark economy with a positive signal intercept."""
     return benchmark(v=2.0, mu0=0.1, K=1.0, R=1.0)
+
+
+@pytest.fixture
+def curved_signal_pair():
+    """mu = 0.1 + theta + theta^2/2 on the benchmark: without and with mu'."""
+    base = benchmark(v=2.0, mu0=0.1, K=1.0, R=1.0)
+
+    def mu(t):
+        t = np.asarray(t, float)
+        return 0.1 + t + 0.5 * t * t
+
+    return (replace(base, signal_mean=mu, signal_mean_prime=None),
+            replace(base, signal_mean=mu,
+                    signal_mean_prime=lambda t: 1.0 + np.asarray(t, float)))
 
 
 @contextmanager

@@ -18,6 +18,8 @@ from liqscreen.bilateral import (
     pure_advance_value,
     pure_contingent_value,
     rent_schedule,
+    rent_tail,
+    screening_integral,
     served_interval,
     slope_cap,
     solve_mixed,
@@ -222,3 +224,21 @@ def test_best_advances_equal_the_scalar_search(name):
     # a batch of one takes the scalar golden steps and agrees as well
     one = _best_advances(econ, slopes[2:3])
     assert (one[0][0], one[1][0]) == (a[2], v[2])
+
+
+def test_rent_tail_closed_form_with_and_without_signal_slope(curved_signal_pair):
+    # mu' = 1 + t on uniform types: integral of (1 + t)(1 - t) from x to 1
+    for x in (0.0, 0.3, 0.8, 1.0):
+        exact = 2.0 / 3.0 - x + x ** 3 / 3.0
+        without, with_prime = (rent_tail(e, x, 128) for e in curved_signal_pair)
+        assert abs(with_prime - exact) < 1e-12
+        assert abs(without - exact) < 1e-8
+
+
+def test_screening_integral_closed_form_and_empty_tail(bench_mu0):
+    # psi = (1 + b1) t - Phi(K - a) - b1 on the benchmark with mu0 = 0
+    a, b1, x = 0.2, 0.5, 0.6
+    phi = 0.5 * (1.0 - a) ** 2
+    exact = 0.5 * (1.0 + b1) * (1.0 - x * x) - (phi + b1) * (1.0 - x)
+    assert abs(screening_integral(bench_mu0, x, a, b1) - exact) < 1e-12
+    assert screening_integral(bench_mu0, 1.0, a, b1) == 0.0

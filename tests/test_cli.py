@@ -3,13 +3,22 @@
 import csv
 import filecmp
 import json
+from pathlib import Path
 
 from liqscreen.cli import main
+
+# default-config (seed 42) artifacts; every command must keep writing these bytes
+REFERENCE = Path(__file__).parent / "reference" / "cli"
 
 
 def _rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def _assert_reference_bytes(path):
+    assert path.read_bytes() == (REFERENCE / path.name).read_bytes(), \
+        f"{path.name} differs from tests/reference/cli/{path.name}"
 
 
 def test_no_command_is_usage_error(capsys):
@@ -50,6 +59,8 @@ def test_sensitivity_table_reproduces_advance_column(tmp_path):
     rows3 = _rows(tmp_path / "table_sensitivity_v3.csv")
     for r2, r3 in zip(rows, rows3):
         assert r2["a_star"] == r3["a_star"]
+    for v in (2, 3):
+        _assert_reference_bytes(tmp_path / f"table_sensitivity_v{v}.csv")
 
 
 def test_menu_table_advance_share_depends_only_on_tightness(tmp_path):
@@ -61,6 +72,7 @@ def test_menu_table_advance_share_depends_only_on_tightness(tmp_path):
     assert by_R
     for shares in by_R.values():
         assert len(shares) == 1, by_R
+    _assert_reference_bytes(tmp_path / "table_menu.csv")
 
 
 def test_contagion_table_threshold_increases(tmp_path):
@@ -68,6 +80,7 @@ def test_contagion_table_threshold_increases(tmp_path):
     rows = _rows(tmp_path / "table_contagion.csv")
     thr = [float(r["delta_star"]) for r in rows]
     assert all(b > a for a, b in zip(thr, thr[1:])), thr
+    _assert_reference_bytes(tmp_path / "table_contagion.csv")
 
 
 def test_advance_figure_passes_through_anchor(tmp_path):
@@ -76,6 +89,7 @@ def test_advance_figure_passes_through_anchor(tmp_path):
     at_one = [r for r in rows if abs(float(r["R"]) - 1.0) < 1e-9]
     assert len(at_one) == 1
     assert abs(float(at_one[0]["a_star"]) - 0.267949) < 5e-4
+    _assert_reference_bytes(tmp_path / "figure_advance.csv")
 
 
 def test_dominance_figure_advance_value_constant(tmp_path):
@@ -85,12 +99,13 @@ def test_dominance_figure_advance_value_constant(tmp_path):
     assert w_a == {"0.250000"}
     for r in rows:
         assert float(r["W_M"]) >= max(float(r["W_A"]), float(r["W_C"])) - 1e-6
+    _assert_reference_bytes(tmp_path / "figure_dominance.csv")
 
 
 def test_remaining_figures_emit(tmp_path):
     for name in ("payoff", "contagion_region", "hump"):
         assert main(["--out", str(tmp_path), "figure", name]) == 0
-        assert (tmp_path / f"figure_{name}.csv").exists()
+        _assert_reference_bytes(tmp_path / f"figure_{name}.csv")
 
 
 def test_csv_outputs_byte_identical_across_runs(tmp_path):
@@ -99,6 +114,7 @@ def test_csv_outputs_byte_identical_across_runs(tmp_path):
         assert main(["--out", str(out), "table", "sensitivity"]) == 0
     assert filecmp.cmp(a / "table_sensitivity_v2.csv",
                        b / "table_sensitivity_v2.csv", shallow=False)
+    _assert_reference_bytes(a / "table_sensitivity_v2.csv")
 
 
 def test_verify_default_config_passes(tmp_path):
@@ -111,6 +127,7 @@ def test_verify_default_config_passes(tmp_path):
             "ic_counterexample_caught", "uninformative_corner"} <= names
     for check in report["checks"]:
         assert check["status"] == "pass", check
+    _assert_reference_bytes(tmp_path / "verify_report.json")
 
 
 def test_verify_flat_signal_config_passes(tmp_path):
@@ -122,3 +139,12 @@ def test_verify_flat_signal_config_passes(tmp_path):
     report = json.loads((tmp_path / "verify_report.json").read_text())
     corner = [c for c in report["checks"] if c["check"] == "uninformative_corner"]
     assert corner and corner[0]["status"] == "pass"
+
+
+def test_negative_signal_scale_config_is_rejected_at_load(tmp_path, capsys):
+    cfg = tmp_path / "negative.json"
+    cfg.write_text(json.dumps(
+        {"economy": {"signal": {"kind": "affine", "scale": -1.0}, "mu0": 2.0}}))
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "verify"]) == 2
+    assert "affine signal scale must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "verify_report.json").exists()

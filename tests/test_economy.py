@@ -134,3 +134,12 @@ def test_config_tabulated_financing():
         {"phi": {"kind": "tabulated",
                  "params": {"ell": [0.0, 1.0], "phi": [0.0, 2.0]}}})
     assert abs(financing_cost(econ.financing, 0.25) - 0.5) < 1e-12
+
+
+def test_config_rejects_negative_affine_signal_scale():
+    with pytest.raises(DomainError, match="signal scale"):
+        economy_from_config({"signal": {"kind": "affine", "scale": -1.0},
+                             "mu0": 2.0})
+    # a zero scale is an uninformative but legal signal
+    econ = economy_from_config({"signal": {"kind": "affine", "scale": 0.0}})
+    assert float(econ.signal_mean(0.7)) == 0.0

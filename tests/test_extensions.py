@@ -11,6 +11,7 @@ from liqscreen.errors import BracketError, DegeneracyError, DomainError
 from liqscreen.extensions import (
     MonitoringConfig,
     PosteriorState,
+    _monitoring_gap,
     _rk4_affine,
     analytic_reduced_economy,
     bayes_update,
@@ -120,6 +121,13 @@ def test_monitoring_interior_and_corner():
     assert corner["sigma_star"] == 0.0
     with pytest.raises(BracketError):
         solve_monitoring(econ, MonitoringConfig(kappa0=1e-6, sigma_max=0.5))
+
+
+def test_monitoring_gap_uses_pointwise_signal_slope(curved_signal_pair):
+    # without a mu' closure the rent tail must still weight mu' pointwise
+    cfg = MonitoringConfig(kappa0=0.05)
+    gaps = [_monitoring_gap(e, cfg, 0.5) for e in curved_signal_pair]
+    assert abs(gaps[0] - gaps[1]) < 1e-5, gaps
 
 
 # --- renegotiation -----------------------------------------------------------

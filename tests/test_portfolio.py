@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from liqscreen import portfolio
-from liqscreen.bilateral import cutoff
-from liqscreen.economy import benchmark
+from liqscreen.bilateral import cutoff, virtual_surplus
+from liqscreen.economy import benchmark, marginal_r
 from liqscreen.errors import ConvergenceError, DegeneracyError, DomainError
 from liqscreen.numerics import Tolerance
 from liqscreen.portfolio import (
@@ -15,9 +15,9 @@ from liqscreen.portfolio import (
     advance_response,
     breadth_comparison,
     calibrated_contract,
-    contagion_centrality,
     contagion_derivative,
     contagion_threshold,
+    fd_cutoff_sensitivity,
     hump_scan,
     independent_cutoff_value,
     make_portfolio,
@@ -117,7 +117,67 @@ def test_centrality_symmetric_book():
     sol = solve_cutoffs(port)
     assert sol.centralities.shape == (2,)
     assert abs(sol.centralities[0] - sol.centralities[1]) < 1e-9
-    assert abs(contagion_centrality(port, sol, 0) - sol.centralities[0]) < 1e-12
+
+
+@pytest.mark.parametrize("Rs, coupling, clamped", [
+    ((0.8, 1.0, 1.4), [[0.0, 0.1, 0.25], [0.1, 0.0, 0.3], [0.25, 0.3, 0.0]],
+     ("none",) * 3),
+    ((0.8, 1.4, 1.0, 1.2), [[0.0, 0.2, 0.05, 0.05], [0.2, 0.0, 0.05, 0.05],
+                            [0.05, 0.05, 0.0, 1.5], [0.05, 0.05, 1.5, 0.0]],
+     ("none", "none", "all_served", "all_served")),
+], ids=["interior", "two_clamped"])
+def test_centralities_match_finite_difference_cutoff_responses(Rs, coupling,
+                                                               clamped):
+    coupling = np.array(coupling)
+    port = make_portfolio([benchmark(R=R) for R in Rs], coupling=coupling)
+    sol = solve_cutoffs(port)
+    assert sol.clamped == clamped
+    n = len(Rs)
+    for j in range(n):
+        sens = fd_cutoff_sensitivity(port, j)
+        fd = sum(coupling[i, j] * sens[i] for i in range(n) if i != j)
+        assert abs(sol.centralities[j] - fd) < 1e-6, (j, sol.centralities[j], fd)
+        if clamped[j] != "none":
+            assert sol.centralities[j] == 0.0
+
+
+def _loop_centralities(port, sol):
+    """Reference: one solve of the full cutoff Jacobian per relationship."""
+    n = len(port.economies)
+    free = [state == "none" for state in sol.clamped]
+    out = np.zeros(n)
+    for j in range(n):
+        jac, rhs = np.eye(n), np.zeros(n)
+        for i, (e, c) in enumerate(zip(port.economies, port.contracts)):
+            if not free[i]:
+                continue
+            t, h = float(sol.cutoffs[i]), 1e-6
+            jac[i, i] = (float(virtual_surplus(e, t + h, c.advance, c.slope))
+                         - float(virtual_surplus(e, t - h, c.advance, c.slope))) \
+                / (2 * h)
+            for k in range(n):
+                if k != i and free[k]:
+                    jac[i, k] = -port.coupling[i, k] \
+                        * float(port.economies[k].dist.pdf(sol.cutoffs[k]))
+            if i == j:
+                rhs[i] = marginal_r(e.financing, e.working_capital - c.advance)
+        sens = np.linalg.solve(jac, rhs)
+        out[j] = sum(port.coupling[i, j] * sens[i] for i in range(n) if i != j)
+    return out
+
+
+def test_centralities_equal_per_relationship_solves():
+    rng = np.random.Generator(np.random.Philox(11))
+    n = 12
+    coupling = np.triu(rng.uniform(0.0, 0.05, (n, n)), 1)
+    coupling[0, 1] = coupling[2, 3] = 1.5  # pushes four cutoffs to the bottom
+    port = make_portfolio([benchmark(R=R) for R in rng.uniform(0.5, 3.0, n)],
+                          coupling=coupling + coupling.T)
+    sol = solve_cutoffs(port)
+    assert 0 < sol.clamped.count("none") < n
+    # one solve with many right-hand sides rounds differently from n solves
+    assert np.allclose(sol.centralities, _loop_centralities(port, sol),
+                       rtol=100 * np.finfo(float).eps, atol=0.0)
 
 
 def test_contagion_derivative_sign_flips_with_coupling():
@@ -129,6 +189,14 @@ def test_contagion_derivative_sign_flips_with_coupling():
                                          analytic_only=True)
     assert math.isnan(analytic_only["total"])
     assert np.isfinite(analytic_only["analytic"])
+
+
+def test_contagion_spillover_uses_pointwise_signal_slope(curved_signal_pair):
+    # without a mu' closure the rent tail must still weight mu' pointwise
+    spill = [contagion_derivative(make_portfolio([e, e], delta=0.5), 0,
+                                  analytic_only=True)["screening_spillover"]
+             for e in curved_signal_pair]
+    assert abs(spill[0] - spill[1]) < 1e-5, spill
 
 
 @pytest.fixture(scope="module")

@@ -13,12 +13,12 @@ benchmarks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .economy import (EconomyPrimitives, cost_prime_at, financing_cost,
-                      marginal_ell, signal_prime_at, with_tightness)
+from .economy import (EconomyPrimitives, cost_slope, financing_cost,
+                      marginal_ell, signal_slope, with_tightness)
 from .errors import BracketError, DomainError
 from .numerics import (Bracket, Tolerance, best_candidate, find_root,
                        find_roots, integrate, integrate_rows, maximize_rows,
@@ -26,6 +26,7 @@ from .numerics import (Bracket, Tolerance, best_candidate, find_root,
 
 DEFAULT_TOL = Tolerance()
 _TIE = 1e-12
+_SCREENING_PANELS = 512  # Simpson panels of the screening-program integrals
 # rows per Simpson matrix in contract_values: at 128 panels each array of
 # the integrand stays near 64 kB, so a batch of hundreds of contracts does
 # not raise the process's peak memory
@@ -95,6 +96,35 @@ def binding_ir_advance(econ: EconomyPrimitives, b1: float,
     return find_root(gap, Bracket(0.0, K), DEFAULT_TOL)
 
 
+def binding_slope(econ: EconomyPrimitives, a: float,
+                  theta: float | None = None) -> float:
+    """Slope making type theta's participation bind at advance a.
+
+    The inverse of binding_ir_advance: b1 = (c(theta) + Phi(K - a) - a)
+    / mu(theta), unclamped. theta defaults to the lowest type; nan when
+    mu(theta) vanishes, where the manifold does not pin the slope.
+    """
+    if theta is None:
+        theta = econ.dist.lower
+    mu_t = float(econ.signal_mean(theta))
+    if abs(mu_t) < 1e-12:
+        return math.nan
+    return (float(econ.cost(theta))
+            + financing_cost(econ.financing, econ.working_capital - a) - a) / mu_t
+
+
+def flat_rent_slope(econ: EconomyPrimitives) -> float | None:
+    """Slope c'/mu' at the mid type, where rents stop falling in the type.
+
+    None when the signal is uninformative there (|mu'| < 1e-12).
+    """
+    mid = 0.5 * (econ.dist.lower + econ.dist.upper)
+    mu_p = signal_slope(econ, mid)
+    if abs(mu_p) < 1e-12:
+        return None
+    return cost_slope(econ, mid) / mu_p
+
+
 def ir_slope(econ: EconomyPrimitives, b1: float) -> float:
     """d a / d b1 along the binding participation manifold.
 
@@ -113,13 +143,8 @@ def slope_cap(econ: EconomyPrimitives) -> float:
     Twice the slope at which the binding advance hits zero, capped at 10;
     the cap alone applies when the lowest type's signal is uninformative.
     """
-    lo = econ.dist.lower
-    mu_lo = float(econ.signal_mean(lo))
-    if abs(mu_lo) < 1e-12:
-        return 10.0
-    b_zero = (float(econ.cost(lo))
-              + financing_cost(econ.financing, econ.working_capital)) / mu_lo
-    return min(2.0 * max(b_zero, 0.0), 10.0) if b_zero > 0 else 10.0
+    b_zero = binding_slope(econ, 0.0)
+    return min(2.0 * b_zero, 10.0) if b_zero > 0 else 10.0
 
 
 # ---------------------------------------------------------------------------
@@ -132,13 +157,6 @@ def _wedge(econ, t):
     return (1.0 - np.asarray(econ.dist.cdf(t), float)) / np.asarray(econ.dist.pdf(t), float)
 
 
-def _mu_prime(econ, t):
-    t = np.asarray(t, dtype=float)
-    if econ.signal_mean_prime is not None:
-        return np.asarray(econ.signal_mean_prime(t), float)
-    return np.array([signal_prime_at(econ, float(x)) for x in np.ravel(t)]).reshape(t.shape)
-
-
 def virtual_surplus(econ: EconomyPrimitives, theta, a: float, b1: float):
     """Pointwise virtual surplus of serving type theta under (a, b1).
 
@@ -147,7 +165,7 @@ def virtual_surplus(econ: EconomyPrimitives, theta, a: float, b1: float):
     t = np.asarray(theta, dtype=float)
     phi = financing_cost(econ.financing, econ.working_capital - a)
     out = (np.asarray(econ.surplus(t), float) - np.asarray(econ.cost(t), float)
-           - phi - b1 * _mu_prime(econ, t) * _wedge(econ, t))
+           - phi - b1 * signal_slope(econ, t) * _wedge(econ, t))
     return float(out) if np.isscalar(theta) else out
 
 
@@ -176,18 +194,14 @@ def rent_schedule(econ: EconomyPrimitives, b1: float, theta: float) -> float:
     lo = econ.dist.lower
     if theta <= lo:
         return 0.0
-
-    def integrand(t):
-        return b1 * _mu_prime(econ, t) - np.array(
-            [cost_prime_at(econ, float(x)) for x in np.atleast_1d(t)])
-
-    return integrate(integrand, lo, theta, panels=256)
+    return integrate(lambda t: b1 * signal_slope(econ, t) - cost_slope(econ, t),
+                     lo, theta, panels=256)
 
 
 def rent_tail(econ: EconomyPrimitives, x: float, panels: int = 512) -> float:
     """Integral of the pointwise mu' * (1 - F) from x to the top type."""
     d = econ.dist
-    return integrate(lambda t: _mu_prime(econ, t)
+    return integrate(lambda t: signal_slope(econ, t)
                      * (1.0 - np.asarray(d.cdf(t), float)), x, d.upper, panels)
 
 
@@ -201,19 +215,18 @@ def screening_integral(econ: EconomyPrimitives, x: float, a: float, b1: float,
                      * np.asarray(d.pdf(t), float), x, d.upper, panels)
 
 
-def principal_value(econ: EconomyPrimitives, b1: float,
-                    panels: int = 512) -> tuple[float, dict]:
+def principal_value(econ: EconomyPrimitives, b1: float) -> tuple[float, dict]:
     """Screening-program value of slope b1 with the advance on the manifold.
 
     Returns (W, decomposition); W is assembled from the decomposition so
     the identity W = surplus - financing - rent - outlay holds exactly.
     An empty service set yields W = 0 with decomposition["empty_set"] = 1.
     """
-    return _screening_value(econ, binding_ir_advance(econ, b1), b1, panels)[:2]
+    return _screening_value(econ, binding_ir_advance(econ, b1), b1)[:2]
 
 
-def _screening_value(econ: EconomyPrimitives, a: float, slope: float,
-                     panels: int = 512) -> tuple[float, dict, float]:
+def _screening_value(econ: EconomyPrimitives, a: float,
+                     slope: float) -> tuple[float, dict, float]:
     """Screening value of advance a when rents accrue at the given slope.
 
     Serves the types above the virtual-surplus cutoff and charges the
@@ -231,8 +244,8 @@ def _screening_value(econ: EconomyPrimitives, a: float, slope: float,
     tail = 1.0 - float(d.cdf(that))
     ps = integrate(lambda t: (np.asarray(econ.surplus(t), float)
                               - np.asarray(econ.cost(t), float))
-                   * np.asarray(d.pdf(t), float), that, d.upper, panels)
-    rent = slope * rent_tail(econ, that, panels)
+                   * np.asarray(d.pdf(t), float), that, d.upper, _SCREENING_PANELS)
+    rent = slope * rent_tail(econ, that, _SCREENING_PANELS)
     decomp = {"productive_surplus": ps,
               "aggregate_financing_cost": phi * tail,
               "aggregate_information_rent": rent,
@@ -241,19 +254,13 @@ def _screening_value(econ: EconomyPrimitives, a: float, slope: float,
     return ps - phi * tail - rent - a, decomp, that
 
 
-def _rent_of_advance(econ, a_target, b1_hint, b1_hi):
+def _rent_of_advance(econ, a_target, b1_hi):
     """Aggregate rent along the manifold, parameterized by the advance.
 
-    Inverts the binding participation constraint in closed form:
-    b1 = (c(lower) + Phi(K - a) - a) / mu(lower).
+    Needs an informative lowest-type signal (sufficient_statistics
+    checks it first), so the slope inverse binding_slope is finite.
     """
-    lo = econ.dist.lower
-    mu_lo = float(econ.signal_mean(lo))
-    if abs(mu_lo) < 1e-12:
-        raise BracketError("flat signal floor; manifold has no slope inverse")
-    b1 = (float(econ.cost(lo))
-          + financing_cost(econ.financing, econ.working_capital - a_target)
-          - a_target) / mu_lo
+    b1 = binding_slope(econ, a_target)
     if b1 < -1e-9 or b1 > b1_hi + 1e-9:
         raise BracketError("advance target unreachable on the slope range")
     _, decomp = principal_value(econ, min(max(b1, 0.0), b1_hi))
@@ -271,50 +278,40 @@ def sufficient_statistics(econ: EconomyPrimitives,
     both the statistic and the residual are reported as nan.
     """
     a = sol.contract.advance
-    b1 = sol.contract.slope
-    K = econ.working_capital
-    phi_l = marginal_ell(econ.financing, K - a)
+    phi_l = marginal_ell(econ.financing, econ.working_capital - a)
     mu_lo = float(econ.signal_mean(econ.dist.lower))
     tail = 1.0 - float(econ.dist.cdf(sol.cutoff))
-    corner = sol.boundary_flag != "interior"
-    if abs(mu_lo) < 1e-12 or tail < 1e-12:
-        return {"marginal_financing_relief": phi_l,
-                "marginal_screening_cost": math.nan,
-                "residual": math.nan, "corner": corner}
-    h = 1e-5
-    b1_hi = slope_cap(econ)
-    ends = (binding_ir_advance(econ, 0.0), binding_ir_advance(econ, b1_hi))
-    lo_r, hi_r = min(ends), max(ends)
-    can_up = lo_r <= a + h <= hi_r + 1e-15
-    can_dn = lo_r - 1e-15 <= a - h <= hi_r
-    rent_here = sol.decomposition["aggregate_information_rent"]
-    if can_up and can_dn:
-        rent_up = _rent_of_advance(econ, a + h, b1, b1_hi)
-        rent_dn = _rent_of_advance(econ, a - h, b1, b1_hi)
-        drent = (rent_up - rent_dn) / (2.0 * h)
-    elif can_dn:
-        drent = (rent_here - _rent_of_advance(econ, a - h, b1, b1_hi)) / h
-    elif can_up:
-        drent = (_rent_of_advance(econ, a + h, b1, b1_hi) - rent_here) / h
-    else:
-        return {"marginal_financing_relief": phi_l,
-                "marginal_screening_cost": math.nan,
-                "residual": math.nan, "corner": corner}
-    screening = (1.0 + drent) / tail
+    drent = math.nan
+    if abs(mu_lo) >= 1e-12 and tail >= 1e-12:
+        h = 1e-5
+        b1_hi = slope_cap(econ)
+        ends = (binding_ir_advance(econ, 0.0), binding_ir_advance(econ, b1_hi))
+        lo_r, hi_r = min(ends), max(ends)
+        can_up = lo_r <= a + h <= hi_r + 1e-15
+        can_dn = lo_r - 1e-15 <= a - h <= hi_r
+        rent_here = sol.decomposition["aggregate_information_rent"]
+        if can_up and can_dn:
+            rent_up = _rent_of_advance(econ, a + h, b1_hi)
+            rent_dn = _rent_of_advance(econ, a - h, b1_hi)
+            drent = (rent_up - rent_dn) / (2.0 * h)
+        elif can_dn:
+            drent = (rent_here - _rent_of_advance(econ, a - h, b1_hi)) / h
+        elif can_up:
+            drent = (_rent_of_advance(econ, a + h, b1_hi) - rent_here) / h
+    screening = (1.0 + drent) / tail if tail >= 1e-12 else math.nan
     return {"marginal_financing_relief": phi_l,
             "marginal_screening_cost": screening,
-            "residual": phi_l - screening, "corner": corner}
+            "residual": phi_l - screening,
+            "corner": sol.boundary_flag != "interior"}
 
 
-def solve_optimal(econ: EconomyPrimitives,
-                  tol: Tolerance = DEFAULT_TOL) -> BilateralSolution:
+def solve_optimal(econ: EconomyPrimitives) -> BilateralSolution:
     """Solve the screening program over the slope, advance on the manifold."""
     b1_hi = slope_cap(econ)
     b1_star, _ = maximize_scalar(lambda b: principal_value(econ, b)[0],
-                                 0.0, b1_hi, tol)
+                                 0.0, b1_hi, DEFAULT_TOL)
     a_star = binding_ir_advance(econ, b1_star)
-    w, decomp = principal_value(econ, b1_star)
-    that = cutoff(econ, a_star, b1_star)
+    w, decomp, that = _screening_value(econ, a_star, b1_star)
     if b1_star <= 1e-9:
         flag = "corner_b1_zero"
     elif a_star <= 1e-9:
@@ -324,11 +321,7 @@ def solve_optimal(econ: EconomyPrimitives,
     sol = BilateralSolution(contract=Contract(a_star, 0.0, b1_star),
                             cutoff=that, value=w, decomposition=decomp,
                             foc_residual=math.nan, boundary_flag=flag)
-    stats = sufficient_statistics(econ, sol)
-    return BilateralSolution(contract=sol.contract, cutoff=that, value=w,
-                             decomposition=decomp,
-                             foc_residual=stats["residual"],
-                             boundary_flag=flag)
+    return replace(sol, foc_residual=sufficient_statistics(econ, sol)["residual"])
 
 
 # ---------------------------------------------------------------------------
@@ -534,16 +527,12 @@ def solve_mixed(econ: EconomyPrimitives, outer_points: int = 33,
     of the slope is sequential. An uninformative signal reduces the
     program to the pure-advance choice.
     """
-    d = econ.dist
-    mid = 0.5 * (d.lower + d.upper)
-    mu_p = signal_prime_at(econ, mid)
-    c_p = cost_prime_at(econ, mid)
-    if abs(mu_p) < 1e-12:
+    b1_flat = flat_rent_slope(econ)
+    if b1_flat is None:
         a_star, v_star = _best_advance(econ, 0.0, inner_points, panels)
         return MixedSolution(Contract(a_star, 0.0, 0.0),
                              served_interval(econ, a_star, 0.0, 0.0),
                              v_star, "uninformative")
-    b1_flat = c_p / mu_p
 
     def outer(b1):
         return _best_advance(econ, b1, inner_points, panels)[1]
@@ -562,7 +551,7 @@ def solve_mixed(econ: EconomyPrimitives, outer_points: int = 33,
     span = served_interval(econ, a_star, 0.0, b1_star)
     if abs(b1_star - b1_flat) <= 1e-9:
         branch = "flat"
-    elif b1_star * mu_p < c_p:
+    elif b1_star < b1_flat:
         branch = "decreasing"
     else:
         branch = "increasing"
@@ -591,14 +580,13 @@ def pure_advance_value(econ: EconomyPrimitives) -> float:
     return contract_value(econ, econ.working_capital, 0.0, 0.0, panels=512)
 
 
-def contingent_value(econ: EconomyPrimitives, b1: float,
-                     panels: int = 512) -> float:
+def contingent_value(econ: EconomyPrimitives, b1: float) -> float:
     """Screening value of a zero-advance contract with slope b1."""
     d = econ.dist
     that = cutoff(econ, 0.0, b1)
     if float(virtual_surplus(econ, d.upper, 0.0, b1)) < 0.0:
         return 0.0
-    return screening_integral(econ, that, 0.0, b1, panels)
+    return screening_integral(econ, that, 0.0, b1, _SCREENING_PANELS)
 
 
 def pure_contingent_value(econ: EconomyPrimitives) -> float:

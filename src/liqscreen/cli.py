@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .bilateral import (advance_share, closed_form_ell_star,
-                        pure_advance_value, pure_contingent_value,
-                        solve_mixed, solve_optimal, sweep_R)
+from .bilateral import (_acceptance, advance_share, binding_slope,
+                        closed_form_ell_star, pure_advance_value,
+                        pure_contingent_value, solve_mixed, solve_optimal,
+                        sweep_R)
 from .economy import (benchmark, economy_from_config, financing_cost,
                       load_config, with_tightness)
 from .errors import LiqscreenError
@@ -139,15 +140,13 @@ def _figure_payoff(cfg: RunConfig) -> list[str]:
     a_o, b_o = m.contract.advance, m.contract.slope
     phi_o = financing_cost(econ.financing, K - a_o)
     phi_full = financing_cost(econ.financing, K)
-    b_cont = 2.0 * (float(econ.cost(econ.dist.upper)) + phi_full) \
-        / max(float(econ.signal_mean(econ.dist.upper)), 1e-12)
+    # twice the zero-advance slope that makes the top type's participation bind
+    b_cont = 2.0 * binding_slope(econ, 0.0, econ.dist.upper)
     ts = np.linspace(econ.dist.lower, econ.dist.upper, 101)
-    c = np.asarray(econ.cost(ts), float)
-    mu = np.asarray(econ.signal_mean(ts), float)
-    rows = [(float(t), float(K - ci),
-             float(b_cont * mi - ci - phi_full),
-             float(a_o + b_o * mi - ci - phi_o))
-            for t, ci, mi in zip(ts, c, mu)]
+    columns = (ts, _acceptance(econ, ts, K, 0.0, 0.0, 0.0),  # a = K: no gap
+               _acceptance(econ, ts, 0.0, 0.0, b_cont, phi_full),
+               _acceptance(econ, ts, a_o, 0.0, b_o, phi_o))
+    rows = [tuple(float(x) for x in row) for row in zip(*columns)]
     path = os.path.join(cfg.out_dir, "figure_payoff.csv")
     return [_write_csv(path, ["theta", "U_advance", "U_contingent",
                               "U_optimal"], rows)]

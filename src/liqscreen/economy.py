@@ -216,24 +216,26 @@ class EconomyPrimitives:
             raise DomainError("working capital must be positive")
 
 
-def cost_prime_at(econ: EconomyPrimitives, theta: float) -> float:
-    """c'(theta), by closure when supplied, else central finite difference."""
-    if econ.cost_prime is not None:
-        return float(econ.cost_prime(theta))
-    return _fd(econ.cost, theta, econ.dist.lower, econ.dist.upper)
+def signal_slope(econ: EconomyPrimitives, t):
+    """mu'(t) elementwise: scalar in, float out; array in, array out."""
+    return _slope(econ.signal_mean, econ.signal_mean_prime, econ.dist, t)
 
 
-def signal_prime_at(econ: EconomyPrimitives, theta: float) -> float:
-    """mu'(theta), by closure when supplied, else central finite difference."""
-    if econ.signal_mean_prime is not None:
-        return float(econ.signal_mean_prime(theta))
-    return _fd(econ.signal_mean, theta, econ.dist.lower, econ.dist.upper)
+def cost_slope(econ: EconomyPrimitives, t):
+    """c'(t) elementwise: scalar in, float out; array in, array out."""
+    return _slope(econ.cost, econ.cost_prime, econ.dist, t)
 
 
-def _fd(f, x, lo, hi):
-    h = _FD_STEP
-    a, b = max(x - h, lo), min(x + h, hi)
-    return (float(f(b)) - float(f(a))) / (b - a)
+def _slope(f, f_prime, dist, t):
+    """f_prime(t) when supplied, else one central difference clamped to the support."""
+    x = np.asarray(t, dtype=float)
+    if f_prime is not None:
+        out = np.asarray(f_prime(x), float)
+    else:
+        a = np.maximum(x - _FD_STEP, dist.lower)
+        b = np.minimum(x + _FD_STEP, dist.upper)
+        out = (np.asarray(f(b), float) - np.asarray(f(a), float)) / (b - a)
+    return float(out) if x.ndim == 0 else out
 
 
 def benchmark(v: float = 2.0, mu0: float = 0.0, K: float = 1.0, R: float = 1.0,
@@ -278,25 +280,28 @@ def with_tightness(econ: EconomyPrimitives, R: float) -> EconomyPrimitives:
     return replace(econ, financing=FinancingCost(tightness=R))
 
 
-def validate_economy(econ: EconomyPrimitives, n: int = 200) -> list[str]:
-    """Check primitives; hard violations raise, soft ones come back as notes."""
+def validate_economy(econ: EconomyPrimitives) -> list[str]:
+    """Check primitives on a 200-point grid (regularity on 400 points).
+
+    Hard violations raise; soft ones come back as notes.
+    """
     d = econ.dist
-    ts = np.linspace(d.lower, d.upper, n)
+    ts = np.linspace(d.lower, d.upper, 200)
     pdf = np.asarray(d.pdf(ts), dtype=float)
     if np.any(pdf <= 0):
         raise DomainError("density must be strictly positive on the support")
     if abs(float(d.cdf(d.lower))) > 1e-8 or abs(float(d.cdf(d.upper)) - 1.0) > 1e-8:
         raise DomainError("cdf must run from 0 to 1 over the support")
     notes = []
-    gains = np.array([float(econ.surplus(t)) - float(econ.cost(t)) for t in ts])
+    gains = np.asarray(econ.surplus(ts), float) - np.asarray(econ.cost(ts), float)
     if not np.all(np.diff(gains) > 0):
         notes.append("surplus net of cost is not strictly increasing")
-    mu_p = np.array([signal_prime_at(econ, float(t)) for t in ts[:-1]])
+    mu_p = signal_slope(econ, ts[:-1])
     if np.all(np.abs(mu_p) < 1e-12):
         notes.append("signal carries no type information (mu' = 0)")
     elif np.any(mu_p < 0):
         notes.append("signal mean is decreasing somewhere")
-    if not regularity_ok(d, n=max(n, 400)):
+    if not regularity_ok(d, n=400):
         notes.append("virtual type is not strictly increasing (regularity fails)")
     return notes
 

@@ -14,12 +14,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bilateral import (BilateralSolution, Contract, _screening_value,
-                        binding_ir_advance, rent_tail, solve_mixed,
+from .bilateral import (BilateralSolution, Contract, _acceptance, _profit,
+                        _screening_value, binding_ir_advance, binding_slope,
+                        flat_rent_slope, rent_tail, solve_mixed,
                         solve_optimal)
-from .economy import (EconomyPrimitives, TypeDistribution, cost_prime_at,
-                      financing_cost, marginal_ell, signal_prime_at,
-                      with_tightness)
+from .economy import (EconomyPrimitives, TypeDistribution, financing_cost,
+                      marginal_ell, signal_slope, with_tightness)
 from .errors import (BracketError, DegeneracyError, DomainError,
                      SingularityError)
 from .numerics import Bracket, Tolerance, find_root
@@ -124,41 +124,34 @@ class PeriodRecord:
     hazard_shrink_ok: bool | None  # update into this period; None at t = 0
 
 
-def _rule_contract(econ: EconomyPrimitives, post: PosteriorState,
-                   b1_ref: float) -> tuple[Contract, float, float]:
+def _rule_contract(econ: EconomyPrimitives,
+                   post: PosteriorState) -> tuple[Contract, float, float]:
     """Per-period contract from the advance optimality statistic.
 
-    The uncovered gap solves Phi'(ell) = b1_ref * mu' * D with D the
-    posterior's expected hazard, so the advance climbs as learning
-    concentrates the belief; the slope then makes the lowest supported
-    type's participation bind.
+    The uncovered gap solves Phi'(ell) = mu' * D (a reference slope of
+    1) with D the posterior's expected hazard, so the advance climbs as
+    learning concentrates the belief; the slope then makes the lowest
+    supported type's participation bind, and is 0 when that type's
+    signal is not positive.
     """
     R = econ.financing.tightness
     if R <= 0:
         raise DomainError("learning rule needs strictly positive tightness")
     K = econ.working_capital
     d_stat_val = d_statistic(post)
-    mu_p = signal_prime_at(econ, 0.5 * (econ.dist.lower + econ.dist.upper))
-    ell = min(K, b1_ref * mu_p * d_stat_val / R)
-    a = K - ell
+    mu_p = signal_slope(econ, 0.5 * (econ.dist.lower + econ.dist.upper))
+    a = K - min(K, mu_p * d_stat_val / R)
     sup = post.grid[post.weights > _EPS_W]
     lo = float(sup[0])
-    mu_lo = float(econ.signal_mean(lo))
-    if mu_lo > 1e-12:
-        b1 = max(0.0, (float(econ.cost(lo))
-                       + financing_cost(econ.financing, ell) - a) / mu_lo)
-    else:
-        b1 = 0.0
-    pay_cut = sup[-1]
-    for t in sup:
-        if float(econ.surplus(t)) - a - b1 * float(econ.signal_mean(t)) >= 0.0:
-            pay_cut = float(t)
-            break
+    b1 = (max(0.0, binding_slope(econ, a, lo))
+          if float(econ.signal_mean(lo)) > 1e-12 else 0.0)
+    paid = np.flatnonzero(_profit(econ, sup, a, 0.0, b1) >= 0.0)
+    pay_cut = sup[paid[0]] if paid.size else sup[-1]
     return Contract(a, 0.0, b1), float(pay_cut), d_stat_val
 
 
 def dynamic_path(econ: EconomyPrimitives, true_theta: float, horizon: int,
-                 seed: int, grid_size: int = 50, b1_ref: float = 1.0,
+                 seed: int, grid_size: int = 50,
                  prior: PosteriorState | None = None) -> list[PeriodRecord]:
     """Simulate contracting and learning over `horizon` signal draws.
 
@@ -175,7 +168,7 @@ def dynamic_path(econ: EconomyPrimitives, true_theta: float, horizon: int,
     records = []
     shrink_ok = None
     for t in range(horizon + 1):
-        contract, pay_cut, d_val = _rule_contract(econ, post, b1_ref)
+        contract, pay_cut, d_val = _rule_contract(econ, post)
         signal = None
         if t < horizon:
             signal = int(rng.random() < true_theta)
@@ -260,13 +253,15 @@ def solve_monitoring(econ: EconomyPrimitives, cfg: MonitoringConfig) -> dict:
             "corner": False}
 
 
-def monitoring_cross_effect(econ: EconomyPrimitives, cfg: MonitoringConfig,
-                            h_sigma: float = 0.05, h_r: float = 0.05) -> float:
+def monitoring_cross_effect(econ: EconomyPrimitives,
+                            cfg: MonitoringConfig) -> float:
     """Finite-difference response of the monitoring return to tighter credit.
 
     Evaluates the sigma-derivative of the mixed-program value at this
-    economy's optimal monitoring level, at tightness R +/- h_r.
+    economy's optimal monitoring level, at tightness R +/- h; both central
+    differences take the step h = 0.05.
     """
+    h = 0.05
     sigma0 = solve_monitoring(econ, cfg)["sigma_star"]
     R = econ.financing.tightness
 
@@ -275,10 +270,9 @@ def monitoring_cross_effect(econ: EconomyPrimitives, cfg: MonitoringConfig,
                            outer_points=17, inner_points=9, panels=64).value
 
     def marginal(r):
-        return (value(sigma0 + h_sigma, r) - value(sigma0 - h_sigma, r)) \
-            / (2.0 * h_sigma)
+        return (value(sigma0 + h, r) - value(sigma0 - h, r)) / (2.0 * h)
 
-    return (marginal(R + h_r) - marginal(R - h_r)) / (2.0 * h_r)
+    return (marginal(R + h) - marginal(R - h)) / (2.0 * h)
 
 
 # ---------------------------------------------------------------------------
@@ -309,13 +303,13 @@ def solve_renegotiation(econ: EconomyPrimitives, lam: float) -> BilateralSolutio
         a_lam = K
     else:
         a_lam = find_root(gap, Bracket(a_s, K), Tolerance())
-    lo = econ.dist.lower
-    mu_lo = float(econ.signal_mean(lo))
-    need = (float(econ.cost(lo)) + financing_cost(econ.financing, K - a_lam)
-            - a_lam)
     survive = 1.0 - lam
-    if need > 1e-12 and mu_lo > 1e-12 and survive > 1e-12:
-        b1 = need / (survive * mu_lo)
+    slope = binding_slope(econ, a_lam)
+    mu_lo = float(econ.signal_mean(econ.dist.lower))
+    # contingent pay only when the lowest type's signal is positive and
+    # the advance alone falls short of its participation by over 1e-12
+    if survive > 1e-12 and mu_lo > 1e-12 and slope * mu_lo > 1e-12:
+        b1 = slope / survive
     else:
         b1 = 0.0
     value, decomp, that = _screening_value(econ, a_lam, survive * b1)
@@ -347,11 +341,9 @@ def _instrument_grid(econ, na, nb):
     participation-binding single contract.
     """
     K = econ.working_capital
-    mid = 0.5 * (econ.dist.lower + econ.dist.upper)
-    mu_p = signal_prime_at(econ, mid)
-    if abs(mu_p) < 1e-12:
+    b1_flat = flat_rent_slope(econ)
+    if b1_flat is None:
         raise DegeneracyError("menus need an informative signal")
-    b1_flat = cost_prime_at(econ, mid) / mu_p
     a_lin = np.linspace(0.0, K, na)
     rows = []
     for b1 in np.linspace(0.0, b1_flat, nb):
@@ -380,12 +372,9 @@ def menu_equivalence_check(econ: EconomyPrimitives, grid_size: int = 10,
     instr = _instrument_grid(econ, na, nb)
     m = len(instr)
     phi = np.array([financing_cost(econ.financing, K - a) for a in instr[:, 0]])
-    mu_t = np.asarray(econ.signal_mean(types), float)
-    c_t = np.asarray(econ.cost(types), float)
-    v_t = np.asarray(econ.surplus(types), float)
-    U = instr[:, 0][None, :] + np.outer(mu_t, instr[:, 1]) \
-        - c_t[:, None] - phi[None, :]
-    PI = v_t[:, None] - instr[:, 0][None, :] - np.outer(mu_t, instr[:, 1])
+    t_col, a_row, b_row = types[:, None], instr[None, :, 0], instr[None, :, 1]
+    U = _acceptance(econ, t_col, a_row, 0.0, b_row, phi[None, :])
+    PI = _profit(econ, t_col, a_row, 0.0, b_row)
 
     def cell_value(i, j):
         # indifferent types can be turned away; strictly willing ones cannot
@@ -447,19 +436,14 @@ def menu_equivalence_check(econ: EconomyPrimitives, grid_size: int = 10,
     # baseline: one instrument for every served type, same rules
     baseline_value = 0.0
     base_arg = None
+    # a type whose participation fails adds 0 (cell_value is None only
+    # when U < -slack, so such a type never wants the offer)
     for j in range(m):
-        u = U[:, j]
         total = 0.0
-        feasible = True
         for i in range(n):
             cv = cell_value(i, j)
-            if cv is None:
-                if u[i] > _IC_SLACK:
-                    feasible = False
-                    break
-                cv = 0.0
-            total += cv
-        if feasible and total > baseline_value:
+            total += 0.0 if cv is None else cv
+        if total > baseline_value:
             baseline_value = total
             base_arg = j
 

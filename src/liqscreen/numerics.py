@@ -299,10 +299,11 @@ def golden_max_rows(f: Callable[[np.ndarray], np.ndarray], a, b,
 
 
 def fixed_point(g: Callable[[np.ndarray], np.ndarray], x0,
-                tol: Tolerance = DEFAULT_TOL, damping: float = 0.5,
+                tol: Tolerance = DEFAULT_TOL,
                 lo=None, hi=None) -> tuple[np.ndarray, float, int]:
     """Damped fixed point of x <- g(x), optionally clamped to a box.
 
+    Each step moves halfway: x <- x + 0.5 * (g(x) - x).
     Works on scalars or 1-d arrays. Returns (x, residual, iterations)
     where residual is the sup norm of g(x) - x at the returned point.
     Raises ConvergenceError (with .last) when max_iter is hit first.
@@ -324,7 +325,7 @@ def fixed_point(g: Callable[[np.ndarray], np.ndarray], x0,
         r = float(np.max(np.abs(gx - x)))
         if r <= tol.abs_f:
             return (float(gx[0]) if scalar else gx), r, it
-        x = x + damping * (gx - x)
+        x = x + 0.5 * (gx - x)
     raise ConvergenceError(
         f"fixed point not converged in {tol.max_iter} iterations (residual {r:.3g})",
         last=float(x[0]) if scalar else x)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bilateral import Contract, served_interval, slope_cap
-from .economy import EconomyPrimitives, cost_prime_at, financing_cost
+from .economy import EconomyPrimitives, cost_slope, financing_cost
 from .errors import DomainError
 
 IC_TOL = 1e-9
@@ -214,10 +214,7 @@ def rent_identity_check(econ: EconomyPrimitives, a: float, b1: float,
         mu_p = (np.asarray(econ.signal_mean_prime(ts), float)
                 if econ.signal_mean_prime is not None
                 else np.gradient(_mu(econ, ts), ts))
-        c_p = (np.asarray(econ.cost_prime(ts), float)
-               if econ.cost_prime is not None
-               else np.array([cost_prime_at(econ, float(t)) for t in ts]))
-        return b1 * mu_p - c_p
+        return b1 * mu_p - cost_slope(econ, ts)
 
     # rent accumulated below the cutoff, then a grid aligned with it so
     # neither quadrature route straddles the serving boundary

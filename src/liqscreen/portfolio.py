@@ -22,6 +22,7 @@ from .errors import DegeneracyError, DomainError
 from .numerics import Bracket, Tolerance, find_root, fixed_point
 
 FP_TOL = Tolerance(abs_x=1e-10, abs_f=1e-12, max_iter=20000)
+_FD_R = 1e-4  # tightness step of the finite-difference contagion responses
 
 
 # ---------------------------------------------------------------------------
@@ -150,23 +151,19 @@ def symmetric_cutoff(a: float, b1: float, delta: float, v: float = 2.0):
 
 
 def symmetric_cutoff_iterative(a: float, b1: float, delta: float,
-                               v: float = 2.0, phi: float | None = None,
-                               x0: float = 0.5,
+                               v: float = 2.0,
                                tol: Tolerance = FP_TOL) -> tuple[float, float, int]:
     """Damped fixed-point iteration of the symmetric coupled-cutoff map.
 
-    Iterates theta <- clamp((phi + b1 - delta(1 - theta)) / (v - 1 + b1));
-    phi defaults to a via the manifold identity. Returns (theta,
-    residual, iterations); raises ConvergenceError when the budget runs
-    out.
+    Iterates theta <- clamp((a + b1 - delta(1 - theta)) / (v - 1 + b1))
+    from theta = 0.5, using the manifold identity Phi(K - a) = a.
+    Returns (theta, residual, iterations); raises ConvergenceError when
+    the budget runs out.
     """
-    if phi is None:
-        phi = a
     den = (v - 1.0) + b1
-    c0 = (phi + b1 - delta) / den
+    c0 = (a + b1 - delta) / den
     c1 = delta / den
-    return fixed_point(lambda x: c0 + c1 * x, x0, tol, damping=0.5,
-                       lo=0.0, hi=1.0)
+    return fixed_point(lambda x: c0 + c1 * x, 0.5, tol, lo=0.0, hi=1.0)
 
 
 def _cutoff_given_coupling(econ, contract, load):
@@ -188,8 +185,7 @@ def _cutoff_given_coupling(econ, contract, load):
     return find_root(g, Bracket(d.lower, d.upper), Tolerance()), "none"
 
 
-def solve_cutoffs(port: PortfolioEconomy,
-                  tol: Tolerance = FP_TOL) -> PortfolioSolution:
+def solve_cutoffs(port: PortfolioEconomy) -> PortfolioSolution:
     """Damped fixed point of the coupled-cutoff system.
 
     Starts from the uncoupled cutoffs; each step re-solves every
@@ -203,7 +199,7 @@ def solve_cutoffs(port: PortfolioEconomy,
     x0 = np.array([cutoff(e, c.advance, c.slope)
                    for e, c in zip(port.economies, port.contracts)])
     x, residual, iters = fixed_point(
-        lambda x: np.array([t for t, _ in responses(x)]), x0, tol)
+        lambda x: np.array([t for t, _ in responses(x)]), x0, FP_TOL)
     clamped = tuple(flag for _, flag in responses(x))
     total, per = portfolio_value(port, x)
     cents = _all_centralities(port, x, clamped)
@@ -249,13 +245,15 @@ def _rebuild(port: PortfolioEconomy, j: int, R_j: float,
     return PortfolioEconomy(tuple(econs), port.coupling, tuple(contracts))
 
 
-def fd_cutoff_sensitivity(port: PortfolioEconomy, j: int, h: float = 1e-4,
-                          resolve_contracts: bool = False) -> np.ndarray:
-    """Finite-difference response of all cutoffs to relationship j's tightness."""
+def fd_cutoff_sensitivity(port: PortfolioEconomy, j: int) -> np.ndarray:
+    """Finite-difference response of all cutoffs to relationship j's tightness.
+
+    Contracts stay fixed; central difference with step _FD_R.
+    """
     R_j = port.economies[j].financing.tightness
-    up = solve_cutoffs(_rebuild(port, j, R_j + h, resolve_contracts)).cutoffs
-    dn = solve_cutoffs(_rebuild(port, j, R_j - h, resolve_contracts)).cutoffs
-    return (up - dn) / (2.0 * h)
+    up = solve_cutoffs(_rebuild(port, j, R_j + _FD_R, False)).cutoffs
+    dn = solve_cutoffs(_rebuild(port, j, R_j - _FD_R, False)).cutoffs
+    return (up - dn) / (2.0 * _FD_R)
 
 
 def _cutoff_jacobian(port, cutoffs, free):
@@ -299,15 +297,16 @@ def _all_centralities(port, cutoffs, clamped):
 
 
 def contagion_derivative(port: PortfolioEconomy, j: int,
-                         h: float = 1e-4, analytic_only: bool = False) -> dict:
+                         analytic_only: bool = False) -> dict:
     """Total and decomposed response of portfolio value to R_j.
 
-    total is a central finite difference with contracts re-calibrated at
-    the shifted tightness (nan when analytic_only skips it). The analytic
-    decomposition uses the envelope property of the coupled cutoffs:
-    direct_financing is the mechanical financing-cost effect at fixed
-    contracts, screening_spillover the contract-response terms. flagged
-    marks corner contracts, where the schedule derivative is one-sided.
+    total is a central finite difference (step _FD_R) with contracts
+    re-calibrated at the shifted tightness (nan when analytic_only skips
+    it). The analytic decomposition uses the envelope property of the
+    coupled cutoffs: direct_financing is the mechanical financing-cost
+    effect at fixed contracts, screening_spillover the contract-response
+    terms. flagged marks corner contracts, where the schedule derivative
+    is one-sided.
     """
     base = solve_cutoffs(port)
     e_j = port.economies[j]
@@ -316,9 +315,9 @@ def contagion_derivative(port: PortfolioEconomy, j: int,
     if analytic_only:
         total = math.nan
     else:
-        up = solve_cutoffs(_rebuild(port, j, R_j + h, True)).total_value
-        dn = solve_cutoffs(_rebuild(port, j, R_j - h, True)).total_value
-        total = (up - dn) / (2.0 * h)
+        up = solve_cutoffs(_rebuild(port, j, R_j + _FD_R, True)).total_value
+        dn = solve_cutoffs(_rebuild(port, j, R_j - _FD_R, True)).total_value
+        total = (up - dn) / (2.0 * _FD_R)
 
     that = float(base.cutoffs[j])
     tail = 1.0 - float(e_j.dist.cdf(that))

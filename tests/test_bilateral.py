@@ -1,6 +1,7 @@
 """Single-relationship screening program and closed-form anchors."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,11 +10,13 @@ from liqscreen.bilateral import (
     Contract,
     _best_advances,
     binding_ir_advance,
+    binding_slope,
     closed_form_ell_star,
     contract_value,
     contract_values,
     crossing_threshold,
     cutoff,
+    flat_rent_slope,
     ir_slope,
     pure_advance_value,
     pure_contingent_value,
@@ -242,3 +245,44 @@ def test_screening_integral_closed_form_and_empty_tail(bench_mu0):
     exact = 0.5 * (1.0 + b1) * (1.0 - x * x) - (phi + b1) * (1.0 - x)
     assert abs(screening_integral(bench_mu0, x, a, b1) - exact) < 1e-12
     assert screening_integral(bench_mu0, 1.0, a, b1) == 0.0
+
+
+def test_virtual_surplus_differences_the_signal_as_one_array(curved_signal_pair):
+    econ, _ = curved_signal_pair  # no mu' closure: the slope is differenced
+    calls = {"array": 0, "scalar": 0}
+
+    def counted(t, mu=econ.signal_mean):
+        calls["array" if np.ndim(t) else "scalar"] += 1
+        return mu(t)
+
+    virtual_surplus(replace(econ, signal_mean=counted),
+                    np.linspace(0.0, 1.0, 257), 0.3, 0.7)
+    assert calls == {"array": 2, "scalar": 0}
+
+
+@pytest.mark.parametrize("dist", [None, truncated_exponential(1.5), power(0.7)],
+                         ids=["uniform", "truncated_exponential", "power"])
+def test_binding_slope_inverts_binding_ir_advance(dist):
+    econ = benchmark(v=2.0, mu0=0.1, K=1.0, R=1.0, dist=dist)
+    for theta in (None, econ.dist.lower, 0.4):
+        t = econ.dist.lower if theta is None else theta
+        mu_t, c_t = float(econ.signal_mean(t)), float(econ.cost(t))
+        for b1 in (0.2, 0.6, 1.0):
+            a = binding_ir_advance(econ, b1, theta)
+            assert 0.0 < a < econ.working_capital
+            back = binding_slope(econ, a, theta)
+            assert abs(back - b1) < 1e-8
+            # the recovered slope makes participation bind at a exactly
+            gap = a + back * mu_t - c_t - 0.5 * (1.0 - a) ** 2
+            assert abs(gap) < 1e-15
+            assert abs(binding_ir_advance(econ, back, theta) - a) < 1e-10
+
+
+def test_flat_signal_has_no_binding_or_flat_rent_slope():
+    flat = benchmark(signal_kind="flat")
+    assert math.isnan(binding_slope(flat, 0.3))
+    assert math.isnan(binding_slope(flat, 0.3, 0.6))
+    assert flat_rent_slope(flat) is None
+    assert slope_cap(flat) == 10.0
+    # c' = 1 and mu' = 2 on this affine benchmark
+    assert flat_rent_slope(benchmark(mu0=0.1, signal_scale=2.0)) == 0.5

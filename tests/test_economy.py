@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from liqscreen.economy import (
     FinancingCost,
     benchmark,
     bimodal,
+    cost_slope,
     economy_from_config,
     financing_cost,
     hazard,
@@ -19,6 +21,7 @@ from liqscreen.economy import (
     power,
     regularity_ok,
     second_ell,
+    signal_slope,
     truncated_exponential,
     uniform,
     validate_economy,
@@ -143,3 +146,38 @@ def test_config_rejects_negative_affine_signal_scale():
     # a zero scale is an uninformative but legal signal
     econ = economy_from_config({"signal": {"kind": "affine", "scale": 0.0}})
     assert float(econ.signal_mean(0.7)) == 0.0
+
+
+def _clamped_difference(f, x, lo, hi, h=1e-6):
+    """Reference slope: one scalar central difference, clamped to [lo, hi]."""
+    a, b = max(x - h, lo), min(x + h, hi)
+    return (float(f(b)) - float(f(a))) / (b - a)
+
+
+def test_slopes_equal_per_point_clamped_differences():
+    # curved signal and cost without closures, on a support off [0, 1]
+    econ = replace(benchmark(dist=uniform(0.2, 1.5)),
+                   signal_mean=lambda t: 0.1 + np.asarray(t, float)
+                   + 0.5 * np.asarray(t, float) ** 2,
+                   cost=lambda t: np.exp(0.3 * np.asarray(t, float)),
+                   signal_mean_prime=None, cost_prime=None)
+    lo, hi = econ.dist.lower, econ.dist.upper
+    ts = np.concatenate((np.linspace(lo, hi, 257), [lo + 3e-7, hi - 3e-7]))
+    for slope, f in ((signal_slope, econ.signal_mean), (cost_slope, econ.cost)):
+        ref = np.array([_clamped_difference(f, float(t), lo, hi) for t in ts])
+        got = slope(econ, ts)
+        assert isinstance(got, np.ndarray) and got.shape == ts.shape
+        assert np.array_equal(got, ref)
+        assert np.array_equal(slope(econ, ts.reshape(-1, 1)), ref.reshape(-1, 1))
+        for t in (lo, 0.77, hi):  # both support ends take one-sided steps
+            out = slope(econ, t)
+            assert type(out) is float
+            assert out == _clamped_difference(f, t, lo, hi)
+
+
+def test_slopes_use_supplied_closures():
+    econ = benchmark(mu0=0.1, signal_scale=0.5)
+    assert signal_slope(econ, 0.3) == 0.5 and cost_slope(econ, 0.3) == 1.0
+    ts = np.linspace(0.0, 1.0, 5)
+    np.testing.assert_array_equal(signal_slope(econ, ts), np.full(5, 0.5))
+    np.testing.assert_array_equal(cost_slope(econ, ts), np.ones(5))

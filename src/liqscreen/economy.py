@@ -188,15 +188,6 @@ def marginal_r(fin: FinancingCost, ell: float) -> float:
     return 0.5 * ell * ell
 
 
-def second_ell(fin: FinancingCost, ell: float) -> float:
-    """d^2 Phi / d ell^2."""
-    if fin.kind != "quadratic":
-        h = _FD_STEP
-        return (marginal_ell(fin, ell + h) - marginal_ell(fin, max(ell - h, 0.0))) \
-            / (h + min(ell, h))
-    return fin.tightness
-
-
 @dataclass(frozen=True)
 class EconomyPrimitives:
     """One screening relationship's primitives."""

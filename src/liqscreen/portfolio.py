@@ -23,6 +23,9 @@ from .numerics import Bracket, Tolerance, find_root, fixed_point
 
 FP_TOL = Tolerance(abs_x=1e-10, abs_f=1e-12, max_iter=20000)
 _FD_R = 1e-4  # tightness step of the finite-difference contagion responses
+_NEWTON_STEPS = 50  # projected Newton steps before the damped map takes over
+_NEWTON_STOP = 1e-13  # Newton has converged once no cutoff moves further
+_NEWTON_RISE = 1e-10  # a larger rise of a free cutoff hands over to the damped map
 
 
 # ---------------------------------------------------------------------------
@@ -166,46 +169,109 @@ def symmetric_cutoff_iterative(a: float, b1: float, delta: float,
     return fixed_point(lambda x: c0 + c1 * x, 0.5, tol, lo=0.0, hi=1.0)
 
 
-def _cutoff_given_coupling(econ, contract, load):
+def _clamps(psi_lo, psi_hi, load):
+    """Clamp rule at a complementarity load, elementwise.
+
+    A relationship serves every type when psi(lower) + load >= 0 and no
+    type when psi(upper) + load < 0; psi at the support ends does not
+    depend on the load.
+    """
+    return psi_lo + load >= 0.0, psi_hi + load < 0.0
+
+
+def _cutoff_given_coupling(econ, contract, load, psi_lo, psi_hi):
     """Cutoff solving psi(theta) = -load, clamped to the support.
 
     load is the complementarity mass from the other relationships, so
     the effective implementation threshold weakly falls as load rises.
+    psi_lo and psi_hi are psi at the support ends.
     """
     d = econ.dist
-    a, b1 = contract.advance, contract.slope
-
-    def g(t):
-        return float(virtual_surplus(econ, t, a, b1)) + load
-
-    if g(d.lower) >= 0.0:
+    all_served, empty = _clamps(psi_lo, psi_hi, load)
+    if all_served:
         return d.lower, "all_served"
-    if g(d.upper) < 0.0:
+    if empty:
         return d.upper, "empty"
-    return find_root(g, Bracket(d.lower, d.upper), Tolerance()), "none"
+    a, b1 = contract.advance, contract.slope
+    return find_root(lambda t: float(virtual_surplus(econ, t, a, b1)) + load,
+                     Bracket(d.lower, d.upper), Tolerance()), "none"
 
 
 def solve_cutoffs(port: PortfolioEconomy) -> PortfolioSolution:
-    """Damped fixed point of the coupled-cutoff system.
+    """Coupled cutoffs by projected Newton, certified by the damped map.
 
-    Starts from the uncoupled cutoffs; each step re-solves every
-    relationship's threshold at the current complementarity load.
+    Under complementarities the response map T (every relationship's
+    threshold re-solved at the current load) is monotone, and the damped
+    map x <- x + (T(x) - x)/2 from the uncoupled cutoffs descends to the
+    largest fixed point below them. Projected Newton starts from the same
+    point and keeps to that selection (see _newton_cutoffs); the damped
+    map then runs from Newton's point, so a converged Newton point costs
+    one certifying pass and any other point is finished by the map.
+    iterations counts Newton steps plus damped-map passes; the clamp
+    flags come from the pass that produced the returned cutoffs.
     """
+    pairs = tuple(zip(port.economies, port.contracts))
+    psi_lo = np.array([float(virtual_surplus(e, e.dist.lower, c.advance, c.slope))
+                       for e, c in pairs])
+    psi_hi = np.array([float(virtual_surplus(e, e.dist.upper, c.advance, c.slope))
+                       for e, c in pairs])
+    flags = []
+
     def responses(x):
         load = port.coupling @ _tails(port, x)
-        return [_cutoff_given_coupling(e, c, float(l))
-                for e, c, l in zip(port.economies, port.contracts, load)]
+        out = [_cutoff_given_coupling(e, c, float(l), lo, hi)
+               for (e, c), l, lo, hi in zip(pairs, load, psi_lo, psi_hi)]
+        flags[:] = [flag for _, flag in out]
+        return np.array([t for t, _ in out])
 
-    x0 = np.array([cutoff(e, c.advance, c.slope)
-                   for e, c in zip(port.economies, port.contracts)])
-    x, residual, iters = fixed_point(
-        lambda x: np.array([t for t, _ in responses(x)]), x0, FP_TOL)
-    clamped = tuple(flag for _, flag in responses(x))
+    x0 = np.array([cutoff(e, c.advance, c.slope) for e, c in pairs])
+    x, steps = _newton_cutoffs(port, x0, psi_lo, psi_hi)
+    x, residual, iters = fixed_point(responses, x, FP_TOL)
+    clamped = tuple(flags)
     total, per = portfolio_value(port, x)
     cents = _all_centralities(port, x, clamped)
     return PortfolioSolution(cutoffs=x, clamped=clamped, total_value=total,
                              per_value=per, centralities=cents,
-                             residual=residual, iterations=iters)
+                             residual=residual, iterations=steps + iters)
+
+
+def _newton_cutoffs(port, x, psi_lo, psi_hi):
+    """Projected Newton on psi_i(x_i) + load_i(x) = 0; returns (x, steps).
+
+    Each step jumps the clamped cutoffs to their support end and moves
+    the free ones by a Newton step with _cutoff_jacobian, clipped to the
+    support. Stops once no cutoff moves by more than _NEWTON_STOP. It
+    also stops, leaving the rest to the damped map, at _NEWTON_STEPS, at
+    a singular Jacobian (or a non-finite step), and before a step that
+    would raise a free cutoff by more than _NEWTON_RISE: the damped map
+    approaches its fixed point from above, so a rise points at another
+    fixed point or at an overshoot.
+    """
+    lower = np.array([e.dist.lower for e in port.economies])
+    upper = np.array([e.dist.upper for e in port.economies])
+    for step in range(_NEWTON_STEPS):
+        load = port.coupling @ _tails(port, x)
+        all_served, empty = _clamps(psi_lo, psi_hi, load)
+        new = np.where(all_served, lower, np.where(empty, upper, x))
+        free = np.flatnonzero(~(all_served | empty))
+        if free.size:
+            resid = np.array([float(virtual_surplus(port.economies[i], float(x[i]),
+                                                    port.contracts[i].advance,
+                                                    port.contracts[i].slope))
+                              for i in free]) + load[free]
+            try:
+                move = np.linalg.solve(_cutoff_jacobian(port, x, free), -resid)
+            except np.linalg.LinAlgError:
+                return x, step
+            new[free] = np.clip(x[free] + move, lower[free], upper[free])
+            if not np.all(np.isfinite(move)) \
+                    or np.any(new[free] - x[free] > _NEWTON_RISE):
+                return x, step
+        moved = float(np.max(np.abs(new - x)))
+        x = new
+        if moved <= _NEWTON_STOP:
+            return x, step + 1
+    return x, _NEWTON_STEPS
 
 
 def _tails(port: PortfolioEconomy, x) -> np.ndarray:
@@ -260,6 +326,8 @@ def _cutoff_jacobian(port, cutoffs, free):
     """Jacobian of the cutoff conditions in the free (unclamped) cutoffs.
 
     Clamped cutoffs sit at a support endpoint and do not move locally.
+    psi' is a central difference whose stencil is moved inside the
+    support when a cutoff lies within its step of an end.
     """
     x = cutoffs[free].tolist()
     pdf = np.array([float(port.economies[k].dist.pdf(t))
@@ -268,6 +336,7 @@ def _cutoff_jacobian(port, cutoffs, free):
     h = 1e-6
     for m, (i, t) in enumerate(zip(free, x)):
         e, c = port.economies[i], port.contracts[i]
+        t = min(max(t, e.dist.lower + h), e.dist.upper - h)
         jac[m, m] = (float(virtual_surplus(e, t + h, c.advance, c.slope))
                      - float(virtual_surplus(e, t - h, c.advance, c.slope))) \
             / (2 * h)

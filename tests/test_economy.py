@@ -20,7 +20,6 @@ from liqscreen.economy import (
     marginal_r,
     power,
     regularity_ok,
-    second_ell,
     signal_slope,
     truncated_exponential,
     uniform,
@@ -73,7 +72,6 @@ def test_quadratic_financing_cost_and_derivatives():
     assert abs(financing_cost(fin, 0.5) - 0.25) < 1e-12
     assert abs(marginal_ell(fin, 0.5) - 1.0) < 1e-12
     assert abs(marginal_r(fin, 0.5) - 0.125) < 1e-12
-    assert abs(second_ell(fin, 0.5) - 2.0) < 1e-12
     with pytest.raises(DomainError):
         financing_cost(fin, -0.5)
 

@@ -7,9 +7,9 @@ import pytest
 
 from liqscreen import portfolio
 from liqscreen.bilateral import cutoff, virtual_surplus
-from liqscreen.economy import benchmark, marginal_r
+from liqscreen.economy import benchmark, marginal_r, truncated_exponential
 from liqscreen.errors import ConvergenceError, DegeneracyError, DomainError
-from liqscreen.numerics import Tolerance
+from liqscreen.numerics import Bracket, Tolerance, find_root
 from liqscreen.portfolio import (
     EMPIRICAL_DELTA_GRID,
     advance_response,
@@ -178,6 +178,128 @@ def test_centralities_equal_per_relationship_solves():
     # one solve with many right-hand sides rounds differently from n solves
     assert np.allclose(sol.centralities, _loop_centralities(port, sol),
                        rtol=100 * np.finfo(float).eps, atol=0.0)
+
+
+def _damped_reference(port):
+    """Reference solve: the damped map x <- x + (T(x) - x)/2 from the uncoupled
+    cutoffs until sup|T(x) - x| <= 1e-12, T re-solving every threshold at the
+    current load; returns T(x), the clamp flags read at it and the passes."""
+    def respond(x):
+        tails = np.array([1.0 - float(e.dist.cdf(t))
+                          for e, t in zip(port.economies, x)])
+        out = []
+        for e, c, load in zip(port.economies, port.contracts,
+                              port.coupling @ tails):
+            d = e.dist
+
+            def g(t):
+                return float(virtual_surplus(e, t, c.advance, c.slope)) + load
+
+            if g(d.lower) >= 0.0:
+                out.append((d.lower, "all_served"))
+            elif g(d.upper) < 0.0:
+                out.append((d.upper, "empty"))
+            else:
+                out.append((find_root(g, Bracket(d.lower, d.upper)), "none"))
+        return np.array([t for t, _ in out]), tuple(flag for _, flag in out)
+
+    x = np.array([cutoff(e, c.advance, c.slope)
+                  for e, c in zip(port.economies, port.contracts)])
+    for passes in range(1, 20001):
+        tx, _ = respond(x)
+        if np.max(np.abs(tx - x)) <= 1e-12:
+            return tx, respond(tx)[1], passes
+        x = x + 0.5 * (tx - x)
+    raise AssertionError("reference damped map did not converge")
+
+
+def _symmetric_books():
+    return [symmetric_portfolio(R, float(delta), mu0=mu0)
+            for R in (0.5, 1.0, 2.0, 3.0)
+            for delta in np.linspace(0.0, 4.0, 17)
+            for mu0 in (0.0, 0.2)]
+
+
+def _random_books(count=70):
+    """Books of 2-12 relationships: uniform or truncated-exponential types,
+    surplus slope v in [1, 2.5] (some books start with empty relationships),
+    mean coupling log-uniform up to 3."""
+    rng = np.random.Generator(np.random.Philox(6))
+    books = []
+    for _ in range(count):
+        n = int(rng.integers(2, 13))
+        econs = []
+        for _ in range(n):
+            dist = (None if rng.random() < 0.5
+                    else truncated_exponential(float(rng.uniform(0.5, 3.0))))
+            econs.append(benchmark(v=float(rng.uniform(1.0, 2.5)),
+                                   mu0=float(rng.choice([0.0, 0.2])),
+                                   R=float(rng.uniform(0.5, 3.0)), dist=dist))
+        coupling = np.triu(rng.uniform(0.0, 1.0, (n, n)), 1)
+        coupling *= 3.0 * 10.0 ** rng.uniform(-3.0, 0.0) \
+            / coupling[np.triu_indices(n, 1)].mean()
+        books.append(make_portfolio(econs, coupling=coupling + coupling.T))
+    return books
+
+
+@pytest.mark.parametrize("books", [_symmetric_books, _random_books],
+                         ids=["symmetric", "random"])
+def test_newton_selects_the_damped_map_equilibrium(books):
+    seen = set()
+    for k, port in enumerate(books()):
+        sol = solve_cutoffs(port)
+        ref, flags, _ = _damped_reference(port)
+        assert np.max(np.abs(sol.cutoffs - ref)) <= 1e-10, k
+        assert sol.clamped == flags, k
+        assert sol.residual <= 1e-12
+        seen.update(flags)
+    assert {"none", "all_served"} <= seen
+
+
+def test_unstable_interior_fixed_point_returns_the_corner():
+    # v - 1 + b1 = 1 + 0.35e < delta: the symmetric interior fixed point
+    # is unstable, Newton's first step would rise, so Newton hands the
+    # uncoupled cutoffs to the damped map, which falls to the bottom corner
+    port = symmetric_portfolio(0.5, 2.0)
+    assert 2.0 > 1.0 + port.contracts[0].slope
+    sol = solve_cutoffs(port)
+    assert sol.clamped == ("all_served", "all_served")
+    assert np.all(sol.cutoffs == 0.0)
+    assert sol.iterations == _damped_reference(port)[2]
+
+
+def test_damped_fallback_budget_exhaustion_raises(monkeypatch):
+    # Newton hands this book to the damped map, which needs ~40 passes
+    monkeypatch.setattr(portfolio, "FP_TOL", Tolerance(abs_f=1e-12, max_iter=3))
+    with pytest.raises(ConvergenceError):
+        solve_cutoffs(symmetric_portfolio(0.5, 2.0))
+
+
+@pytest.mark.parametrize("v_odd, delta, state", [
+    (2.0, 2.0, "all_served"),
+    (2.0, 0.002, "none"),
+    # v = 1.3 serves no type uncoupled, so Newton starts these five
+    # cutoffs at the top of the support, where psi' needs the inner stencil
+    (1.3, 0.05, "none"),
+], ids=["all_served", "interior", "interior_from_top"])
+def test_book_solve_makes_at_most_two_response_passes(monkeypatch, v_odd,
+                                                      delta, state):
+    calls = []
+    real = portfolio._cutoff_given_coupling
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(portfolio, "_cutoff_given_coupling", counted)
+    n = 10
+    port = make_portfolio([benchmark(v=v_odd if i % 2 else 2.0, R=float(R))
+                           for i, R in enumerate(np.linspace(0.5, 3.0, n))],
+                          delta=delta)
+    sol = solve_cutoffs(port)
+    assert sol.clamped == (state,) * n
+    # the damped map alone makes 38 to 42 passes of n calls on such books
+    assert len(calls) <= 2 * n
 
 
 def test_contagion_derivative_sign_flips_with_coupling():

@@ -31,6 +31,9 @@ _SCREENING_PANELS = 512  # Simpson panels of the screening-program integrals
 # the integrand stays near 64 kB, so a batch of hundreds of contracts does
 # not raise the process's peak memory
 _SIMPSON_ROWS = 64
+_OUTER_POINTS = 33  # slope scan of the mixed program
+_INNER_POINTS = 17  # advance scan at each slope
+_MIXED_PANELS = 128  # Simpson panels of each of its contract values
 
 
 @dataclass(frozen=True)
@@ -471,7 +474,7 @@ def contract_values(econ: EconomyPrimitives, a, b0: float = 0.0, b1=0.0,
     return out.reshape(shape)
 
 
-def _best_advances(econ, b1, points=17, panels=128):
+def _best_advances(econ, b1):
     """Best advance for each slope of an array, in lockstep.
 
     Returns (advances, values); element i equals the scalar search for
@@ -485,16 +488,16 @@ def _best_advances(econ, b1, points=17, panels=128):
     col = b1[:, None]
 
     def vals(a):
-        return contract_values(econ, a, 0.0, col, panels)
+        return contract_values(econ, a, 0.0, col, _MIXED_PANELS)
 
-    xs = np.linspace(0.0, K, points)
-    i = np.argmax(vals(np.broadcast_to(xs, (b1.size, points))), axis=1)
+    xs = np.linspace(0.0, K, _INNER_POINTS)
+    i = np.argmax(vals(np.broadcast_to(xs, (b1.size, _INNER_POINTS))), axis=1)
     lo = xs[np.maximum(i - 1, 0)]
-    hi = xs[np.minimum(i + 1, points - 1)]
+    hi = xs[np.minimum(i + 1, _INNER_POINTS - 1)]
     f_at = None
     if b1.size == 1:
         def f_at(a):
-            return contract_value(econ, a, 0.0, float(b1[0]), panels)
+            return contract_value(econ, a, 0.0, float(b1[0]), _MIXED_PANELS)
     x_m, v_m = maximize_rows(vals, lo, hi, Tolerance(abs_x=1e-11),
                              scan_points=9, f_at=f_at)
     cands = [sorted({0.0, K, binding_ir_advance(econ, b, d.lower),
@@ -502,7 +505,7 @@ def _best_advances(econ, b1, points=17, panels=128):
              for b in b1.tolist()]
     sizes = [len(c) for c in cands]
     c_vals = np.split(contract_values(econ, np.concatenate(cands), 0.0,
-                                      np.repeat(b1, sizes), panels),
+                                      np.repeat(b1, sizes), _MIXED_PANELS),
                       np.cumsum(sizes)[:-1])
     best = [best_candidate([(float(x), float(v))] + list(zip(c, cv.tolist())),
                            _TIE)
@@ -510,14 +513,13 @@ def _best_advances(econ, b1, points=17, panels=128):
     return np.array([x for x, _ in best]), np.array([v for _, v in best])
 
 
-def _best_advance(econ, b1, points=17, panels=128):
+def _best_advance(econ, b1):
     """Best advance for a fixed slope in the mixed program."""
-    a, v = _best_advances(econ, [b1], points, panels)
+    a, v = _best_advances(econ, [b1])
     return float(a[0]), float(v[0])
 
 
-def solve_mixed(econ: EconomyPrimitives, outer_points: int = 33,
-                inner_points: int = 17, panels: int = 128) -> MixedSolution:
+def solve_mixed(econ: EconomyPrimitives) -> MixedSolution:
     """Solve the mixed program over (advance, slope) at actual flows.
 
     The slope search runs on [0, c'/mu'] (rents weakly increase in the
@@ -529,25 +531,24 @@ def solve_mixed(econ: EconomyPrimitives, outer_points: int = 33,
     """
     b1_flat = flat_rent_slope(econ)
     if b1_flat is None:
-        a_star, v_star = _best_advance(econ, 0.0, inner_points, panels)
+        a_star, v_star = _best_advance(econ, 0.0)
         return MixedSolution(Contract(a_star, 0.0, 0.0),
                              served_interval(econ, a_star, 0.0, 0.0),
                              v_star, "uninformative")
 
     def outer(b1):
-        return _best_advance(econ, b1, inner_points, panels)[1]
+        return _best_advance(econ, b1)[1]
 
-    xs = np.linspace(0.0, b1_flat, outer_points)
+    xs = np.linspace(0.0, b1_flat, _OUTER_POINTS)
     extra = [c for c in (0.0, b1_flat, solve_optimal(econ).contract.slope)
              if 0.0 <= c <= b1_flat]
-    _, vals = _best_advances(econ, np.concatenate([xs, extra]),
-                             inner_points, panels)
-    b1_g, v_g = refine_scan(outer, xs, vals[:outer_points],
+    _, vals = _best_advances(econ, np.concatenate([xs, extra]))
+    b1_g, v_g = refine_scan(outer, xs, vals[:_OUTER_POINTS],
                             Tolerance(abs_x=1e-9))
     b1_star, _ = best_candidate(
-        [(b1_g, v_g)] + [(c, float(v)) for c, v in zip(extra, vals[outer_points:])],
+        [(b1_g, v_g)] + [(c, float(v)) for c, v in zip(extra, vals[_OUTER_POINTS:])],
         _TIE)
-    a_star, v_star = _best_advance(econ, b1_star, inner_points, panels)
+    a_star, v_star = _best_advance(econ, b1_star)
     span = served_interval(econ, a_star, 0.0, b1_star)
     if abs(b1_star - b1_flat) <= 1e-9:
         branch = "flat"

@@ -9,6 +9,7 @@ collapses to one dimension through the quality-cost ratio.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -27,6 +28,9 @@ from .oracle import DiscreteMechanism, ic_verify
 
 _EPS_W = 1e-15  # support threshold for posterior weights
 _IC_SLACK = 1e-12
+_MENU_TYPES = 10  # quantile types of the menu check
+_MENU_ADVANCES = 20  # advances and slopes of its instrument grid
+_MENU_SLOPES = 20
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +155,7 @@ def _rule_contract(econ: EconomyPrimitives,
 
 
 def dynamic_path(econ: EconomyPrimitives, true_theta: float, horizon: int,
-                 seed: int, grid_size: int = 50,
-                 prior: PosteriorState | None = None) -> list[PeriodRecord]:
+                 seed: int, prior: PosteriorState | None = None) -> list[PeriodRecord]:
     """Simulate contracting and learning over `horizon` signal draws.
 
     Period t's contract uses the belief before that period's signal;
@@ -164,7 +167,7 @@ def dynamic_path(econ: EconomyPrimitives, true_theta: float, horizon: int,
         raise DomainError("true type outside the support")
     rng = np.random.Generator(np.random.Philox(seed))
     post = prior if prior is not None else uniform_posterior(
-        econ.dist.lower, econ.dist.upper, grid_size)
+        econ.dist.lower, econ.dist.upper)
     records = []
     shrink_ok = None
     for t in range(horizon + 1):
@@ -226,8 +229,7 @@ def scale_signal(econ: EconomyPrimitives, factor: float) -> EconomyPrimitives:
 
 def _monitoring_gap(econ, cfg, sigma):
     """FOC gap: marginal screening improvement minus marginal cost."""
-    m = solve_mixed(scale_signal(econ, 1.0 + sigma),
-                    outer_points=17, inner_points=9, panels=64)
+    m = solve_mixed(scale_signal(econ, 1.0 + sigma))
     lhs = (0.0 if m.implemented is None
            else m.contract.slope * rent_tail(econ, m.implemented[0], 128))
     return lhs - 2.0 * cfg.kappa0 * sigma
@@ -239,18 +241,16 @@ def solve_monitoring(econ: EconomyPrimitives, cfg: MonitoringConfig) -> dict:
     Balances b1*(sigma) times the informativeness gain of the rent-
     bearing tail against the marginal monitoring cost 2*kappa0*sigma.
     """
-    gap0 = _monitoring_gap(econ, cfg, 1e-6)
-    if gap0 <= 0.0:
-        return {"sigma_star": 0.0, "foc_residual": gap0, "corner": True}
-    gap_hi = _monitoring_gap(econ, cfg, cfg.sigma_max)
-    if gap_hi > 0.0:
+    # each gap is a mixed-program solve; find_root opens at sigma_max again
+    # and ends on a point it has evaluated, so no gap is solved twice
+    gap = functools.cache(lambda s: _monitoring_gap(econ, cfg, s))
+    if gap(1e-6) <= 0.0:
+        return {"sigma_star": 0.0, "foc_residual": gap(1e-6), "corner": True}
+    if gap(cfg.sigma_max) > 0.0:
         raise BracketError("monitoring FOC positive through sigma_max")
-    sigma = find_root(lambda s: _monitoring_gap(econ, cfg, s),
-                      Bracket(0.0, cfg.sigma_max),
+    sigma = find_root(gap, Bracket(0.0, cfg.sigma_max),
                       Tolerance(abs_x=1e-7, abs_f=1e-8, max_iter=100))
-    return {"sigma_star": sigma,
-            "foc_residual": _monitoring_gap(econ, cfg, sigma),
-            "corner": False}
+    return {"sigma_star": sigma, "foc_residual": gap(sigma), "corner": False}
 
 
 def monitoring_cross_effect(econ: EconomyPrimitives,
@@ -266,8 +266,7 @@ def monitoring_cross_effect(econ: EconomyPrimitives,
     R = econ.financing.tightness
 
     def value(sig, r):
-        return solve_mixed(scale_signal(with_tightness(econ, r), 1.0 + sig),
-                           outer_points=17, inner_points=9, panels=64).value
+        return solve_mixed(scale_signal(with_tightness(econ, r), 1.0 + sig)).value
 
     def marginal(r):
         return (value(sigma0 + h, r) - value(sigma0 - h, r)) / (2.0 * h)
@@ -354,8 +353,7 @@ def _instrument_grid(econ, na, nb):
     return instr[np.lexsort((instr[:, 0], instr[:, 1]))]
 
 
-def menu_equivalence_check(econ: EconomyPrimitives, grid_size: int = 10,
-                           na: int = 20, nb: int = 20) -> dict:
+def menu_equivalence_check(econ: EconomyPrimitives) -> dict:
     """Best type-dependent menu against the best single instrument pair.
 
     Both sides run on the same discrete types and instrument grid and
@@ -367,9 +365,10 @@ def menu_equivalence_check(econ: EconomyPrimitives, grid_size: int = 10,
     """
     d = econ.dist
     K = econ.working_capital
-    types = _quantile_grid(d, grid_size)
-    w = 1.0 / grid_size
-    instr = _instrument_grid(econ, na, nb)
+    n = _MENU_TYPES
+    types = _quantile_grid(d, n)
+    w = 1.0 / n
+    instr = _instrument_grid(econ, _MENU_ADVANCES, _MENU_SLOPES)
     m = len(instr)
     phi = np.array([financing_cost(econ.financing, K - a) for a in instr[:, 0]])
     t_col, a_row, b_row = types[:, None], instr[None, :, 0], instr[None, :, 1]
@@ -384,7 +383,6 @@ def menu_equivalence_check(econ: EconomyPrimitives, grid_size: int = 10,
             return w * max(PI[i, j], 0.0)
         return None  # participation fails
 
-    n = grid_size
     neg = -np.inf
     best = np.full((n, m), neg)  # serving type i at instrument j
     parent = np.full((n, m, 2), -1, dtype=int)

@@ -299,43 +299,34 @@ def golden_max_rows(f: Callable[[np.ndarray], np.ndarray], a, b,
 
 
 def fixed_point(g: Callable[[np.ndarray], np.ndarray], x0,
-                tol: Tolerance = DEFAULT_TOL,
-                lo=None, hi=None) -> tuple[np.ndarray, float, int]:
-    """Damped fixed point of x <- g(x), optionally clamped to a box.
+                tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, float, int]:
+    """Damped fixed point of x <- g(x) on a 1-d array.
 
-    Each step moves halfway: x <- x + 0.5 * (g(x) - x).
-    Works on scalars or 1-d arrays. Returns (x, residual, iterations)
-    where residual is the sup norm of g(x) - x at the returned point.
-    Raises ConvergenceError (with .last) when max_iter is hit first.
+    Each step moves halfway: x <- x + 0.5 * (g(x) - x). Returns (x,
+    residual, iterations) where residual is the sup norm of g(x) - x at
+    the returned point. Raises ConvergenceError (with .last) when
+    max_iter is hit first.
     """
-    scalar = np.isscalar(x0)
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    lo_a = None if lo is None else np.broadcast_to(np.asarray(lo, float), x.shape)
-    hi_a = None if hi is None else np.broadcast_to(np.asarray(hi, float), x.shape)
-
-    def clamp(v):
-        if lo_a is not None:
-            v = np.maximum(v, lo_a)
-        if hi_a is not None:
-            v = np.minimum(v, hi_a)
-        return v
-
+    x = np.array(x0, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"fixed_point needs a 1-d start, got shape {x.shape}")
     for it in range(1, tol.max_iter + 1):
-        gx = clamp(np.atleast_1d(np.asarray(g(x[0] if scalar else x), float)))
+        gx = np.asarray(g(x), float)
         r = float(np.max(np.abs(gx - x)))
         if r <= tol.abs_f:
-            return (float(gx[0]) if scalar else gx), r, it
+            return gx, r, it
         x = x + 0.5 * (gx - x)
     raise ConvergenceError(
         f"fixed point not converged in {tol.max_iter} iterations (residual {r:.3g})",
-        last=float(x[0]) if scalar else x)
+        last=x)
 
 
 def integrate(f: Callable, lo: float, hi: float, panels: int = 512) -> float:
     """Composite Simpson integral of f over [lo, hi].
 
-    panels must be even. f is called once with the full numpy grid when
-    it vectorizes; otherwise it is evaluated pointwise.
+    panels must be even. f is called once with the full numpy grid and
+    must return one value per grid point; any other shape raises
+    ValueError.
     """
     if hi < lo:
         raise ValueError("integrate needs lo <= hi")
@@ -344,12 +335,10 @@ def integrate(f: Callable, lo: float, hi: float, panels: int = 512) -> float:
     if panels < 2 or panels % 2:
         raise ValueError("panels must be even and >= 2")
     xs = np.linspace(lo, hi, panels + 1)
-    try:
-        ys = np.asarray(f(xs), dtype=float)
-        if ys.shape != xs.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        ys = np.array([float(f(float(x))) for x in xs])
+    ys = np.asarray(f(xs), dtype=float)
+    if ys.shape != xs.shape:
+        raise ValueError(f"integrand returned shape {ys.shape} "
+                         f"on a grid of shape {xs.shape}")
     return float(_simpson(ys, (hi - lo) / panels))
 
 

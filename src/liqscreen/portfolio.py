@@ -143,12 +143,17 @@ def symmetric_cutoff(a: float, b1: float, delta: float, v: float = 2.0):
     """Closed-form symmetric coupled cutoff on the uniform benchmark.
 
     (a + b1 - delta) / (v - 1 + b1 - delta), using the manifold identity
-    Phi(K - a) = a; clamped to [0, 1] with the clamp reported.
+    Phi(K - a) = a; clamped to [0, 1] with the clamp reported. A negative
+    denominator makes that root unstable; the damped map then runs from
+    the uncoupled cutoff to 0 if it starts below the root, else to 1.
     """
     denom = (v - 1.0) + b1 - delta
     if abs(denom) <= 1e-9:
         raise DegeneracyError("coupled-cutoff denominator vanishes")
     theta = (a + b1 - delta) / denom
+    if denom < 0.0:
+        start = min(max((a + b1) / ((v - 1.0) + b1), 0.0), 1.0)
+        return (0.0 if start < theta else 1.0), True
     clamped = theta < 0.0 or theta > 1.0
     return min(max(theta, 0.0), 1.0), clamped
 
@@ -166,7 +171,9 @@ def symmetric_cutoff_iterative(a: float, b1: float, delta: float,
     den = (v - 1.0) + b1
     c0 = (a + b1 - delta) / den
     c1 = delta / den
-    return fixed_point(lambda x: c0 + c1 * x, 0.5, tol, lo=0.0, hi=1.0)
+    x, residual, iters = fixed_point(lambda x: np.clip(c0 + c1 * x, 0.0, 1.0),
+                                     np.array([0.5]), tol)
+    return float(x[0]), residual, iters
 
 
 def _clamps(psi_lo, psi_hi, load):

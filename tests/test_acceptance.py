@@ -182,7 +182,7 @@ def test_c11_dynamic_point_mass_flat_and_advance_monotone_on_shrink_steps():
     for rec in fixed:
         assert abs(rec.contract.advance - econ.working_capital) <= 1e-12
         assert abs(rec.contract.slope) <= 1e-12
-    path = dynamic_path(econ, 0.3, 20, seed=42, grid_size=50)
+    path = dynamic_path(econ, 0.3, 20, seed=42)
     shrink_steps = 0
     for prev, cur in zip(path, path[1:]):
         if cur.hazard_shrink_ok:

@@ -155,7 +155,7 @@ def test_renegotiation_value_weakly_falls():
 
 def test_menu_cannot_beat_single_contract():
     econ = benchmark(v=2.0, mu0=0.1, K=1.0, R=1.0)
-    out = menu_equivalence_check(econ, grid_size=10, na=20, nb=20)
+    out = menu_equivalence_check(econ)
     assert out["ic_ok"]
     assert abs(out["gap"]) < 1e-3
     assert out["menu_value"] >= out["baseline_value"] - 1e-12

@@ -110,17 +110,32 @@ def test_integrate_zero_width():
     assert integrate(lambda x: x, 1.0, 1.0) == 0.0
 
 
+def test_integrate_rejects_an_integrand_of_the_wrong_shape():
+    with pytest.raises(ValueError, match=r"shape \(\).*shape \(129,\)"):
+        integrate(lambda x: 1.0, 0.0, 1.0, 128)
+    with pytest.raises(ValueError, match=r"shape \(128,\).*shape \(129,\)"):
+        integrate(lambda x: x[1:], 0.0, 1.0, 128)
+
+
+def test_integrate_lets_a_scalar_only_integrand_fail():
+    with pytest.raises(TypeError):
+        integrate(math.exp, 0.0, 1.0, 128)
+
+
 def test_fixed_point_contraction():
-    x, resid, _ = fixed_point(lambda x: 0.5 * x + 1.0, 0.0,
+    x, resid, _ = fixed_point(lambda x: 0.5 * x + 1.0, np.array([0.0]),
                               Tolerance(abs_x=1e-12, abs_f=1e-12, max_iter=500))
-    assert abs(x - 2.0) < 1e-10
+    assert x.shape == (1,)
+    assert abs(x[0] - 2.0) < 1e-10
     assert abs(resid) < 1e-10
+    with pytest.raises(ValueError, match="1-d"):
+        fixed_point(lambda x: 0.5 * x + 1.0, 0.0)
 
 
 def test_fixed_point_budget():
     # expansive map: damping cannot rescue it, the budget runs out
     with pytest.raises(ConvergenceError):
-        fixed_point(lambda x: 2.0 * x + 1.0, 0.3,
+        fixed_point(lambda x: 2.0 * x + 1.0, np.array([0.3]),
                     Tolerance(abs_x=1e-12, abs_f=1e-12, max_iter=50))
 
 

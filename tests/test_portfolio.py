@@ -85,6 +85,7 @@ def test_iterative_cutoff_agrees_with_closed_form():
     tol = Tolerance(abs_x=1e-12, abs_f=1e-12, max_iter=20000)
     closed, _ = symmetric_cutoff(0.3, 0.5, 0.2)
     x, resid, its = symmetric_cutoff_iterative(0.3, 0.5, 0.2, tol=tol)
+    assert type(x) is float and type(resid) is float and type(its) is int
     assert abs(x - closed) < 1e-9
     assert abs(resid) < 1e-9
     assert its >= 1
@@ -94,6 +95,18 @@ def test_iterative_cutoff_budget_exhaustion_raises():
     with pytest.raises(ConvergenceError):
         symmetric_cutoff_iterative(0.3, 0.5, 0.2,
                                    tol=Tolerance(abs_f=1e-12, max_iter=3))
+
+
+@pytest.mark.parametrize("R", [0.5, 1.0, 2.0])
+def test_symmetric_cutoff_matches_solve_cutoffs_on_both_sides_of_stability(R):
+    # past delta = v - 1 + b1 the interior root is unstable and the
+    # coupled map runs to a corner; the closed form must pick the same one
+    for delta in np.round(np.arange(0.0, 3.0 + 1e-9, 0.1), 10):
+        port = symmetric_portfolio(R, float(delta))
+        c = port.contracts[0]
+        closed, _ = symmetric_cutoff(c.advance, c.slope, float(delta))
+        got = solve_cutoffs(port).cutoffs[0]
+        assert abs(closed - got) <= 1e-8, (delta, closed, got)
 
 
 def test_zero_coupling_reduces_to_bilateral_cutoffs():

@@ -12,6 +12,7 @@ benchmarks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -33,6 +34,7 @@ _SCREENING_PANELS = 512  # Simpson panels of the screening-program integrals
 _SIMPSON_ROWS = 64
 _OUTER_POINTS = 33  # slope scan of the mixed program
 _INNER_POINTS = 17  # advance scan at each slope
+_REFINE_POINTS = 9  # rescan around the best advance before golden search
 _MIXED_PANELS = 128  # Simpson panels of each of its contract values
 
 
@@ -68,7 +70,7 @@ class MixedSolution:
     contract: Contract
     implemented: tuple[float, float] | None  # served type interval, None if empty
     value: float
-    branch: str  # rent profile: decreasing | flat | increasing | uninformative
+    branch: str  # rent profile: decreasing | flat | uninformative
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +501,7 @@ def _best_advances(econ, b1):
         def f_at(a):
             return contract_value(econ, a, 0.0, float(b1[0]), _MIXED_PANELS)
     x_m, v_m = maximize_rows(vals, lo, hi, Tolerance(abs_x=1e-11),
-                             scan_points=9, f_at=f_at)
+                             scan_points=_REFINE_POINTS, f_at=f_at)
     cands = [sorted({0.0, K, binding_ir_advance(econ, b, d.lower),
                      binding_ir_advance(econ, b, d.upper)})
              for b in b1.tolist()]
@@ -523,11 +525,12 @@ def solve_mixed(econ: EconomyPrimitives) -> MixedSolution:
     """Solve the mixed program over (advance, slope) at actual flows.
 
     The slope search runs on [0, c'/mu'] (rents weakly increase in the
-    slope beyond the flat-rent point) with the exact flat-rent slope and
-    the screening-program slope injected as candidates. The outer scan
-    and the candidates are solved as one batch; the golden refinement
-    of the slope is sequential. An uninformative signal reduces the
-    program to the pure-advance choice.
+    slope beyond the flat-rent point), so b1* lies in [0, b1_flat]. Both
+    ends are scan points, and no other slope is injected as a candidate.
+    The outer scan is solved as one batch; the golden refinement of the
+    slope is sequential and cached, so the winning golden point is not
+    searched again. An uninformative signal reduces the program to the
+    pure-advance choice; a negative flat-rent slope raises DomainError.
     """
     b1_flat = flat_rent_slope(econ)
     if b1_flat is None:
@@ -535,27 +538,17 @@ def solve_mixed(econ: EconomyPrimitives) -> MixedSolution:
         return MixedSolution(Contract(a_star, 0.0, 0.0),
                              served_interval(econ, a_star, 0.0, 0.0),
                              v_star, "uninformative")
+    if b1_flat < 0.0:
+        raise DomainError(f"flat-rent slope c'/mu' = {b1_flat:.6g} is negative; "
+                          "the mixed program needs it nonnegative")
 
-    def outer(b1):
-        return _best_advance(econ, b1)[1]
-
+    best = functools.cache(lambda b1: _best_advance(econ, b1))
     xs = np.linspace(0.0, b1_flat, _OUTER_POINTS)
-    extra = [c for c in (0.0, b1_flat, solve_optimal(econ).contract.slope)
-             if 0.0 <= c <= b1_flat]
-    _, vals = _best_advances(econ, np.concatenate([xs, extra]))
-    b1_g, v_g = refine_scan(outer, xs, vals[:_OUTER_POINTS],
-                            Tolerance(abs_x=1e-9))
-    b1_star, _ = best_candidate(
-        [(b1_g, v_g)] + [(c, float(v)) for c, v in zip(extra, vals[_OUTER_POINTS:])],
-        _TIE)
-    a_star, v_star = _best_advance(econ, b1_star)
+    b1_star, _ = refine_scan(lambda b1: best(b1)[1], xs,
+                             _best_advances(econ, xs)[1], Tolerance(abs_x=1e-9))
+    a_star, v_star = best(b1_star)
     span = served_interval(econ, a_star, 0.0, b1_star)
-    if abs(b1_star - b1_flat) <= 1e-9:
-        branch = "flat"
-    elif b1_star < b1_flat:
-        branch = "decreasing"
-    else:
-        branch = "increasing"
+    branch = "flat" if abs(b1_star - b1_flat) <= 1e-9 else "decreasing"
     return MixedSolution(Contract(a_star, 0.0, b1_star), span, v_star, branch)
 
 

@@ -185,7 +185,7 @@ def refine_scan(f: Callable[[float], float], xs, fs,
 
 
 def maximize_rows(f: Callable[[np.ndarray], np.ndarray], lo, hi,
-                  tol: Tolerance = DEFAULT_TOL, scan_points: int = 65,
+                  tol: Tolerance = DEFAULT_TOL, *, scan_points: int,
                   f_at: Callable[[float], float] | None = None
                   ) -> tuple[np.ndarray, np.ndarray]:
     """maximize_scalar over rows of intervals, in lockstep.

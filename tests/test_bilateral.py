@@ -6,8 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from liqscreen import bilateral
 from liqscreen.bilateral import (
     Contract,
+    _best_advance,
     _best_advances,
     binding_ir_advance,
     binding_slope,
@@ -286,3 +288,57 @@ def test_flat_signal_has_no_binding_or_flat_rent_slope():
     assert slope_cap(flat) == 10.0
     # c' = 1 and mu' = 2 on this affine benchmark
     assert flat_rent_slope(benchmark(mu0=0.1, signal_scale=2.0)) == 0.5
+
+
+def test_solve_mixed_rejects_a_negative_flat_rent_slope():
+    # c' = -0.3 against mu' = 1: rents fall in the slope everywhere
+    econ = replace(benchmark(v=2.0, mu0=0.5),
+                   cost=lambda t: 0.6 - 0.3 * np.asarray(t, float),
+                   cost_prime=lambda t: -0.3 * np.ones_like(np.asarray(t, float)))
+    assert abs(flat_rent_slope(econ) + 0.3) < 1e-12
+    with pytest.raises(DomainError, match="flat-rent slope"):
+        solve_mixed(econ)
+
+
+@pytest.mark.parametrize("dist", [None, truncated_exponential(1.5), power(1.7)],
+                         ids=["uniform", "truncated_exponential", "power"])
+def test_dropped_slope_candidates_never_win(dist):
+    # 0, b1_flat and the screening slope were once compared with the
+    # refined slope after the scan; none of them would replace b1*
+    for mu0 in (0.0, 0.2):
+        for R in (0.5, 2.0):
+            econ = benchmark(v=2.0, mu0=mu0, R=R, dist=dist)
+            sol = solve_mixed(econ)
+            b1_star, v_star = sol.contract.slope, sol.value
+            b1_flat = flat_rent_slope(econ)
+            # the screening program divides by f(lower) = 0 on power types
+            with np.errstate(divide="ignore", invalid="ignore"):
+                b1_screening = solve_optimal(econ).contract.slope
+            cands = {0.0, b1_flat, b1_screening}
+            band = 1e-12 * max(1.0, abs(v_star))
+            for c in sorted(x for x in cands if 0.0 <= x <= b1_flat):
+                v_c = _best_advance(econ, c)[1]
+                assert v_c <= v_star + band, (mu0, R, c, v_c, v_star)
+                assert not (abs(v_c - v_star) <= band and c < b1_star), (mu0, R, c)
+
+
+def test_solve_mixed_searches_each_slope_once(monkeypatch, bench_informative):
+    def no_screening(econ):
+        raise AssertionError("the mixed program ran a screening solve")
+
+    batches = []
+    batch = bilateral._best_advances
+
+    def recorded(econ, b1):
+        batches.append(np.asarray(b1, float).tolist())
+        return batch(econ, b1)
+
+    monkeypatch.setattr(bilateral, "solve_optimal", no_screening)
+    monkeypatch.setattr(bilateral, "_best_advances", recorded)
+    sol = bilateral.solve_mixed(bench_informative)
+    assert len(batches[0]) == bilateral._OUTER_POINTS
+    assert all(len(b) == 1 for b in batches[1:])
+    slopes = [b1 for b in batches for b1 in b]
+    assert len(slopes) == len(set(slopes))
+    # b1* is a golden point here, found once by the sequential refinement
+    assert sol.contract.slope in slopes[bilateral._OUTER_POINTS:]

@@ -12,9 +12,8 @@ benchmarks.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,7 +58,6 @@ class BilateralSolution:
     cutoff: float
     value: float
     decomposition: dict
-    foc_residual: float
     boundary_flag: str  # interior | corner_b1_zero | corner_a_zero
 
 
@@ -323,10 +321,9 @@ def solve_optimal(econ: EconomyPrimitives) -> BilateralSolution:
         flag = "corner_a_zero"
     else:
         flag = "interior"
-    sol = BilateralSolution(contract=Contract(a_star, 0.0, b1_star),
-                            cutoff=that, value=w, decomposition=decomp,
-                            foc_residual=math.nan, boundary_flag=flag)
-    return replace(sol, foc_residual=sufficient_statistics(econ, sol)["residual"])
+    return BilateralSolution(contract=Contract(a_star, 0.0, b1_star),
+                             cutoff=that, value=w, decomposition=decomp,
+                             boundary_flag=flag)
 
 
 # ---------------------------------------------------------------------------
@@ -527,10 +524,11 @@ def solve_mixed(econ: EconomyPrimitives) -> MixedSolution:
     The slope search runs on [0, c'/mu'] (rents weakly increase in the
     slope beyond the flat-rent point), so b1* lies in [0, b1_flat]. Both
     ends are scan points, and no other slope is injected as a candidate.
-    The outer scan is solved as one batch; the golden refinement of the
-    slope is sequential and cached, so the winning golden point is not
-    searched again. An uninformative signal reduces the program to the
-    pure-advance choice; a negative flat-rent slope raises DomainError.
+    The outer scan is solved as one batch and the golden refinement of
+    the slope is sequential; both fill one table of searched slopes, so
+    the winning slope is not searched again. An uninformative signal
+    reduces the program to the pure-advance choice; a negative flat-rent
+    slope raises DomainError.
     """
     b1_flat = flat_rent_slope(econ)
     if b1_flat is None:
@@ -542,10 +540,17 @@ def solve_mixed(econ: EconomyPrimitives) -> MixedSolution:
         raise DomainError(f"flat-rent slope c'/mu' = {b1_flat:.6g} is negative; "
                           "the mixed program needs it nonnegative")
 
-    best = functools.cache(lambda b1: _best_advance(econ, b1))
     xs = np.linspace(0.0, b1_flat, _OUTER_POINTS)
-    b1_star, _ = refine_scan(lambda b1: best(b1)[1], xs,
-                             _best_advances(econ, xs)[1], Tolerance(abs_x=1e-9))
+    a_xs, v_xs = _best_advances(econ, xs)
+    found = dict(zip(xs.tolist(), zip(a_xs.tolist(), v_xs.tolist())))
+
+    def best(b1):
+        if b1 not in found:
+            found[b1] = _best_advance(econ, b1)
+        return found[b1]
+
+    b1_star, _ = refine_scan(lambda b1: best(b1)[1], xs, v_xs,
+                             Tolerance(abs_x=1e-9))
     a_star, v_star = best(b1_star)
     span = served_interval(econ, a_star, 0.0, b1_star)
     branch = "flat" if abs(b1_star - b1_flat) <= 1e-9 else "decreasing"
@@ -626,37 +631,25 @@ def advance_share(econ: EconomyPrimitives, mix: MixedSolution) -> float:
     return mix.contract.advance / expected_pay if expected_pay > 0 else 1.0
 
 
-def sweep_R(econ: EconomyPrimitives, R_grid) -> tuple[list[dict], dict]:
+def sweep_R(econ: EconomyPrimitives, R_grid) -> list[dict]:
     """Comparative statics of the benchmark contracts over tightness.
 
     Returns one row per tightness value with the screening-program
-    advance, the mixed-program value and advance share, and the pure
-    benchmarks, plus divided-difference diagnostics for the advance path.
+    advance and uncovered gap, the mixed program's advance share, and
+    the financing cost as a share of the top type's net surplus.
     """
     rows = []
     d = econ.dist
     scale = float(econ.surplus(d.upper)) - float(econ.cost(d.upper))
     for R in R_grid:
         e = with_tightness(econ, float(R))
-        sol = solve_optimal(e)
-        mix = solve_mixed(e)
-        a = sol.contract.advance
+        a = solve_optimal(e).contract.advance
         K = e.working_capital
         rows.append({
             "R": float(R),
             "a_star": a,
             "ell_star": K - a,
-            "beta_star": advance_share(e, mix),
+            "beta_star": advance_share(e, solve_mixed(e)),
             "phi_share": financing_cost(e.financing, K - a) / scale,
-            "W_M": mix.value,
-            "W_A": pure_advance_value(e),
-            "W_C": pure_contingent_value(e),
         })
-    a_path = np.array([r["a_star"] for r in rows])
-    Rs = np.array([r["R"] for r in rows])
-    slopes = np.diff(a_path) / np.diff(Rs)
-    diagnostics = {
-        "advance_increasing": bool(np.all(slopes > 0)),
-        "advance_concave": bool(np.all(np.diff(slopes) < 0)),
-    }
-    return rows, diagnostics
+    return rows

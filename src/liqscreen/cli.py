@@ -81,7 +81,7 @@ def _table_sensitivity(cfg: RunConfig) -> list[str]:
     paths = []
     for v in (2.0, 3.0):
         econ = benchmark(v=v, mu0=0.0, K=1.0, R=1.0)
-        rows_raw, _ = sweep_R(econ, R_TABLE)
+        rows_raw = sweep_R(econ, R_TABLE)
         rows = [(f"{r['R']:.1f}", float(r["a_star"]), float(r["ell_star"]),
                  float(r["beta_star"]), float(r["phi_share"]))
                 for r in rows_raw]

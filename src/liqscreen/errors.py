@@ -29,7 +29,7 @@ class DegeneracyError(LiqscreenError):
 
 
 class SingularityError(LiqscreenError):
-    """An ODE trajectory blew up; carries the time of failure."""
+    """An ODE trajectory blew up; t is the point where it first diverged."""
 
     def __init__(self, message, t=None):
         super().__init__(message)

@@ -315,7 +315,7 @@ def solve_renegotiation(econ: EconomyPrimitives, lam: float) -> BilateralSolutio
     flag = "corner_b1_zero" if b1 <= 1e-9 else "interior"
     return BilateralSolution(contract=Contract(a_lam, 0.0, b1), cutoff=that,
                              value=value, decomposition=decomp,
-                             foc_residual=math.nan, boundary_flag=flag)
+                             boundary_flag=flag)
 
 
 # ---------------------------------------------------------------------------
@@ -339,17 +339,14 @@ def _instrument_grid(econ, na, nb):
     it on the grid the coarse enumeration can express the exact
     participation-binding single contract.
     """
-    K = econ.working_capital
     b1_flat = flat_rent_slope(econ)
     if b1_flat is None:
         raise DegeneracyError("menus need an informative signal")
-    a_lin = np.linspace(0.0, K, na)
-    rows = []
-    for b1 in np.linspace(0.0, b1_flat, nb):
-        a_bind = binding_ir_advance(econ, b1)
-        for a in np.concatenate((a_lin, [a_bind])):
-            rows.append((a, b1))
-    instr = np.array(rows)
+    slopes = np.linspace(0.0, b1_flat, nb)
+    a = np.empty((nb, na + 1))
+    a[:, :na] = np.linspace(0.0, econ.working_capital, na)
+    a[:, na] = [binding_ir_advance(econ, b1) for b1 in slopes]
+    instr = np.column_stack((a.ravel(), np.repeat(slopes, na + 1)))
     return instr[np.lexsort((instr[:, 0], instr[:, 1]))]
 
 
@@ -363,10 +360,9 @@ def menu_equivalence_check(econ: EconomyPrimitives) -> dict:
     is a forward pass over served-type/instrument states whose local
     constraints imply the global ones under monotone slopes.
     """
-    d = econ.dist
     K = econ.working_capital
     n = _MENU_TYPES
-    types = _quantile_grid(d, n)
+    types = _quantile_grid(econ.dist, n)
     w = 1.0 / n
     instr = _instrument_grid(econ, _MENU_ADVANCES, _MENU_SLOPES)
     m = len(instr)
@@ -374,76 +370,43 @@ def menu_equivalence_check(econ: EconomyPrimitives) -> dict:
     t_col, a_row, b_row = types[:, None], instr[None, :, 0], instr[None, :, 1]
     U = _acceptance(econ, t_col, a_row, 0.0, b_row, phi[None, :])
     PI = _profit(econ, t_col, a_row, 0.0, b_row)
+    takes = U >= -_IC_SLACK  # participation holds
+    quiet = U <= _IC_SLACK  # the type would not take the offer
+    # indifferent types can be turned away; strictly willing ones cannot
+    cell = w * np.where(U > _IC_SLACK, PI, np.maximum(PI, 0.0))
+    clean = np.ones((1, m), dtype=bool)
 
-    def cell_value(i, j):
-        # indifferent types can be turned away; strictly willing ones cannot
-        if U[i, j] > _IC_SLACK:
-            return w * PI[i, j]
-        if U[i, j] >= -_IC_SLACK:
-            return w * max(PI[i, j], 0.0)
-        return None  # participation fails
-
-    neg = -np.inf
-    best = np.full((n, m), neg)  # serving type i at instrument j
-    parent = np.full((n, m, 2), -1, dtype=int)
     # first served type: everyone below must weakly prefer opting out
-    clean_below = np.ones(m, dtype=bool)
-    for i in range(n):
-        for j in range(m):
-            if clean_below[j]:
-                cv = cell_value(i, j)
-                if cv is not None:
-                    best[i, j] = max(best[i, j], cv)
-        clean_below &= U[i] <= _IC_SLACK
-    # transitions between consecutive served types
+    below = np.vstack((clean, np.logical_and.accumulate(quiet[:-1])))
+    best = np.where(below & takes, cell, -np.inf)  # serving type i at j
+    parent = np.full((n, m, 2), -1, dtype=int)
+    # transitions between consecutive served types p < i at instruments
+    # q, j; the excluded types strictly between must be quiet at both
     for i in range(1, n):
         for p in range(i):
-            row = best[p]
-            live = np.nonzero(row > neg)[0]
-            if live.size == 0:
-                continue
-            # excluded types strictly between p and i
-            gap_idx = np.arange(p + 1, i)
-            gap_clean = (np.all(U[gap_idx, :] <= _IC_SLACK, axis=0)
-                         if gap_idx.size else np.ones(m, dtype=bool))
-            for q in live:
-                if gap_idx.size and not gap_clean[q]:
-                    continue
-                ok = (instr[:, 1] >= instr[q, 1] - 1e-15) \
-                    & (U[i, :] >= U[i, q] - _IC_SLACK) \
-                    & (U[p, q] >= U[p, :] - _IC_SLACK) & gap_clean
-                for j in np.nonzero(ok)[0]:
-                    cv = cell_value(i, j)
-                    if cv is not None and row[q] + cv > best[i, j]:
-                        best[i, j] = row[q] + cv
-                        parent[i, j] = (p, q)
-    # close the menu: types above the last served must prefer opting out
-    menu_value = 0.0  # empty menu is always feasible
-    arg = None
-    for i in range(n):
-        tail_idx = np.arange(i + 1, n)
-        for j in range(m):
-            if best[i, j] <= neg:
-                continue
-            if tail_idx.size and np.any(U[tail_idx, j] > _IC_SLACK):
-                continue
-            if best[i, j] > menu_value:
-                menu_value = best[i, j]
-                arg = (i, j)
+            gap_clean = np.all(quiet[p + 1:i], axis=0)
+            for q in np.flatnonzero((best[p] > -np.inf) & gap_clean):
+                cand = best[p, q] + cell[i]
+                up = (instr[:, 1] >= instr[q, 1] - 1e-15) & takes[i] \
+                    & (U[i] >= U[i, q] - _IC_SLACK) \
+                    & (U[p, q] >= U[p] - _IC_SLACK) & gap_clean \
+                    & (cand > best[i])  # strict: the first q keeps a tie
+                best[i, up] = cand[up]
+                parent[i, up] = (p, q)
+    # close the menu: types above the last served must prefer opting out;
+    # the empty menu is always feasible
+    above = np.vstack((np.logical_and.accumulate(quiet[:0:-1])[::-1], clean))
+    top = np.where(above, best, -np.inf)
+    k = int(np.argmax(top))  # row-major: the first (i, j) keeps a tie
+    arg = divmod(k, m) if top.flat[k] > 0.0 else None
+    menu_value = 0.0 if arg is None else top.flat[k]
 
-    # baseline: one instrument for every served type, same rules
-    baseline_value = 0.0
-    base_arg = None
-    # a type whose participation fails adds 0 (cell_value is None only
-    # when U < -slack, so such a type never wants the offer)
-    for j in range(m):
-        total = 0.0
-        for i in range(n):
-            cv = cell_value(i, j)
-            total += 0.0 if cv is None else cv
-        if total > baseline_value:
-            baseline_value = total
-            base_arg = j
+    # baseline: one instrument for every served type, same rules; a type
+    # whose participation fails never wants the offer and adds 0
+    totals = np.add.reduce(np.where(takes, cell, 0.0), axis=0)  # types in order
+    j = int(np.argmax(totals))
+    base_arg = j if totals[j] > 0.0 else None
+    baseline_value = 0.0 if base_arg is None else totals[j]
 
     mech = _menu_mechanism(econ, types, instr, arg, parent, U, PI)
     return {"menu_value": menu_value, "baseline_value": baseline_value,
@@ -505,7 +468,8 @@ def solve_bid_function(econ: EconomyPrimitives, n: int,
     from the top boundary beta(upper - eps) = beta_fb(upper - eps); the
     hazard factor is singular at the top, hence the offset requirement.
     The default offset grows with n to keep the first steps inside the
-    integrator's stability region.
+    integrator's stability region. A diverging trajectory raises
+    SingularityError whose t is the type at the failing step.
     """
     if n < 2:
         raise DomainError("need at least two bidders")
@@ -527,7 +491,8 @@ def solve_bid_function(econ: EconomyPrimitives, n: int,
         ys = _rk4_affine(k_half.tolist(), fb_half.tolist(),
                          float(fb_half[0]), h, steps)
     except OverflowError as exc:
-        raise SingularityError(str(exc), t=None) from exc
+        message, step = exc.args
+        raise SingularityError(message, t=float(ts_half[2 * step])) from exc
     grid = ts_half[::2][::-1]
     bids = np.asarray(ys, float)[::-1]
     fb = fb_half[::2][::-1]
@@ -540,7 +505,8 @@ def _rk4_affine(k_half, m_half, y0, h, steps):
     k_half and m_half hold k and m sampled at half-step resolution
     (2*steps + 1 values, node i at t0 + i*h/2; h may be negative for
     backward integration). Returns the list of steps+1 y values. A
-    non-finite iterate raises OverflowError naming the failing step.
+    non-finite iterate raises OverflowError(message, step) naming the
+    failing step.
     """
     if len(k_half) != 2 * steps + 1 or len(m_half) != 2 * steps + 1:
         raise ValueError("coefficient tables must have 2*steps + 1 entries")
@@ -554,7 +520,7 @@ def _rk4_affine(k_half, m_half, y0, h, steps):
         k4 = k_half[j + 2] * (y + h * k3 - m_half[j + 2])
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not math.isfinite(y):
-            raise OverflowError(f"trajectory diverged at step {i + 1}")
+            raise OverflowError(f"trajectory diverged at step {i + 1}", i + 1)
         out[i + 1] = y
     return out
 

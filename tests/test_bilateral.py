@@ -163,13 +163,11 @@ def test_sufficient_statistics_reports_marginals():
 
 
 def test_sweep_rows_have_stable_schema():
-    rows, _ = sweep_R(benchmark(v=2.0, mu0=0.0, K=1.0, R=1.0),
-                      (0.5, 1.0))
+    rows = sweep_R(benchmark(v=2.0, mu0=0.0, K=1.0, R=1.0), (0.5, 1.0))
     assert [r["R"] for r in rows] == [0.5, 1.0]
     for row in rows:
-        for key in ("a_star", "ell_star", "beta_star", "phi_share",
-                    "W_M", "W_A", "W_C"):
-            assert key in row, key
+        assert set(row) == {"R", "a_star", "ell_star", "beta_star",
+                            "phi_share"}
         assert abs(row["a_star"] + row["ell_star"] - 1.0) < 1e-9
 
 
@@ -335,10 +333,16 @@ def test_solve_mixed_searches_each_slope_once(monkeypatch, bench_informative):
 
     monkeypatch.setattr(bilateral, "solve_optimal", no_screening)
     monkeypatch.setattr(bilateral, "_best_advances", recorded)
-    sol = bilateral.solve_mixed(bench_informative)
-    assert len(batches[0]) == bilateral._OUTER_POINTS
-    assert all(len(b) == 1 for b in batches[1:])
-    slopes = [b1 for b in batches for b1 in b]
-    assert len(slopes) == len(set(slopes))
-    # b1* is a golden point here, found once by the sequential refinement
-    assert sol.contract.slope in slopes[bilateral._OUTER_POINTS:]
+    # b1* is a golden point at the informative benchmark and the scan's
+    # top point c'/mu' at the loose-credit one
+    flat_corner = benchmark(v=2.0, mu0=0.0, R=0.25)
+    for econ, golden in ((bench_informative, True), (flat_corner, False)):
+        batches.clear()
+        sol = bilateral.solve_mixed(econ)
+        assert len(batches[0]) == bilateral._OUTER_POINTS
+        assert all(len(b) == 1 for b in batches[1:])
+        slopes = [b1 for b in batches for b1 in b]
+        assert len(slopes) == len(set(slopes))
+        found_by = slopes[bilateral._OUTER_POINTS:] if golden else batches[0]
+        assert sol.contract.slope in found_by
+        assert (sol.branch == "flat") is not golden

@@ -1,13 +1,17 @@
 """Learning, monitoring, renegotiation, menus, auctions, 2D reduction."""
 
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from liqscreen.bilateral import binding_ir_advance, solve_optimal
-from liqscreen.economy import EconomyPrimitives, benchmark, uniform, with_tightness
-from liqscreen.errors import BracketError, DegeneracyError, DomainError
+from liqscreen.economy import (EconomyPrimitives, benchmark, power,
+                               truncated_exponential, uniform, with_tightness)
+from liqscreen.errors import (BracketError, DegeneracyError, DomainError,
+                              SingularityError)
 from liqscreen.extensions import (
     MonitoringConfig,
     PosteriorState,
@@ -161,6 +165,40 @@ def test_menu_cannot_beat_single_contract():
     assert out["menu_value"] >= out["baseline_value"] - 1e-12
 
 
+# menu value, baseline value, gap, baseline instrument (float.hex) and a
+# digest of the mechanism's types, allocation, advances, slopes and rents
+MENU_PINS = {
+    "uniform": (
+        benchmark(v=3.0, mu0=0.3, R=1.0),
+        "0x1.4bdb5a0113f0fp-1", "0x1.4699f295147ddp-1", "0x1.5059daffdcc80p-7",
+        ("0x1.a462ec93997c6p-4", "0x1.0000000000000p+0"), "269263d448483988"),
+    "truncated_exponential": (
+        benchmark(v=2.5, mu0=0.2, K=1.1, R=0.7, signal_scale=0.7,
+                  dist=truncated_exponential(1.5)),
+        "0x1.1e35b39f43d97p-2", "0x1.1e35b39f43d97p-2", "0x0.0p+0",
+        ("0x1.43eb2862c551ap-4", "0x1.6db6db6db6db7p+0"), "34786e941a055e6e"),
+    "power": (
+        benchmark(v=2.2, mu0=0.05, K=0.9, R=2.0, signal_scale=1.3,
+                  dist=power(0.7)),
+        "0x1.da29e32f89977p-3", "0x1.da29e32f89977p-3", "0x0.0p+0",
+        ("0x1.3d452b2106c4ap-2", "0x1.89d89d89d89d8p-1"), "2ded078c048da8d7"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MENU_PINS))
+def test_menu_check_outputs_are_pinned(name):
+    econ, menu, baseline, gap, instrument, digest = MENU_PINS[name]
+    out = menu_equivalence_check(econ)
+    assert float(out["menu_value"]).hex() == menu
+    assert float(out["baseline_value"]).hex() == baseline
+    assert float(out["gap"]).hex() == gap
+    assert tuple(float(x).hex() for x in out["baseline_instrument"]) == instrument
+    assert out["ic_ok"]
+    m = out["mechanism"]
+    flat = np.concatenate([m.types, m.allocation, m.advances, m.slopes, m.rents])
+    assert hashlib.sha256(flat.astype("<f8").tobytes()).hexdigest()[:16] == digest
+
+
 # --- auctions ----------------------------------------------------------------
 
 
@@ -195,6 +233,17 @@ def test_bid_function_invariants_and_errors():
         solve_bid_function(econ, 1)
     with pytest.raises(DomainError):
         solve_bid_function(econ, 2, eps=0.0)
+
+
+def test_bid_function_divergence_reports_the_failing_type():
+    base = benchmark(v=2.0, mu0=0.0, K=1.0, R=1.0)
+    # a huge density makes the hazard factor blow the first RK4 step up
+    econ = replace(base, dist=replace(
+        base.dist, pdf=lambda t: np.full_like(np.asarray(t, float), 1e155)))
+    with pytest.raises(SingularityError, match="step 1") as info:
+        solve_bid_function(econ, 2)
+    # eps = 1e-3 and 2000 steps down from 0.999: step 1 ends at 0.999 + h
+    assert info.value.t == np.linspace(0.999, 0.0, 4001)[2]
 
 
 # --- two-dimensional reduction ------------------------------------------------

@@ -20,9 +20,9 @@ import numpy as np
 from .economy import (EconomyPrimitives, cost_slope, financing_cost,
                       marginal_ell, signal_slope, with_tightness)
 from .errors import BracketError, DomainError
-from .numerics import (Bracket, Tolerance, best_candidate, find_root,
-                       find_roots, integrate, integrate_rows, maximize_rows,
-                       maximize_scalar, refine_scan)
+from .numerics import (Bracket, Tolerance, _refine_peak, best_candidate,
+                       brent_max, find_root, find_roots, integrate,
+                       integrate_rows, maximize_rows, maximize_scalar)
 
 DEFAULT_TOL = Tolerance()
 _TIE = 1e-12
@@ -524,9 +524,13 @@ def solve_mixed(econ: EconomyPrimitives) -> MixedSolution:
     The slope search runs on [0, c'/mu'] (rents weakly increase in the
     slope beyond the flat-rent point), so b1* lies in [0, b1_flat]. Both
     ends are scan points, and no other slope is injected as a candidate.
-    The outer scan is solved as one batch and the golden refinement of
-    the slope is sequential; both fill one table of searched slopes, so
-    the winning slope is not searched again. An uninformative signal
+    The outer scan is solved as one batch. Brent's method (brent_max)
+    then refines the slope around the scan's peak, one inner search per
+    step; the objective max_a W(a, b1) is smooth at interior optima,
+    where it needs about 20 steps to golden section's 41. Both fill one
+    table of searched slopes, so the winning slope is not searched
+    again. The inner advance search stays golden: its objective has a
+    kink at the participation root. An uninformative signal
     reduces the program to the pure-advance choice; a negative flat-rent
     slope raises DomainError.
     """
@@ -549,8 +553,8 @@ def solve_mixed(econ: EconomyPrimitives) -> MixedSolution:
             found[b1] = _best_advance(econ, b1)
         return found[b1]
 
-    b1_star, _ = refine_scan(lambda b1: best(b1)[1], xs, v_xs,
-                             Tolerance(abs_x=1e-9))
+    b1_star, _ = _refine_peak(brent_max, lambda b1: best(b1)[1], xs, v_xs,
+                              Tolerance(abs_x=1e-9))
     a_star, v_star = best(b1_star)
     span = served_interval(econ, a_star, 0.0, b1_star)
     branch = "flat" if abs(b1_star - b1_flat) <= 1e-9 else "decreasing"

@@ -179,11 +179,21 @@ def refine_scan(f: Callable[[float], float], xs, fs,
     compares against both ends of the grid, as maximize_scalar does.
     """
     if not (xs[0] <= xs[-1]):
-        raise ValueError("maximize_scalar needs lo <= hi")
+        raise ValueError("refine_scan needs xs[0] <= xs[-1]")
+    return _refine_peak(_golden_max, f, xs, fs, tol)
+
+
+def _refine_peak(search, f, xs, fs, tol):
+    """refine_scan's pick with search(f, a, b, tol) as the refinement.
+
+    The search runs on the scan cells either side of the best scan
+    point; its point then competes with both scan ends and that scan
+    point.
+    """
     i = int(_scan_peak(xs, fs))
     a = float(xs[max(i - 1, 0)])
     b = float(xs[min(i + 1, len(xs) - 1)])
-    return _scan_choice(xs, fs, i, *_golden_max(f, a, b, tol))
+    return _scan_choice(xs, fs, i, *search(f, a, b, tol))
 
 
 def maximize_rows(f: Callable[[np.ndarray], np.ndarray], lo, hi,
@@ -269,6 +279,71 @@ def _golden_max(f, a, b, tol):
             fd = f(d)
     x = 0.5 * (a + b)
     return x, f(x)
+
+
+def brent_max(f: Callable[[float], float], a: float, b: float,
+              tol: Tolerance = DEFAULT_TOL) -> tuple[float, float]:
+    """Maximum of f on [a, b] by Brent's method: parabolic steps, golden fallback.
+
+    Brent (1973), Algorithms for Minimization without Derivatives, ch. 5,
+    with a purely absolute tolerance: it stops once the best point lies
+    within tol.abs_x / 2 of both ends of the bracket, the final width
+    _golden_max leaves, and no step from its best point is shorter than
+    tol.abs_x / 4. On a smooth peak it needs far fewer evaluations than
+    golden section; at a kink it falls back to golden steps. Returns
+    (x, f(x)) of the best point evaluated. Raises ConvergenceError
+    (carrying .last) after tol.max_iter steps.
+    """
+    if not (a <= b):
+        raise ValueError("brent_max needs a <= b")
+    if a == b:
+        return a, f(a)
+    step = 0.25 * tol.abs_x  # smallest step; the stop needs x within 2 * step of a and b
+    x = w = v = a + (1.0 - GOLDEN) * (b - a)
+    fx = fw = fv = f(x)
+    d = e = 0.0  # last step and the one before it
+    for _ in range(tol.max_iter):
+        m = 0.5 * (a + b)
+        if abs(x - m) <= 2.0 * step - 0.5 * (b - a):
+            return x, fx
+        parabolic = False
+        if abs(e) > step:
+            # vertex of the parabola through x, w and v, as an offset p / q from x
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            # accept it when it lands inside and moves less than half the step
+            # before last; otherwise take a golden step
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                e, d = d, p / q
+                if (x + d) - a < 2.0 * step or b - (x + d) < 2.0 * step:
+                    d = math.copysign(step, m - x)
+                parabolic = True
+        if not parabolic:
+            e = (a - x) if x >= m else (b - x)
+            d = (1.0 - GOLDEN) * e
+        u = x + d if abs(d) >= step else x + math.copysign(step, d)
+        fu = f(u)
+        if fu >= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
+    raise ConvergenceError(f"Brent search exhausted {tol.max_iter} steps", last=x)
 
 
 def golden_max_rows(f: Callable[[np.ndarray], np.ndarray], a, b,

@@ -35,7 +35,7 @@ from liqscreen.bilateral import (
 )
 from liqscreen.economy import benchmark, power, truncated_exponential
 from liqscreen.errors import DomainError
-from liqscreen.numerics import Tolerance, best_candidate, maximize_scalar
+from liqscreen.numerics import Tolerance, best_candidate, maximize_scalar, refine_scan
 
 
 def test_contract_rejects_negative_terms():
@@ -333,16 +333,49 @@ def test_solve_mixed_searches_each_slope_once(monkeypatch, bench_informative):
 
     monkeypatch.setattr(bilateral, "solve_optimal", no_screening)
     monkeypatch.setattr(bilateral, "_best_advances", recorded)
-    # b1* is a golden point at the informative benchmark and the scan's
+    # b1* is a Brent point at the informative benchmark and the scan's
     # top point c'/mu' at the loose-credit one
     flat_corner = benchmark(v=2.0, mu0=0.0, R=0.25)
-    for econ, golden in ((bench_informative, True), (flat_corner, False)):
+    for econ, interior in ((bench_informative, True), (flat_corner, False)):
         batches.clear()
         sol = bilateral.solve_mixed(econ)
         assert len(batches[0]) == bilateral._OUTER_POINTS
         assert all(len(b) == 1 for b in batches[1:])
         slopes = [b1 for b in batches for b1 in b]
         assert len(slopes) == len(set(slopes))
-        found_by = slopes[bilateral._OUTER_POINTS:] if golden else batches[0]
+        found_by = slopes[bilateral._OUTER_POINTS:] if interior else batches[0]
         assert sol.contract.slope in found_by
-        assert (sol.branch == "flat") is not golden
+        assert (sol.branch == "flat") is not interior
+        if interior:
+            # golden section took 41 sequential searches here
+            assert len(batches) - 1 <= 20
+        else:
+            assert sol.contract.slope == flat_rent_slope(econ)
+
+
+def _golden_mixed(econ):
+    """solve_mixed's (value, branch) with golden section refining the slope."""
+    b1_flat = flat_rent_slope(econ)
+    xs = np.linspace(0.0, b1_flat, bilateral._OUTER_POINTS)
+    _, v_xs = _best_advances(econ, xs)
+    b1, v = refine_scan(lambda b1: _best_advance(econ, b1)[1], xs, v_xs,
+                        Tolerance(abs_x=1e-9))
+    return v, "flat" if abs(b1 - b1_flat) <= 1e-9 else "decreasing"
+
+
+@pytest.mark.parametrize("kw", [
+    *({"dist": d, "mu0": mu0, "R": R}
+      for d in (None, truncated_exponential(1.5), power(0.7))
+      for mu0, R in ((0.1, 1.0), (0.25, 1.8))),
+    # the benchmark's no-contract and floor-rent classes, and a flat corner
+    {"v": 1.35, "mu0": 0.075, "R": 4.5},
+    {"v": 2.5, "mu0": 0.26, "R": 0.3, "signal_scale": 0.65},
+    {"v": 2.0, "mu0": 0.0, "R": 0.25},
+], ids=[f"{d}-{p}" for d in ("uniform", "truncated_exponential", "power")
+        for p in ("low", "high")] + ["no_contract", "floor_rent", "flat_corner"])
+def test_solve_mixed_matches_a_golden_slope_refinement(kw):
+    econ = benchmark(**kw)
+    sol = solve_mixed(econ)
+    v_golden, branch_golden = _golden_mixed(econ)
+    assert abs(sol.value - v_golden) <= 1e-10
+    assert sol.branch == branch_golden

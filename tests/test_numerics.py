@@ -11,6 +11,7 @@ from liqscreen.numerics import (
     Tolerance,
     _golden_max,
     best_candidate,
+    brent_max,
     find_root,
     find_roots,
     fixed_point,
@@ -19,6 +20,7 @@ from liqscreen.numerics import (
     integrate_rows,
     maximize_rows,
     maximize_scalar,
+    refine_scan,
 )
 
 
@@ -70,6 +72,61 @@ def test_maximize_scalar_quadratic():
 def test_maximize_scalar_corner():
     x, _ = maximize_scalar(lambda x: x, 0.0, 1.0)
     assert abs(x - 1.0) < 1e-7
+
+
+def _counting(f):
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+    return g, calls
+
+
+# a peak value of order one is flat to roundoff within ~1e-8 of its
+# argmax, so the cosine's argmax is asked for only to 1e-6; the
+# quadratic's peak value is 0
+@pytest.mark.parametrize("f, a, b, peak, tol", [
+    (lambda x: -(x - 0.3) ** 2, 0.0, 1.0, 0.3, Tolerance()),
+    (lambda x: math.cos(x - 1.234), 0.0, 3.0, 1.234, Tolerance(abs_x=1e-6)),
+], ids=["quadratic", "cosine"])
+def test_brent_max_smooth_peak_in_few_evaluations(f, a, b, peak, tol):
+    g, calls = _counting(f)
+    x, fx = brent_max(g, a, b, tol)
+    assert abs(x - peak) <= tol.abs_x
+    assert fx == f(x)
+    assert len(calls) <= 12
+
+
+@pytest.mark.parametrize("sign, end", [(1.0, 1.0), (-1.0, 0.0)])
+def test_brent_max_converges_to_a_bracket_end(sign, end):
+    tol = Tolerance(abs_x=1e-9)
+    x, _ = brent_max(lambda x: sign * x, 0.0, 1.0, tol)
+    assert abs(x - end) <= 0.5 * tol.abs_x
+
+
+def test_brent_max_kinked_peak():
+    tol = Tolerance(abs_x=1e-9)
+    x, _ = brent_max(lambda x: -abs(x - 0.37), 0.0, 1.0, tol)
+    assert abs(x - 0.37) <= tol.abs_x
+
+
+def test_brent_max_degenerate_and_reversed_brackets():
+    assert brent_max(lambda x: 3.0 * x, 0.5, 0.5) == (0.5, 1.5)
+    with pytest.raises(ValueError, match="brent_max"):
+        brent_max(lambda x: x, 1.0, 0.0)
+
+
+def test_brent_max_budget_exhaustion_carries_last_iterate():
+    with pytest.raises(ConvergenceError) as err:
+        brent_max(math.cos, -1.0, 2.0, Tolerance(abs_x=1e-12, max_iter=3))
+    assert -1.0 < err.value.last < 2.0
+
+
+def test_refine_scan_names_itself_on_a_reversed_scan():
+    xs = np.array([1.0, 0.5, 0.0])
+    with pytest.raises(ValueError, match="refine_scan"):
+        refine_scan(lambda x: x, xs, xs)
 
 
 @pytest.mark.parametrize("rel_tol", [1e-13, 1e-12])

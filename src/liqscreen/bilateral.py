@@ -21,20 +21,15 @@ from .economy import (EconomyPrimitives, cost_slope, financing_cost,
                       marginal_ell, signal_slope, with_tightness)
 from .errors import BracketError, DomainError
 from .numerics import (Bracket, Tolerance, _refine_peak, best_candidate,
-                       brent_max, find_root, find_roots, integrate,
-                       integrate_rows, maximize_rows, maximize_scalar)
+                       brent_max, find_root, integrate, maximize_scalar)
 
 DEFAULT_TOL = Tolerance()
 _TIE = 1e-12
 _SCREENING_PANELS = 512  # Simpson panels of the screening-program integrals
-# rows per Simpson matrix in contract_values: at 128 panels each array of
-# the integrand stays near 64 kB, so a batch of hundreds of contracts does
-# not raise the process's peak memory
-_SIMPSON_ROWS = 64
 _OUTER_POINTS = 33  # slope scan of the mixed program
-_INNER_POINTS = 17  # advance scan at each slope
-_REFINE_POINTS = 9  # rescan around the best advance before golden search
 _MIXED_PANELS = 128  # Simpson panels of each of its contract values
+_NUDGE = 1e-9  # share of K by which a piece's end slopes step inside it
+_ACCEPT_STEPS = 8  # steps that lift the all-accept kink to its accepting side
 
 
 @dataclass(frozen=True)
@@ -357,13 +352,14 @@ def _profit_flow(econ, t, a, b0, b1):
     return _profit(econ, t, a, b0, b1) * np.asarray(econ.dist.pdf(t), float)
 
 
-def served_interval(econ: EconomyPrimitives, a: float, b0: float,
-                    b1: float) -> tuple[float, float] | None:
-    """Types that accept (U >= 0) and are worth serving (pi >= 0).
+def _spans(econ, a, b0, b1):
+    """Types that accept (U >= 0) and types worth serving (pi >= 0).
 
     U = a + b0 + b1*mu - c - Phi(K - a) and pi = V - a - b0 - b1*mu are
-    assumed monotone in theta (true for the affine benchmark family);
-    the served set is then an interval, possibly empty (None).
+    assumed monotone in theta (true for the affine benchmark family), so
+    each set is an interval whose ends are support ends or roots.
+    Returns the two intervals (span_u, span_p), or None when either is
+    empty.
     """
     d = econ.dist
     phi = financing_cost(econ.financing, econ.working_capital - a)
@@ -386,54 +382,22 @@ def served_interval(econ: EconomyPrimitives, a: float, b0: float,
         d.lower, d.upper)
     if span_p is None:
         return None
-    lo = max(span_u[0], span_p[0])
-    hi = min(span_u[1], span_p[1])
+    return span_u, span_p
+
+
+def served_interval(econ: EconomyPrimitives, a: float, b0: float,
+                    b1: float) -> tuple[float, float] | None:
+    """Types that accept (U >= 0) and are worth serving (pi >= 0).
+
+    The intersection of the two intervals of _spans, or None when it is
+    empty.
+    """
+    spans = _spans(econ, a, b0, b1)
+    if spans is None:
+        return None
+    (u_lo, u_hi), (p_lo, p_hi) = spans
+    lo, hi = max(u_lo, p_lo), min(u_hi, p_hi)
     return (lo, hi) if lo < hi else None
-
-
-def _served_intervals(econ, a, b0, b1):
-    """served_interval over arrays a, b1: (lo, hi, served) arrays.
-
-    Roots come from find_roots, so each endpoint equals served_interval's
-    bit for bit; lo and hi are meaningful only where served holds.
-    """
-    d = econ.dist
-    K = econ.working_capital
-    phi = np.array([financing_cost(econ.financing, K - x) for x in a.tolist()])
-
-    def u(t, m):
-        return _acceptance(econ, t, a[m], b0, b1[m], phi[m])
-
-    def profit(t, m):
-        return _profit(econ, t, a[m], b0, b1[m])
-
-    lo_u, hi_u, ok_u = _monotone_regions(u, np.ones(a.size, bool), d)
-    lo_p, hi_p, ok_p = _monotone_regions(profit, ok_u, d)
-    lo, hi = np.maximum(lo_u, lo_p), np.minimum(hi_u, hi_p)
-    return lo, hi, ok_u & ok_p & (lo < hi)
-
-
-def _monotone_regions(g, rows, d):
-    """_monotone_region for the rows where the mask rows holds.
-
-    g(t, m) evaluates the monotone function of each row selected by m
-    at the points t. Returns (lo, hi, nonempty) over all rows; rows
-    outside the mask come back empty.
-    """
-    n = rows.size
-    lo, hi = np.full(n, d.lower), np.full(n, d.upper)
-    g_lo, g_hi = np.zeros(n), np.zeros(n)
-    g_lo[rows] = g(lo[rows], rows)
-    g_hi[rows] = g(hi[rows], rows)
-    whole = (g_lo >= 0.0) & (g_hi >= 0.0)
-    empty = ~rows | ((g_lo < 0.0) & (g_hi < 0.0))
-    cross = ~whole & ~empty
-    if cross.any():
-        r = find_roots(lambda t: g(t, cross), lo[cross], hi[cross], DEFAULT_TOL)
-        rises = g_lo[cross] < 0.0
-        lo[cross] = np.where(rises, r, lo[cross])
-        hi[cross] = np.where(rises, hi[cross], r)
-    return lo, hi, ~empty
 
 
 def contract_value(econ: EconomyPrimitives, a: float, b0: float = 0.0,
@@ -450,72 +414,104 @@ def contract_value(econ: EconomyPrimitives, a: float, b0: float = 0.0,
                      span[0], span[1], panels)
 
 
-def contract_values(econ: EconomyPrimitives, a, b0: float = 0.0, b1=0.0,
-                    panels: int = 128) -> np.ndarray:
-    """contract_value over arrays of advances and slopes.
+def _advance_slope(econ, b1, a):
+    """dW/da of the contract (a, 0, b1) at actual flows, by the Leibniz rule.
 
-    a and b1 broadcast together; element i equals contract_value(econ,
-    a[i], b0, b1[i], panels) bit for bit. The served intervals are found
-    in lockstep and the integrals run as Simpson matrices of up to
-    _SIMPSON_ROWS rows.
+    W integrates pi*f over the served interval [lo, hi] and d pi/d a = -1,
+    so dW/da = -(F(hi) - F(lo)) plus a term at each end that is an
+    acceptance root (U = 0). Raising a raises U at rate 1 + Phi'(K - a),
+    so such an end moves at -(1 + Phi')/U_t, with U_t = b1*mu' - c' there:
+    the upper end adds -pi*f*(1 + Phi')/U_t and the lower end the
+    opposite. Support ends and profit roots (pi = 0) add nothing. Holds
+    between the kinks of _advance_kinks, where W is smooth. None where
+    nobody is served: W rests at 0 there.
     """
-    a, b1 = np.broadcast_arrays(np.asarray(a, float), np.asarray(b1, float))
-    shape = a.shape
-    a, b1 = a.ravel(), b1.ravel()
-    lo, hi, served = _served_intervals(econ, a, b0, b1)
-    out = np.zeros(a.size)
-    rows = np.flatnonzero(served)
-    for k in range(0, rows.size, _SIMPSON_ROWS):
-        r = rows[k:k + _SIMPSON_ROWS]
-        out[r] = integrate_rows(
-            lambda t: _profit_flow(econ, t, a[r, None], b0, b1[r, None]),
-            lo[r], hi[r], panels)
-    return out.reshape(shape)
+    spans = _spans(econ, a, 0.0, b1)
+    if spans is None:
+        return None
+    (u_lo, u_hi), (p_lo, p_hi) = spans
+    lo, hi = max(u_lo, p_lo), min(u_hi, p_hi)
+    if lo >= hi:
+        return None
+    slope = -(float(econ.dist.cdf(hi)) - float(econ.dist.cdf(lo)))
+    relief = 1.0 + marginal_ell(econ.financing, econ.working_capital - a)
+    for t, sign, root in ((hi, -1.0, u_hi < p_hi), (lo, 1.0, u_lo > p_lo)):
+        if root:
+            u_t = b1 * signal_slope(econ, t) - cost_slope(econ, t)
+            slope += sign * float(_profit_flow(econ, t, a, 0.0, b1)) * relief / u_t
+    return slope
 
 
-def _best_advances(econ, b1):
-    """Best advance for each slope of an array, in lockstep.
+def _accepting(econ, b1, a):
+    """a, moved up to where both support ends accept slope b1 if they do not.
 
-    Returns (advances, values); element i equals the scalar search for
-    slope b1[i]: a uniform scan of [0, K], maximize_scalar around its
-    best point, then the corners and the participation roots as
-    candidates.
+    find_root's participation root may lie a hair below the root. That
+    matters at the flat-rent slope, where U does not vary with the type
+    and W jumps from 0 to the whole served mass at the root. U rises in
+    a at rate 1 + Phi' >= 1, so a step up by the shortfall reaches the
+    root; a further ulp step covers rounding.
     """
-    b1 = np.asarray(b1, float)
-    K = econ.working_capital
     d = econ.dist
-    col = b1[:, None]
+    K = econ.working_capital
+    for _ in range(_ACCEPT_STEPS):
+        phi = financing_cost(econ.financing, K - a)
+        short = min(float(_acceptance(econ, t, a, 0.0, b1, phi))
+                    for t in (d.lower, d.upper))
+        if short >= 0.0 or a >= K:
+            break
+        a = min(max(a - short, math.nextafter(a, K)), K)
+    return a
 
-    def vals(a):
-        return contract_values(econ, a, 0.0, col, _MIXED_PANELS)
 
-    xs = np.linspace(0.0, K, _INNER_POINTS)
-    i = np.argmax(vals(np.broadcast_to(xs, (b1.size, _INNER_POINTS))), axis=1)
-    lo = xs[np.maximum(i - 1, 0)]
-    hi = xs[np.minimum(i + 1, _INNER_POINTS - 1)]
-    f_at = None
-    if b1.size == 1:
-        def f_at(a):
-            return contract_value(econ, a, 0.0, float(b1[0]), _MIXED_PANELS)
-    x_m, v_m = maximize_rows(vals, lo, hi, Tolerance(abs_x=1e-11),
-                             scan_points=_REFINE_POINTS, f_at=f_at)
-    cands = [sorted({0.0, K, binding_ir_advance(econ, b, d.lower),
-                     binding_ir_advance(econ, b, d.upper)})
-             for b in b1.tolist()]
-    sizes = [len(c) for c in cands]
-    c_vals = np.split(contract_values(econ, np.concatenate(cands), 0.0,
-                                      np.repeat(b1, sizes), _MIXED_PANELS),
-                      np.cumsum(sizes)[:-1])
-    best = [best_candidate([(float(x), float(v))] + list(zip(c, cv.tolist())),
-                           _TIE)
-            for x, v, c, cv in zip(x_m, v_m, cands, c_vals)]
-    return np.array([x for x, _ in best]), np.array([v for _, v in best])
+def _advance_kinks(econ, b1):
+    """Advances in [0, K] where W(a) may kink at slope b1, sorted.
+
+    0 and K; the advances at which the lowest and the highest type's
+    participation binds, where an acceptance root crosses a support end
+    (the larger one, past which every type accepts, taken on its
+    accepting side); and for a tabulated Phi each node advance K - ell,
+    where Phi' jumps. Between them W is smooth.
+    """
+    d = econ.dist
+    K = econ.working_capital
+    binds = sorted(binding_ir_advance(econ, b1, t) for t in (d.lower, d.upper))
+    kinks = {0.0, K, binds[0], _accepting(econ, b1, binds[1])}
+    if econ.financing.kind == "tabulated":
+        kinks.update(K - ell for ell in econ.financing.nodes[0] if 0.0 < ell < K)
+    return sorted(kinks)
+
+
+def _stationary_advances(econ, b1, kinks):
+    """A root of dW/da on each piece between kinks where it falls from + to -.
+
+    Each piece's end slopes are taken _NUDGE * K inside the piece, past
+    the error of the kink's own root. Where nobody is served, W rests at
+    its floor 0 and can only rise, so the slope counts as positive there.
+    """
+    def rise(a):
+        s = _advance_slope(econ, b1, a)
+        return 1.0 if s is None else s
+
+    h = _NUDGE * econ.working_capital
+    out = []
+    for lo, hi in zip(kinks[:-1], kinks[1:]):
+        lo, hi = lo + h, hi - h
+        if lo < hi and rise(lo) > 0.0 and rise(hi) < 0.0:
+            out.append(find_root(rise, Bracket(lo, hi), DEFAULT_TOL))
+    return out
 
 
 def _best_advance(econ, b1):
-    """Best advance for a fixed slope in the mixed program."""
-    a, v = _best_advances(econ, [b1])
-    return float(a[0]), float(v[0])
+    """Best advance for a fixed slope b1 in the mixed program, and its value.
+
+    W(a) is smooth between its kinks, so its maximum on [0, K] is a kink
+    or a stationary point of a piece. Each candidate is priced by
+    contract_value; ties within _TIE go to the smaller advance.
+    """
+    kinks = _advance_kinks(econ, b1)
+    cands = kinks + _stationary_advances(econ, b1, kinks)
+    return best_candidate([(a, contract_value(econ, a, 0.0, b1, _MIXED_PANELS))
+                           for a in cands], _TIE)
 
 
 def solve_mixed(econ: EconomyPrimitives) -> MixedSolution:
@@ -524,15 +520,14 @@ def solve_mixed(econ: EconomyPrimitives) -> MixedSolution:
     The slope search runs on [0, c'/mu'] (rents weakly increase in the
     slope beyond the flat-rent point), so b1* lies in [0, b1_flat]. Both
     ends are scan points, and no other slope is injected as a candidate.
-    The outer scan is solved as one batch. Brent's method (brent_max)
-    then refines the slope around the scan's peak, one inner search per
-    step; the objective max_a W(a, b1) is smooth at interior optima,
-    where it needs about 20 steps to golden section's 41. Both fill one
-    table of searched slopes, so the winning slope is not searched
-    again. The inner advance search stays golden: its objective has a
-    kink at the participation root. An uninformative signal
-    reduces the program to the pure-advance choice; a negative flat-rent
-    slope raises DomainError.
+    After the 33-point slope scan, Brent's method (brent_max) refines
+    the slope around the scan's peak, one inner search per step; the
+    objective max_a W(a, b1) is smooth at interior optima, where it
+    needs 16-23 steps to golden section's 41. Both fill one table of
+    searched slopes, so no slope is searched twice. The inner search
+    prices the kinks of W(a) and its stationary points (_best_advance).
+    An uninformative signal reduces the program to the pure-advance
+    choice; a negative flat-rent slope raises DomainError.
     """
     b1_flat = flat_rent_slope(econ)
     if b1_flat is None:
@@ -544,15 +539,15 @@ def solve_mixed(econ: EconomyPrimitives) -> MixedSolution:
         raise DomainError(f"flat-rent slope c'/mu' = {b1_flat:.6g} is negative; "
                           "the mixed program needs it nonnegative")
 
-    xs = np.linspace(0.0, b1_flat, _OUTER_POINTS)
-    a_xs, v_xs = _best_advances(econ, xs)
-    found = dict(zip(xs.tolist(), zip(a_xs.tolist(), v_xs.tolist())))
+    found = {}
 
     def best(b1):
         if b1 not in found:
             found[b1] = _best_advance(econ, b1)
         return found[b1]
 
+    xs = np.linspace(0.0, b1_flat, _OUTER_POINTS)
+    v_xs = np.array([best(b1)[1] for b1 in xs.tolist()])
     b1_star, _ = _refine_peak(brent_max, lambda b1: best(b1)[1], xs, v_xs,
                               Tolerance(abs_x=1e-9))
     a_star, v_star = best(b1_star)

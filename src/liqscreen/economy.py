@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -167,15 +168,22 @@ def financing_cost(fin: FinancingCost, ell: float) -> float:
 
 
 def marginal_ell(fin: FinancingCost, ell: float) -> float:
-    """d Phi / d ell."""
+    """d Phi / d ell.
+
+    A tabulated Phi is piecewise linear: its derivative is the exact
+    slope of the segment just right of ell, the right derivative at a
+    node. Beyond the outer nodes Phi is flat, as np.interp extends it.
+    """
     if ell < -1e-12:
         raise DomainError(f"liquidity gap must be nonnegative, got {ell}")
     ell = max(ell, 0.0)
     if fin.kind == "quadratic":
         return fin.tightness * ell
-    h = _FD_STEP
-    return (financing_cost(fin, ell + h) - financing_cost(fin, max(ell - h, 0.0))) \
-        / (h + min(ell, h))
+    ells, phis = fin.nodes
+    j = bisect_right(ells, ell)
+    if j == 0 or j == len(ells):
+        return 0.0
+    return (phis[j] - phis[j - 1]) / (ells[j] - ells[j - 1])
 
 
 def marginal_r(fin: FinancingCost, ell: float) -> float:

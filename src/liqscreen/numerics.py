@@ -97,62 +97,6 @@ def find_root(f: Callable[[float], float], bracket: Bracket,
     raise ConvergenceError(f"root iteration exhausted {tol.max_iter} steps", last=x)
 
 
-def find_roots(f: Callable[[np.ndarray], np.ndarray], lo, hi,
-               tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """find_root over arrays of brackets [lo[i], hi[i]], in lockstep.
-
-    f maps an array of points, one per bracket, to the values there and
-    must act elementwise. Each element takes find_root's own secant and
-    forced-bisection steps, so each root equals find_root's bit for bit
-    when f gives the same value on an array as on a scalar (numpy's
-    array ** may differ from the scalar one in the last bit).
-    Raises BracketError when any bracket lacks a sign change and
-    ConvergenceError (carrying .last) when any element runs out of
-    budget.
-    """
-    lo, hi = np.array(lo, float), np.array(hi, float)
-    flo, fhi = f(lo), f(hi)
-    root = np.where(flo == 0.0, lo, hi)
-    done = (flo == 0.0) | (fhi == 0.0)
-    if np.any(~done & (flo * fhi > 0.0)):
-        raise BracketError("no sign change on some brackets")
-    x = 0.5 * (lo + hi)
-    for _ in range(tol.max_iter):
-        if done.all():
-            return root
-        # secant proposal, kept only if it lands strictly inside
-        denom = fhi - flo
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xs = hi - fhi * (hi - lo) / denom
-        x = np.where((denom != 0.0) & (lo < xs) & (xs < hi), xs, 0.5 * (lo + hi))
-        fx = f(x)
-        hit = ~done & ((np.abs(fx) <= tol.abs_f) | ((hi - lo) <= tol.abs_x))
-        root = np.where(hit, x, root)
-        done = done | hit
-        width_prev = hi - lo
-        lo, flo, hi, fhi = _shrink(~done, lo, flo, hi, fhi, x, fx)
-        # guard: forced bisection where the secant barely shrank the bracket
-        force = ~done & ((hi - lo) > 0.7 * width_prev)
-        if force.any():
-            xm = 0.5 * (lo + hi)
-            fm = f(xm)
-            hit = force & (np.abs(fm) <= tol.abs_f)
-            root = np.where(hit, xm, root)
-            done = done | hit
-            lo, flo, hi, fhi = _shrink(force & ~hit, lo, flo, hi, fhi, xm, fm)
-    if done.all():
-        return root
-    raise ConvergenceError(f"root iteration exhausted {tol.max_iter} steps", last=x)
-
-
-def _shrink(mask, lo, flo, hi, fhi, x, fx):
-    """Move the bracket end that keeps the sign change to x where mask holds."""
-    to_hi = mask & (flo * fx < 0.0)
-    to_lo = mask & ~(flo * fx < 0.0)
-    return (np.where(to_lo, x, lo), np.where(to_lo, fx, flo),
-            np.where(to_hi, x, hi), np.where(to_hi, fx, fhi))
-
-
 def maximize_scalar(f: Callable[[float], float], lo: float, hi: float,
                     tol: Tolerance = DEFAULT_TOL,
                     scan_points: int = 65) -> tuple[float, float]:
@@ -194,36 +138,6 @@ def _refine_peak(search, f, xs, fs, tol):
     a = float(xs[max(i - 1, 0)])
     b = float(xs[min(i + 1, len(xs) - 1)])
     return _scan_choice(xs, fs, i, *search(f, a, b, tol))
-
-
-def maximize_rows(f: Callable[[np.ndarray], np.ndarray], lo, hi,
-                  tol: Tolerance = DEFAULT_TOL, *, scan_points: int,
-                  f_at: Callable[[float], float] | None = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """maximize_scalar over rows of intervals, in lockstep.
-
-    f maps an (n, k) array of points, row i inside [lo[i], hi[i]], to
-    the values there and must act elementwise. Row i of the result
-    equals maximize_scalar(f_i, lo[i], hi[i], tol, scan_points) bit for
-    bit. Needs lo < hi in every row. With one row and f_at, the row's
-    objective at a single point, the golden refinement calls f_at
-    through _golden_max, which is cheaper than batches of one.
-    """
-    lo, hi = np.asarray(lo, float), np.asarray(hi, float)
-    if not np.all(lo < hi):
-        raise ValueError("maximize_rows needs lo < hi in every row")
-    xs = np.linspace(lo, hi, scan_points, axis=-1)
-    fs = np.asarray(f(xs), float)
-    if lo.size == 1 and f_at is not None:
-        x, v = refine_scan(f_at, xs[0], fs[0], tol)
-        return np.array([x]), np.array([v])
-    rows = np.arange(lo.size)
-    i = _scan_peak(xs, fs)
-    x_g, f_g = golden_max_rows(lambda x: f(x[:, None])[:, 0],
-                               xs[rows, np.maximum(i - 1, 0)],
-                               xs[rows, np.minimum(i + 1, scan_points - 1)], tol)
-    best = [_scan_choice(xs[r], fs[r], i[r], x_g[r], f_g[r]) for r in rows]
-    return np.array([x for x, _ in best]), np.array([v for _, v in best])
 
 
 def _scan_peak(xs, fs):
@@ -346,35 +260,6 @@ def brent_max(f: Callable[[float], float], a: float, b: float,
     raise ConvergenceError(f"Brent search exhausted {tol.max_iter} steps", last=x)
 
 
-def golden_max_rows(f: Callable[[np.ndarray], np.ndarray], a, b,
-                    tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """_golden_max over arrays of intervals [a[i], b[i]], in lockstep.
-
-    f maps an array of points, one per interval, to the values there and
-    must act elementwise. Each element takes _golden_max's own steps, so
-    element i equals _golden_max(f_i, a[i], b[i], tol) bit for bit.
-    """
-    a, b = np.array(a, float), np.array(b, float)
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    active = (b - a) > tol.abs_x
-    while active.any():
-        left = active & (fc >= fd)  # keep [a, d]: old c becomes d
-        right = active & ~left  # keep [c, b]: old d becomes c
-        b, d, fd, a, c, fc = (np.where(left, d, b), np.where(left, c, d),
-                              np.where(left, fc, fd), np.where(right, c, a),
-                              np.where(right, d, c), np.where(right, fd, fc))
-        c = np.where(left, b - GOLDEN * (b - a), c)
-        d = np.where(right, a + GOLDEN * (b - a), d)
-        fnew = f(np.where(left, c, d))
-        fc = np.where(left, fnew, fc)
-        fd = np.where(right, fnew, fd)
-        active = (b - a) > tol.abs_x
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 def fixed_point(g: Callable[[np.ndarray], np.ndarray], x0,
                 tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, float, int]:
     """Damped fixed point of x <- g(x) on a 1-d array.
@@ -409,41 +294,13 @@ def integrate(f: Callable, lo: float, hi: float, panels: int = 512) -> float:
         raise ValueError("integrate needs lo <= hi")
     if hi == lo:
         return 0.0
-    return float(_simpson(f, lo, hi, panels))
-
-
-def integrate_rows(f: Callable[[np.ndarray], np.ndarray], lo, hi,
-                   panels: int = 512) -> np.ndarray:
-    """Composite Simpson integrals over each [lo[i], hi[i]] at once.
-
-    f maps an (n, panels + 1) grid, row i spanning [lo[i], hi[i]], to
-    the values there and must act elementwise; a result of any other
-    shape raises ValueError. Row i equals integrate() of the same
-    integrand bit for bit. Needs lo < hi in every row.
-    """
-    lo, hi = np.asarray(lo, float), np.asarray(hi, float)
-    if not np.all(lo < hi):
-        raise ValueError("integrate_rows needs lo < hi in every row")
-    return _simpson(f, lo, hi, panels)
-
-
-def _simpson(f, lo, hi, panels):
-    """Simpson's rule on the grid of [lo, hi], for integrate and integrate_rows.
-
-    lo and hi are floats or arrays of interval ends; the grid runs along
-    the last axis. Float ends stay Python floats, and getattr reads the
-    axis: with 0-d arrays, or with np.ndim, integrate on a 129-point
-    grid took up to twice as long.
-    """
     if panels < 2 or panels % 2:
         raise ValueError("panels must be even and >= 2")
-    xs = np.linspace(lo, hi, panels + 1, axis=getattr(lo, "ndim", 0))
+    xs = np.linspace(lo, hi, panels + 1)
     ys = np.asarray(f(xs), dtype=float)
     if ys.shape != xs.shape:
         raise ValueError(f"integrand returned shape {ys.shape} "
                          f"on a grid of shape {xs.shape}")
-    # C order keeps each row's sums in integrate's (pairwise) order
-    ys = np.ascontiguousarray(ys)
     h = (hi - lo) / panels
-    return (ys[..., 0] + ys[..., -1] + 4.0 * ys[..., 1:-1:2].sum(axis=-1)
-            + 2.0 * ys[..., 2:-1:2].sum(axis=-1)) * (h / 3.0)
+    return float((ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum()
+                  + 2.0 * ys[2:-1:2].sum()) * (h / 3.0))

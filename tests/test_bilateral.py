@@ -9,13 +9,14 @@ import pytest
 from liqscreen import bilateral
 from liqscreen.bilateral import (
     Contract,
+    _advance_kinks,
+    _advance_slope,
     _best_advance,
-    _best_advances,
+    _stationary_advances,
     binding_ir_advance,
     binding_slope,
     closed_form_ell_star,
     contract_value,
-    contract_values,
     crossing_threshold,
     cutoff,
     flat_rent_slope,
@@ -33,7 +34,8 @@ from liqscreen.bilateral import (
     sweep_R,
     virtual_surplus,
 )
-from liqscreen.economy import benchmark, power, truncated_exponential
+from liqscreen.economy import (FinancingCost, benchmark, power,
+                               truncated_exponential)
 from liqscreen.errors import DomainError
 from liqscreen.numerics import Tolerance, best_candidate, maximize_scalar, refine_scan
 
@@ -181,26 +183,20 @@ BATCH_ECONOMIES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(BATCH_ECONOMIES))
-def test_contract_values_match_contract_value(name):
-    econ = BATCH_ECONOMIES[name]
-    K = econ.working_capital
-    rng = np.random.Generator(np.random.Philox(5))
-    a = np.concatenate([[0.0, 0.0, K, K, 0.3 * K], rng.uniform(0.0, K, 40)])
-    b1 = np.concatenate([[0.0, 0.8, 0.0, 1.5, 0.0], rng.uniform(0.0, 2.0, 40)])
-    got = contract_values(econ, a, 0.0, b1)
-    ref = np.array([contract_value(econ, x, 0.0, b) for x, b in zip(a, b1)])
-    assert ref[0] == 0.0  # a = b1 = 0: nobody accepts, the service set is empty
-    assert np.all(np.abs(got - ref) <= 1e-15), np.max(np.abs(got - ref))
-    # a and b1 broadcast, and the batch keeps their shape
-    grid = contract_values(econ, a[:6, None], 0.0, b1[None, :4])
-    assert grid.shape == (6, 4)
-    assert np.all(np.abs(grid[:, 0] - contract_values(econ, a[:6], 0.0, b1[0]))
-                  <= 1e-15)
+# Phi = 0.15 * ell^2 tabulated on ell = 0, 0.5, 1: a node advance at 0.5, and
+# rents are flat in the type at b1 = c'/mu' = 1
+TABULATED = replace(benchmark(v=2.0, mu0=0.0, R=0.3),
+                    financing=FinancingCost(tightness=0.0, kind="tabulated",
+                                            nodes=((0.0, 0.5, 1.0),
+                                                   (0.0, 0.0375, 0.15))))
+FLAT_CORNER = benchmark(v=2.0, mu0=0.0, R=0.25)
+INNER_ECONOMIES = {**BATCH_ECONOMIES, "tabulated": TABULATED,
+                   "flat_corner": FLAT_CORNER}
 
 
-def _scalar_best_advance(econ, b1, points=17, panels=128):
-    """The mixed program's advance search one contract value at a time."""
+def _golden_best_advance(econ, b1, points=17, panels=128):
+    """Reference inner search: a uniform scan of [0, K], golden section
+    around its best point, then the corners and participation roots."""
     K = econ.working_capital
     d = econ.dist
 
@@ -217,16 +213,71 @@ def _scalar_best_advance(econ, b1, points=17, panels=128):
     return best_candidate([best] + [(c, val(c)) for c in cands], 1e-12)
 
 
-@pytest.mark.parametrize("name", ["uniform", "truncated_exponential"])
-def test_best_advances_equal_the_scalar_search(name):
-    econ = BATCH_ECONOMIES[name]
-    slopes = [0.0, 0.2, 0.55, 1.0, 1.7]
-    a, v = _best_advances(econ, slopes)
-    for i, b1 in enumerate(slopes):
-        assert (a[i], v[i]) == _scalar_best_advance(econ, b1), b1
-    # a batch of one takes the scalar golden steps and agrees as well
-    one = _best_advances(econ, slopes[2:3])
-    assert (one[0][0], one[1][0]) == (a[2], v[2])
+@pytest.mark.parametrize("name", sorted(INNER_ECONOMIES))
+def test_best_advance_matches_a_golden_search(name):
+    econ = INNER_ECONOMIES[name]
+    b1_flat = flat_rent_slope(econ)
+    # b1_flat is a scan point of solve_mixed; there U does not vary with
+    # the type and W(a) jumps at the participation root
+    for b1 in [b for b in (0.0, 0.2, 0.55, 1.0, 1.7) if b < b1_flat] + [b1_flat]:
+        a, v = _best_advance(econ, b1)
+        a_ref, v_ref = _golden_best_advance(econ, b1)
+        assert abs(v - v_ref) <= 1e-10, (b1, a, v, a_ref, v_ref)
+        assert v == contract_value(econ, a, 0.0, b1)
+
+
+def test_best_advance_prices_the_accepting_side_at_the_flat_slope():
+    # U is level in the type at b1 = 1; find_root's participation root
+    # may lie a hair below the root, where nobody accepts and W = 0
+    for econ, value in ((FLAT_CORNER, 0.5 * closed_form_ell_star(0.25) ** 2),
+                        (TABULATED, 0.385047896709704)):
+        a, v = _best_advance(econ, 1.0)
+        assert abs(v - value) < 1e-9, (econ.label, v)
+        assert served_interval(econ, a, 0.0, 1.0)[1] == econ.dist.upper
+    # the node advance K - 0.5 is a kink of the tabulated W(a)
+    assert 0.5 in _advance_kinks(TABULATED, 0.6)
+
+
+@pytest.mark.parametrize("name", sorted(INNER_ECONOMIES))
+def test_advance_slope_matches_a_central_difference(name):
+    econ = INNER_ECONOMIES[name]
+    h = 1e-4
+    for b1 in np.linspace(0.0, flat_rent_slope(econ), 6)[:-1]:
+        kinks = _advance_kinks(econ, b1)
+        for lo, hi in zip(kinks[:-1], kinks[1:]):
+            if hi - lo < 100 * h:
+                continue
+            for a in np.linspace(lo, hi, 5)[1:-1]:
+                slope = _advance_slope(econ, b1, a)
+                w = [contract_value(econ, a + k * h, 0.0, b1, 512)
+                     for k in (-2, -1, 1, 2)]
+                if slope is None:  # nobody is served: W rests at 0
+                    assert w == [0.0] * 4
+                else:
+                    # fourth-order central difference
+                    diff = (w[0] - 8.0 * w[1] + 8.0 * w[2] - w[3]) / (12.0 * h)
+                    assert abs(slope - diff) < 1e-9, (b1, a)
+
+
+@pytest.mark.parametrize("econ, reached", [
+    (benchmark(v=2.0, mu0=0.1, R=0.1), False),
+    # a steep type density: few types at the top, so past the start of
+    # service W(a) peaks inside the piece before everyone accepts; on some
+    # slopes nobody is served at the piece's left end
+    (benchmark(v=2.0, mu0=0.1, R=0.1, dist=truncated_exponential(5.0)), True),
+], ids=["uniform", "truncated_exponential"])
+def test_stationary_advances_zero_the_slope_and_win_only_when_interior(econ, reached):
+    wins = 0
+    for b1 in np.linspace(0.0, flat_rent_slope(econ), 9):
+        kinks = _advance_kinks(econ, b1)
+        a, v = _best_advance(econ, b1)
+        assert abs(v - _golden_best_advance(econ, b1)[1]) <= 1e-10, b1
+        v_kink = max(contract_value(econ, k, 0.0, b1) for k in kinks)
+        for a_s in _stationary_advances(econ, b1, kinks):
+            assert abs(_advance_slope(econ, b1, a_s)) < 1e-9
+            assert contract_value(econ, a_s, 0.0, b1) <= v + 1e-12 * max(1.0, v)
+            wins += a == a_s and v > v_kink + 1e-3
+    assert (wins > 0) is reached
 
 
 def test_rent_tail_closed_form_with_and_without_signal_slope(curved_signal_pair):
@@ -324,31 +375,31 @@ def test_solve_mixed_searches_each_slope_once(monkeypatch, bench_informative):
     def no_screening(econ):
         raise AssertionError("the mixed program ran a screening solve")
 
-    batches = []
-    batch = bilateral._best_advances
+    slopes = []
+    search = bilateral._best_advance
 
     def recorded(econ, b1):
-        batches.append(np.asarray(b1, float).tolist())
-        return batch(econ, b1)
+        slopes.append(b1)
+        return search(econ, b1)
 
     monkeypatch.setattr(bilateral, "solve_optimal", no_screening)
-    monkeypatch.setattr(bilateral, "_best_advances", recorded)
+    monkeypatch.setattr(bilateral, "_best_advance", recorded)
     # b1* is a Brent point at the informative benchmark and the scan's
     # top point c'/mu' at the loose-credit one
-    flat_corner = benchmark(v=2.0, mu0=0.0, R=0.25)
-    for econ, interior in ((bench_informative, True), (flat_corner, False)):
-        batches.clear()
+    for econ, interior in ((bench_informative, True), (FLAT_CORNER, False)):
+        slopes.clear()
         sol = bilateral.solve_mixed(econ)
-        assert len(batches[0]) == bilateral._OUTER_POINTS
-        assert all(len(b) == 1 for b in batches[1:])
-        slopes = [b1 for b in batches for b1 in b]
+        scan = slopes[:bilateral._OUTER_POINTS]
+        assert scan == np.linspace(0.0, flat_rent_slope(econ),
+                                   bilateral._OUTER_POINTS).tolist()
         assert len(slopes) == len(set(slopes))
-        found_by = slopes[bilateral._OUTER_POINTS:] if interior else batches[0]
+        found_by = slopes[bilateral._OUTER_POINTS:] if interior else scan
         assert sol.contract.slope in found_by
         assert (sol.branch == "flat") is not interior
         if interior:
-            # golden section took 41 sequential searches here
-            assert len(batches) - 1 <= 20
+            # 23 Brent steps on the kink-priced inner values, where golden
+            # section took 41
+            assert len(slopes) - bilateral._OUTER_POINTS <= 23
         else:
             assert sol.contract.slope == flat_rent_slope(econ)
 
@@ -357,7 +408,7 @@ def _golden_mixed(econ):
     """solve_mixed's (value, branch) with golden section refining the slope."""
     b1_flat = flat_rent_slope(econ)
     xs = np.linspace(0.0, b1_flat, bilateral._OUTER_POINTS)
-    _, v_xs = _best_advances(econ, xs)
+    v_xs = np.array([_best_advance(econ, b1)[1] for b1 in xs.tolist()])
     b1, v = refine_scan(lambda b1: _best_advance(econ, b1)[1], xs, v_xs,
                         Tolerance(abs_x=1e-9))
     return v, "flat" if abs(b1 - b1_flat) <= 1e-9 else "decreasing"

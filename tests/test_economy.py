@@ -82,6 +82,15 @@ def test_tabulated_financing_interpolates():
     assert abs(financing_cost(fin, 0.5) - 1.5) < 1e-12
 
 
+def test_tabulated_marginal_cost_is_the_exact_segment_slope():
+    fin = FinancingCost(tightness=0.0, kind="tabulated",
+                        nodes=((0.0, 0.5, 1.0), (0.0, 0.0375, 0.15)))
+    # right derivative at a node; flat beyond the last node, as np.interp
+    for ell, slope in ((0.0, 0.075), (0.3, 0.075), (0.5, 0.225),
+                       (0.7, 0.225), (1.0, 0.0), (1.4, 0.0)):
+        assert abs(marginal_ell(fin, ell) - slope) < 1e-15, ell
+
+
 def test_benchmark_primitives():
     econ = benchmark(v=2.0, mu0=0.1, K=1.0, R=1.0)
     assert float(econ.surplus(0.5)) == 1.0

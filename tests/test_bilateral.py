@@ -213,8 +213,28 @@ def _golden_best_advance(econ, b1, points=17, panels=128):
     return best_candidate([best] + [(c, val(c)) for c in cands], 1e-12)
 
 
+@pytest.mark.parametrize("name", sorted(BATCH_ECONOMIES))
+def test_contract_values_match_contract_value(name):
+    # every value the mixed program reports is contract_value at the
+    # contract it reports, with the same Simpson panels
+    econ = BATCH_ECONOMIES[name]
+    K = econ.working_capital
+    panels = bilateral._MIXED_PANELS
+    assert contract_value(econ, 0.0, 0.0, 0.0, panels) == 0.0  # nobody accepts
+    for b1 in np.linspace(0.0, flat_rent_slope(econ), 5).tolist():
+        a, v = _best_advance(econ, b1)
+        assert 0.0 <= a <= K
+        assert v == contract_value(econ, a, 0.0, b1, panels), b1
+    sol = bilateral.solve_mixed(econ)
+    c = sol.contract
+    assert c.intercept == 0.0
+    assert sol.value == contract_value(econ, c.advance, 0.0, c.slope, panels)
+    assert sol.implemented == served_interval(econ, c.advance, 0.0, c.slope)
+
+
 @pytest.mark.parametrize("name", sorted(INNER_ECONOMIES))
-def test_best_advance_matches_a_golden_search(name):
+def test_best_advances_equal_the_scalar_search(name):
+    # the kink search against the reference scan-and-golden search
     econ = INNER_ECONOMIES[name]
     b1_flat = flat_rent_slope(econ)
     # b1_flat is a scan point of solve_mixed; there U does not vary with
@@ -223,7 +243,6 @@ def test_best_advance_matches_a_golden_search(name):
         a, v = _best_advance(econ, b1)
         a_ref, v_ref = _golden_best_advance(econ, b1)
         assert abs(v - v_ref) <= 1e-10, (b1, a, v, a_ref, v_ref)
-        assert v == contract_value(econ, a, 0.0, b1)
 
 
 def test_best_advance_prices_the_accepting_side_at_the_flat_slope():

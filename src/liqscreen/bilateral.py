@@ -20,8 +20,8 @@ import numpy as np
 from .economy import (EconomyPrimitives, cost_slope, financing_cost,
                       marginal_ell, signal_slope, with_tightness)
 from .errors import BracketError, DomainError
-from .numerics import (Bracket, Tolerance, _refine_peak, best_candidate,
-                       brent_max, find_root, integrate, maximize_scalar)
+from .numerics import (Bracket, Tolerance, best_candidate, find_root,
+                       integrate, maximize_scalar)
 
 DEFAULT_TOL = Tolerance()
 _TIE = 1e-12
@@ -520,10 +520,10 @@ def solve_mixed(econ: EconomyPrimitives) -> MixedSolution:
     The slope search runs on [0, c'/mu'] (rents weakly increase in the
     slope beyond the flat-rent point), so b1* lies in [0, b1_flat]. Both
     ends are scan points, and no other slope is injected as a candidate.
-    After the 33-point slope scan, Brent's method (brent_max) refines
-    the slope around the scan's peak, one inner search per step; the
-    objective max_a W(a, b1) is smooth at interior optima, where it
-    needs 16-23 steps to golden section's 41. Both fill one table of
+    maximize_scalar scans 33 slopes and refines around the scan's peak
+    by Brent's method, one inner search per step; the objective
+    max_a W(a, b1) is smooth at interior optima, where Brent needs 16-23
+    steps to golden section's 41. Scan and refinement fill one table of
     searched slopes, so no slope is searched twice. The inner search
     prices the kinks of W(a) and its stationary points (_best_advance).
     An uninformative signal reduces the program to the pure-advance
@@ -546,10 +546,8 @@ def solve_mixed(econ: EconomyPrimitives) -> MixedSolution:
             found[b1] = _best_advance(econ, b1)
         return found[b1]
 
-    xs = np.linspace(0.0, b1_flat, _OUTER_POINTS)
-    v_xs = np.array([best(b1)[1] for b1 in xs.tolist()])
-    b1_star, _ = _refine_peak(brent_max, lambda b1: best(b1)[1], xs, v_xs,
-                              Tolerance(abs_x=1e-9))
+    b1_star, _ = maximize_scalar(lambda b1: best(b1)[1], 0.0, b1_flat,
+                                 Tolerance(abs_x=1e-9), _OUTER_POINTS)
     a_star, v_star = best(b1_star)
     span = served_interval(econ, a_star, 0.0, b1_star)
     branch = "flat" if abs(b1_star - b1_flat) <= 1e-9 else "decreasing"

@@ -100,63 +100,26 @@ def find_root(f: Callable[[float], float], bracket: Bracket,
 def maximize_scalar(f: Callable[[float], float], lo: float, hi: float,
                     tol: Tolerance = DEFAULT_TOL,
                     scan_points: int = 65) -> tuple[float, float]:
-    """Global scalar maximum on [lo, hi]: coarse scan then golden refinement.
+    """Global scalar maximum on [lo, hi]: a uniform scan, then Brent's method.
 
-    Evaluates f on a uniform scan (endpoints included), refines around the
-    best scan point by golden-section search, and compares against both
-    endpoints. Ties within 1e-13 relative resolve to the smallest x.
+    Evaluates f on a uniform scan of scan_points points (both ends
+    included) and runs brent_max on the two scan cells either side of
+    the best scan point. Both scan ends, that scan point and Brent's
+    point then compete through best_candidate. Values within 1e-13
+    relative tie, and a tie goes to the smallest x.
     """
     if not (lo <= hi):
         raise ValueError("maximize_scalar needs lo <= hi")
     if lo == hi:
         return lo, f(lo)
-    xs = np.linspace(lo, hi, scan_points)
-    return refine_scan(f, xs, np.array([f(float(x)) for x in xs]), tol)
-
-
-def refine_scan(f: Callable[[float], float], xs, fs,
-                tol: Tolerance = DEFAULT_TOL) -> tuple[float, float]:
-    """Finish maximize_scalar from a scan evaluated elsewhere.
-
-    xs is the uniform scan grid and fs the values of f there. Refines
-    around the best scan point by golden-section search on f and
-    compares against both ends of the grid, as maximize_scalar does.
-    """
-    if not (xs[0] <= xs[-1]):
-        raise ValueError("refine_scan needs xs[0] <= xs[-1]")
-    return _refine_peak(_golden_max, f, xs, fs, tol)
-
-
-def _refine_peak(search, f, xs, fs, tol):
-    """refine_scan's pick with search(f, a, b, tol) as the refinement.
-
-    The search runs on the scan cells either side of the best scan
-    point; its point then competes with both scan ends and that scan
-    point.
-    """
-    i = int(_scan_peak(xs, fs))
-    a = float(xs[max(i - 1, 0)])
-    b = float(xs[min(i + 1, len(xs) - 1)])
-    return _scan_choice(xs, fs, i, *search(f, a, b, tol))
-
-
-def _scan_peak(xs, fs):
-    """Index of the best scan point along the last axis.
-
-    Values within 1e-13 relative of the maximum tie, and a tie goes to
-    the smallest x.
-    """
-    top = np.take_along_axis(fs, np.argmax(fs, axis=-1)[..., None], -1)
-    tie = np.abs(fs - top) <= 1e-13 * np.maximum(1.0, np.abs(top))
-    return np.argmin(np.where(tie, xs, np.inf), axis=-1)
-
-
-def _scan_choice(xs, fs, i, x_g, f_g):
-    """maximize_scalar's pick: both scan ends, scan point i, the golden point."""
-    return best_candidate([(float(xs[0]), float(fs[0])),
-                           (float(xs[-1]), float(fs[-1])),
-                           (float(xs[i]), float(fs[i])),
-                           (float(x_g), float(f_g))], 1e-13)
+    xs = np.linspace(lo, hi, scan_points).tolist()
+    fs = [float(f(x)) for x in xs]
+    top = float(np.max(fs))  # a NaN anywhere leaves no tie, and index 0 wins
+    band = 1e-13 * max(1.0, abs(top))
+    i = next((k for k, fx in enumerate(fs) if abs(fx - top) <= band), 0)
+    x_b, f_b = brent_max(f, xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)], tol)
+    return best_candidate([(xs[0], fs[0]), (xs[-1], fs[-1]), (xs[i], fs[i]),
+                           (x_b, float(f_b))], 1e-13)
 
 
 def best_candidate(candidates, rel_tol: float) -> tuple[float, float]:
@@ -177,34 +140,16 @@ def best_candidate(candidates, rel_tol: float) -> tuple[float, float]:
     return best_x, best_f
 
 
-def _golden_max(f, a, b, tol):
-    """Golden-section maximization on [a, b]."""
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol.abs_x:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 def brent_max(f: Callable[[float], float], a: float, b: float,
               tol: Tolerance = DEFAULT_TOL) -> tuple[float, float]:
     """Maximum of f on [a, b] by Brent's method: parabolic steps, golden fallback.
 
     Brent (1973), Algorithms for Minimization without Derivatives, ch. 5,
     with a purely absolute tolerance: it stops once the best point lies
-    within tol.abs_x / 2 of both ends of the bracket, the final width
-    _golden_max leaves, and no step from its best point is shorter than
-    tol.abs_x / 4. On a smooth peak it needs far fewer evaluations than
-    golden section; at a kink it falls back to golden steps. Returns
+    within tol.abs_x / 2 of both ends of the bracket, and no step from
+    its best point is shorter than tol.abs_x / 4. On a smooth peak it
+    needs far fewer evaluations than golden section; at a kink it falls
+    back to golden steps. Returns
     (x, f(x)) of the best point evaluated. Raises ConvergenceError
     (carrying .last) after tol.max_iter steps.
     """

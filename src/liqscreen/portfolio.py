@@ -126,12 +126,12 @@ def make_portfolio(economies, delta=None, coupling=None,
     return PortfolioEconomy(econs, np.asarray(coupling, float), tuple(contracts))
 
 
-def symmetric_portfolio(R: float, delta: float, v: float = 2.0,
-                        mu0: float = 0.0, n: int = 2) -> PortfolioEconomy:
-    """Two (or n) identical benchmark relationships with common coupling."""
+def symmetric_portfolio(R: float, delta: float,
+                        mu0: float = 0.0) -> PortfolioEconomy:
+    """Two identical benchmark relationships (v = 2) with common coupling."""
     from .economy import benchmark
 
-    econs = [benchmark(v=v, mu0=mu0, R=R) for _ in range(n)]
+    econs = [benchmark(v=2.0, mu0=mu0, R=R) for _ in range(2)]
     return make_portfolio(econs, delta=delta)
 
 
@@ -451,15 +451,14 @@ def contagion_threshold(econ: EconomyPrimitives,
 # book-level comparative statics
 
 
-def hump_scan(R_grid, delta: float, v: float = 2.0, mu0: float = 0.0) -> dict:
-    """Portfolio value along a common-tightness path with fixed coupling.
+def hump_scan(R_grid, delta: float) -> dict:
+    """Symmetric-book value along a common-tightness path with fixed coupling.
 
     Returns grid values, finite-difference slopes, the sub-intervals
     where the slope is positive, and the interior peak if one exists.
     """
     Rs = np.asarray(R_grid, float)
-    vals = np.array([solve_cutoffs(symmetric_portfolio(float(R), delta,
-                                                       v=v, mu0=mu0)).total_value
+    vals = np.array([solve_cutoffs(symmetric_portfolio(float(R), delta)).total_value
                      for R in Rs])
     slopes = np.diff(vals) / np.diff(Rs)
     positive = []
@@ -504,11 +503,10 @@ def breadth_comparison(port: PortfolioEconomy,
             "prefer_single": 2.0 * w1 > dual}
 
 
-def uniform_subsidy_effect(R: float, delta: float, dR: float = 0.05,
-                           v: float = 2.0, mu0: float = 0.0) -> dict:
-    """Per-relationship value change when every tightness falls by dR."""
-    base = solve_cutoffs(symmetric_portfolio(R, delta, v=v, mu0=mu0))
-    subs = solve_cutoffs(symmetric_portfolio(R - dR, delta, v=v, mu0=mu0))
+def uniform_subsidy_effect(R: float, delta: float) -> dict:
+    """Per-relationship value change when every tightness falls by 0.05."""
+    base = solve_cutoffs(symmetric_portfolio(R, delta))
+    subs = solve_cutoffs(symmetric_portfolio(R - 0.05, delta))
     change = subs.per_value - base.per_value
     return {"pi_base": base.per_value, "pi_subsidized": subs.per_value,
             "change": change,

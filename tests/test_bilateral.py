@@ -37,7 +37,7 @@ from liqscreen.bilateral import (
 from liqscreen.economy import (FinancingCost, benchmark, power,
                                truncated_exponential)
 from liqscreen.errors import DomainError
-from liqscreen.numerics import Tolerance, best_candidate, maximize_scalar, refine_scan
+from liqscreen.numerics import best_candidate
 
 
 def test_contract_rejects_negative_terms():
@@ -194,6 +194,43 @@ INNER_ECONOMIES = {**BATCH_ECONOMIES, "tabulated": TABULATED,
                    "flat_corner": FLAT_CORNER}
 
 
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # inverse golden ratio
+
+
+def _golden_max(f, a, b, abs_x):
+    """Golden-section maximization on [a, b], to a bracket of width abs_x."""
+    c = b - GOLDEN * (b - a)
+    d = a + GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > abs_x:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + GOLDEN * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
+def _golden_scan_max(f, lo, hi, abs_x, points):
+    """Reference scalar maximizer: a uniform scan, golden section on the
+    cells either side of its best point, then the best of both ends, that
+    point and golden's point. Scan values within 1e-13 relative tie, and
+    the smallest x wins a tie."""
+    if lo == hi:
+        return lo, f(lo)
+    xs = np.linspace(lo, hi, points).tolist()
+    fs = [f(x) for x in xs]
+    top = max(fs)
+    i = min(k for k, fx in enumerate(fs) if fx >= top - 1e-13 * max(1.0, abs(top)))
+    best = _golden_max(f, xs[max(i - 1, 0)], xs[min(i + 1, points - 1)], abs_x)
+    return best_candidate([(xs[0], fs[0]), (xs[-1], fs[-1]), (xs[i], fs[i]), best],
+                          1e-13)
+
+
 def _golden_best_advance(econ, b1, points=17, panels=128):
     """Reference inner search: a uniform scan of [0, K], golden section
     around its best point, then the corners and participation roots."""
@@ -205,9 +242,8 @@ def _golden_best_advance(econ, b1, points=17, panels=128):
 
     xs = np.linspace(0.0, K, points)
     i = int(np.argmax([val(float(x)) for x in xs]))
-    best = maximize_scalar(val, float(xs[max(i - 1, 0)]),
-                           float(xs[min(i + 1, points - 1)]),
-                           Tolerance(abs_x=1e-11), scan_points=9)
+    best = _golden_scan_max(val, float(xs[max(i - 1, 0)]),
+                            float(xs[min(i + 1, points - 1)]), 1e-11, 9)
     cands = sorted({0.0, K, binding_ir_advance(econ, b1, d.lower),
                     binding_ir_advance(econ, b1, d.upper)})
     return best_candidate([best] + [(c, val(c)) for c in cands], 1e-12)
@@ -426,26 +462,78 @@ def test_solve_mixed_searches_each_slope_once(monkeypatch, bench_informative):
 def _golden_mixed(econ):
     """solve_mixed's (value, branch) with golden section refining the slope."""
     b1_flat = flat_rent_slope(econ)
-    xs = np.linspace(0.0, b1_flat, bilateral._OUTER_POINTS)
-    v_xs = np.array([_best_advance(econ, b1)[1] for b1 in xs.tolist()])
-    b1, v = refine_scan(lambda b1: _best_advance(econ, b1)[1], xs, v_xs,
-                        Tolerance(abs_x=1e-9))
+    b1, v = _golden_scan_max(lambda b1: _best_advance(econ, b1)[1], 0.0, b1_flat,
+                             1e-9, bilateral._OUTER_POINTS)
     return v, "flat" if abs(b1 - b1_flat) <= 1e-9 else "decreasing"
 
 
-@pytest.mark.parametrize("kw", [
-    *({"dist": d, "mu0": mu0, "R": R}
-      for d in (None, truncated_exponential(1.5), power(0.7))
-      for mu0, R in ((0.1, 1.0), (0.25, 1.8))),
-    # the benchmark's no-contract and floor-rent classes, and a flat corner
-    {"v": 1.35, "mu0": 0.075, "R": 4.5},
-    {"v": 2.5, "mu0": 0.26, "R": 0.3, "signal_scale": 0.65},
-    {"v": 2.0, "mu0": 0.0, "R": 0.25},
-], ids=[f"{d}-{p}" for d in ("uniform", "truncated_exponential", "power")
-        for p in ("low", "high")] + ["no_contract", "floor_rent", "flat_corner"])
-def test_solve_mixed_matches_a_golden_slope_refinement(kw):
-    econ = benchmark(**kw)
+# the benchmark's economy classes (uniform, truncated-exponential and power
+# types at two points each, no-contract, floor-rent) and a flat corner
+CLASS_ECONOMIES = {
+    **{f"{name}-{level}": benchmark(dist=d, mu0=mu0, R=R)
+       for name, d in (("uniform", None),
+                       ("truncated_exponential", truncated_exponential(1.5)),
+                       ("power", power(0.7)))
+       for level, (mu0, R) in (("low", (0.1, 1.0)), ("high", (0.25, 1.8)))},
+    "no_contract": benchmark(v=1.35, mu0=0.075, R=4.5),
+    "floor_rent": benchmark(v=2.5, mu0=0.26, R=0.3, signal_scale=0.65),
+    "flat_corner": FLAT_CORNER,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_ECONOMIES))
+def test_solve_mixed_matches_a_golden_slope_refinement(name):
+    econ = CLASS_ECONOMIES[name]
     sol = solve_mixed(econ)
     v_golden, branch_golden = _golden_mixed(econ)
     assert abs(sol.value - v_golden) <= 1e-10
     assert sol.branch == branch_golden
+
+
+SCREENING_ECONOMIES = {**CLASS_ECONOMIES,
+                       "flat_signal": benchmark(v=2, mu0=0.0, K=1.0, R=1.0,
+                                                signal_kind="flat")}
+
+
+def _counted(monkeypatch, name):
+    """Record the arguments of every call to bilateral.<name>."""
+    calls = []
+    fn = getattr(bilateral, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+    monkeypatch.setattr(bilateral, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(SCREENING_ECONOMIES))
+def test_screening_searches_match_a_golden_reference(monkeypatch, name):
+    # solve_optimal and pure_contingent_value against golden section in
+    # value, boundary flag and objective calls: Brent's method may not
+    # spend more calls than golden section on these kinked objectives
+    econ = SCREENING_ECONOMIES[name]
+    cap = slope_cap(econ)
+    principal = _counted(monkeypatch, "principal_value")
+    contingent = _counted(monkeypatch, "contingent_value")
+    # the screening values divide by f(lower) = 0 on power types
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b1_ref, w_ref = _golden_scan_max(
+            lambda b1: bilateral.principal_value(econ, b1)[0], 0.0, cap, 1e-10, 65)
+        n_ref = len(principal)
+        principal.clear()
+        sol = solve_optimal(econ)
+        a_ref = binding_ir_advance(econ, b1_ref)
+        _, v_ref = _golden_scan_max(lambda b1: bilateral.contingent_value(econ, b1),
+                                    0.0, cap, 1e-10, 65)
+        n_ref_c = len(contingent)
+        contingent.clear()
+        v = pure_contingent_value(econ)
+    assert len(principal) <= n_ref
+    assert abs(sol.value - w_ref) <= 1e-12
+    assert sol.boundary_flag == ("corner_b1_zero" if b1_ref <= 1e-9 else
+                                 "corner_a_zero" if a_ref <= 1e-9 else "interior")
+    if name == "flat_signal":
+        assert sol.contract.slope == 0.0  # verify's uninformative_corner check
+    assert len(contingent) <= n_ref_c
+    assert abs(v - v_ref) <= 1e-12

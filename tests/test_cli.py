@@ -130,6 +130,14 @@ def test_verify_default_config_passes(tmp_path):
     _assert_reference_bytes(tmp_path / "verify_report.json")
 
 
+def test_default_verify_report_copies_stay_byte_equal():
+    # the benchmark's cli_verify workload checks verify[default] against its
+    # own copy; regenerating one copy alone would fail only there
+    bench_copy = (Path(__file__).parents[1] / "perfbench" / "reference"
+                  / "verify_report_default.json")
+    assert bench_copy.read_bytes() == (REFERENCE / "verify_report.json").read_bytes()
+
+
 def test_verify_flat_signal_config_passes(tmp_path):
     cfg = tmp_path / "flat.json"
     cfg.write_text(json.dumps(

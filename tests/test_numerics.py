@@ -15,7 +15,6 @@ from liqscreen.numerics import (
     fixed_point,
     integrate,
     maximize_scalar,
-    refine_scan,
 )
 
 
@@ -118,10 +117,20 @@ def test_brent_max_budget_exhaustion_carries_last_iterate():
     assert -1.0 < err.value.last < 2.0
 
 
-def test_refine_scan_names_itself_on_a_reversed_scan():
-    xs = np.array([1.0, 0.5, 0.0])
-    with pytest.raises(ValueError, match="refine_scan"):
-        refine_scan(lambda x: x, xs, xs)
+def test_maximize_scalar_plateau_resolves_to_the_smallest_scan_point():
+    # f rises by 1e-15 across its top plateau [0.375, 0.525]: the scan
+    # points 0.375, 0.4375 and 0.5 tie within 1e-13, as does Brent's
+    # point, and the smallest of them wins where a plain argmax takes 0.5
+    def f(x):
+        return min(x, 0.9 - x, 0.375 + 1e-15 * x)
+    x, v = maximize_scalar(f, 0.0, 1.0, scan_points=17)
+    assert (x, v) == (0.375, 0.375)
+    assert f(0.5) > f(0.4375) > f(0.375)
+
+
+def test_maximize_scalar_names_itself_on_a_reversed_range():
+    with pytest.raises(ValueError, match="maximize_scalar"):
+        maximize_scalar(lambda x: x, 1.0, 0.0)
 
 
 @pytest.mark.parametrize("rel_tol", [1e-13, 1e-12])

@@ -20,15 +20,14 @@ import numpy as np
 from .economy import (EconomyPrimitives, cost_slope, financing_cost,
                       marginal_ell, signal_slope, with_tightness)
 from .errors import BracketError, DomainError
-from .numerics import (Bracket, Tolerance, best_candidate, find_root,
-                       integrate, maximize_scalar)
+from .numerics import (Bracket, Tolerance, find_root, integrate,
+                       maximize_on_pieces, maximize_scalar)
 
 DEFAULT_TOL = Tolerance()
-_TIE = 1e-12
 _SCREENING_PANELS = 512  # Simpson panels of the screening-program integrals
+_SLOPE_POINTS = 9  # derivative scan per piece of the screening slope searches
 _OUTER_POINTS = 33  # slope scan of the mixed program
 _MIXED_PANELS = 128  # Simpson panels of each of its contract values
-_NUDGE = 1e-9  # share of K by which a piece's end slopes step inside it
 _ACCEPT_STEPS = 8  # steps that lift the all-accept kink to its accepting side
 
 
@@ -127,7 +126,8 @@ def ir_slope(econ: EconomyPrimitives, b1: float) -> float:
     """d a / d b1 along the binding participation manifold.
 
     Equals -mu(lo) / (1 + Phi'(K - a)); at a clamp the value is the
-    one-sided derivative of the unclamped manifold.
+    one-sided derivative of the unclamped manifold. _screening_slope
+    uses it off the clamps.
     """
     a = binding_ir_advance(econ, b1)
     mu_lo = float(econ.signal_mean(econ.dist.lower))
@@ -303,11 +303,61 @@ def sufficient_statistics(econ: EconomyPrimitives,
             "corner": sol.boundary_flag != "interior"}
 
 
+def _screening_slope(econ: EconomyPrimitives, b1: float) -> float | None:
+    """dW/db1 of principal_value along the participation manifold a(b1).
+
+    Virtual surplus vanishes at the cutoff, so by the envelope theorem
+    the cutoff adds no term and, with tail = 1 - F(cutoff),
+    dW/db1 = -a'(b1) * (1 - Phi'(K - a) * tail) - rent_tail(cutoff),
+    where a' = ir_slope = -mu(lo) / (1 + Phi'). The first term drops
+    where a is clamped at 0 or K. Holds between the kinks of
+    _slope_kinks. None on an empty service set, where W rests at 0.
+    """
+    d = econ.dist
+    K = econ.working_capital
+    a = binding_ir_advance(econ, b1)
+    if float(virtual_surplus(econ, d.upper, a, b1)) < 0.0:
+        return None
+    that = cutoff(econ, a, b1)
+    slope = -rent_tail(econ, that, _SCREENING_PANELS)
+    if 0.0 < a < K:
+        tail = 1.0 - float(d.cdf(that))
+        relief = marginal_ell(econ.financing, K - a) * tail
+        slope -= ir_slope(econ, b1) * (1.0 - relief)
+    return slope
+
+
+def _slope_kinks(econ: EconomyPrimitives, b1_hi: float) -> list[float]:
+    """Slopes in [0, b1_hi] where the screening value may kink, sorted.
+
+    0 and b1_hi; the slopes at which the binding advance reaches 0 and
+    K, past which it is clamped; and for a tabulated Phi the slope of
+    each node advance K - ell, where Phi' jumps. Between them W is
+    smooth. A slope that is nan (flat lowest-type signal) or outside
+    (0, b1_hi) is dropped.
+    """
+    K = econ.working_capital
+    advances = [0.0, K]
+    if econ.financing.kind == "tabulated":
+        advances += [K - ell for ell in econ.financing.nodes[0] if 0.0 < ell < K]
+    inside = (binding_slope(econ, a) for a in advances)
+    return sorted({0.0, b1_hi, *(b for b in inside if 0.0 < b < b1_hi)})
+
+
 def solve_optimal(econ: EconomyPrimitives) -> BilateralSolution:
-    """Solve the screening program over the slope, advance on the manifold."""
+    """Solve the screening program over the slope, advance on the manifold.
+
+    W(b1) is smooth between the kinks of _slope_kinks, so its maximum
+    on [0, slope_cap] is a kink or a local maximum of a piece, where
+    _screening_slope falls from + to -. maximize_on_pieces scans that
+    derivative at _SLOPE_POINTS points per piece, roots each fall and
+    prices the kinks and the roots by principal_value; a tie goes to
+    the smaller slope.
+    """
     b1_hi = slope_cap(econ)
-    b1_star, _ = maximize_scalar(lambda b: principal_value(econ, b)[0],
-                                 0.0, b1_hi, DEFAULT_TOL)
+    b1_star, _ = maximize_on_pieces(lambda b: principal_value(econ, b)[0],
+                                    lambda b: _screening_slope(econ, b),
+                                    _slope_kinks(econ, b1_hi), _SLOPE_POINTS)
     a_star = binding_ir_advance(econ, b1_star)
     w, decomp, that = _screening_value(econ, a_star, b1_star)
     if b1_star <= 1e-9:
@@ -481,37 +531,19 @@ def _advance_kinks(econ, b1):
     return sorted(kinks)
 
 
-def _stationary_advances(econ, b1, kinks):
-    """A root of dW/da on each piece between kinks where it falls from + to -.
-
-    Each piece's end slopes are taken _NUDGE * K inside the piece, past
-    the error of the kink's own root. Where nobody is served, W rests at
-    its floor 0 and can only rise, so the slope counts as positive there.
-    """
-    def rise(a):
-        s = _advance_slope(econ, b1, a)
-        return 1.0 if s is None else s
-
-    h = _NUDGE * econ.working_capital
-    out = []
-    for lo, hi in zip(kinks[:-1], kinks[1:]):
-        lo, hi = lo + h, hi - h
-        if lo < hi and rise(lo) > 0.0 and rise(hi) < 0.0:
-            out.append(find_root(rise, Bracket(lo, hi), DEFAULT_TOL))
-    return out
-
-
 def _best_advance(econ, b1):
     """Best advance for a fixed slope b1 in the mixed program, and its value.
 
     W(a) is smooth between its kinks, so its maximum on [0, K] is a kink
-    or a stationary point of a piece. Each candidate is priced by
-    contract_value; ties within _TIE go to the smaller advance.
+    or a stationary point of a piece. maximize_on_pieces reads the sign
+    of _advance_slope at the two ends of each piece (W rests at its
+    floor 0 where nobody is served, so that counts as rising), roots a
+    fall from + to -, and prices every candidate by contract_value; a
+    tie goes to the smaller advance.
     """
-    kinks = _advance_kinks(econ, b1)
-    cands = kinks + _stationary_advances(econ, b1, kinks)
-    return best_candidate([(a, contract_value(econ, a, 0.0, b1, _MIXED_PANELS))
-                           for a in cands], _TIE)
+    return maximize_on_pieces(lambda a: contract_value(econ, a, 0.0, b1, _MIXED_PANELS),
+                              lambda a: _advance_slope(econ, b1, a),
+                              _advance_kinks(econ, b1), 2)
 
 
 def solve_mixed(econ: EconomyPrimitives) -> MixedSolution:
@@ -585,10 +617,30 @@ def contingent_value(econ: EconomyPrimitives, b1: float) -> float:
     return screening_integral(econ, that, 0.0, b1, _SCREENING_PANELS)
 
 
+def _contingent_slope(econ: EconomyPrimitives, b1: float) -> float | None:
+    """dW_C/db1 of contingent_value: -rent_tail(cutoff(0, b1)).
+
+    Virtual surplus vanishes at the cutoff, so by the envelope theorem
+    only the rent term moves. It is <= 0 wherever mu' >= 0. None on an
+    empty service set, where W_C rests at 0.
+    """
+    if float(virtual_surplus(econ, econ.dist.upper, 0.0, b1)) < 0.0:
+        return None
+    return -rent_tail(econ, cutoff(econ, 0.0, b1), _SCREENING_PANELS)
+
+
 def pure_contingent_value(econ: EconomyPrimitives) -> float:
-    """Value of the best zero-advance contract."""
-    _, v = maximize_scalar(lambda b: contingent_value(econ, b),
-                           0.0, slope_cap(econ), DEFAULT_TOL)
+    """Value of the best zero-advance contract.
+
+    With a = 0 fixed, contingent_value is smooth on [0, slope_cap], so
+    maximize_on_pieces scans _contingent_slope at _SLOPE_POINTS points
+    between the two ends, roots each fall from + to - and prices the
+    ends and the roots. Where mu' >= 0 the slope never rises, and the
+    value is contingent_value(0).
+    """
+    _, v = maximize_on_pieces(lambda b: contingent_value(econ, b),
+                              lambda b: _contingent_slope(econ, b),
+                              [0.0, slope_cap(econ)], _SLOPE_POINTS)
     return v
 
 

@@ -18,6 +18,8 @@ from .errors import BracketError, ConvergenceError
 BACKEND = "pure"
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # inverse golden ratio
+_NUDGE = 1e-9  # share of the span by which a piece's end slopes step inside it
+_TIE = 1e-12  # relative band within which maximize_on_pieces' candidates tie
 
 
 @dataclass(frozen=True)
@@ -120,6 +122,43 @@ def maximize_scalar(f: Callable[[float], float], lo: float, hi: float,
     x_b, f_b = brent_max(f, xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)], tol)
     return best_candidate([(xs[0], fs[0]), (xs[-1], fs[-1]), (xs[i], fs[i]),
                            (x_b, float(f_b))], 1e-13)
+
+
+def maximize_on_pieces(f: Callable[[float], float],
+                       slope: Callable[[float], float | None],
+                       kinks: list[float], points: int) -> tuple[float, float]:
+    """Maximum of f on [kinks[0], kinks[-1]], where f is smooth between kinks.
+
+    kinks is sorted. slope is f's derivative inside a piece, or None
+    where f rests at a floor it can only rise from, which counts as
+    rising. On each piece, slope is scanned at points points from end
+    to end, the ends stepped _NUDGE of the whole span inside the piece,
+    past the error of a kink's own root. Each fall from + to - between
+    neighbouring scan points brackets a local maximum, and find_root
+    lands on it, or by its forced bisection on a jump of the derivative.
+    The kinks, then those roots, are priced by f and compete through
+    best_candidate with _TIE, so a tie goes to the smaller x.
+    Returns (x, f(x)).
+    """
+    rises = {}
+
+    def rise(x):
+        if x not in rises:
+            s = slope(x)
+            rises[x] = 1.0 if s is None else s
+        return rises[x]
+
+    h = _NUDGE * (kinks[-1] - kinks[0])
+    roots = []
+    for lo, hi in zip(kinks[:-1], kinks[1:]):
+        lo, hi = lo + h, hi - h
+        if not lo < hi:
+            continue
+        xs = np.linspace(lo, hi, points).tolist()
+        for x0, x1 in zip(xs[:-1], xs[1:]):
+            if rise(x0) > 0.0 and rise(x1) < 0.0:
+                roots.append(find_root(rise, Bracket(x0, x1)))
+    return best_candidate([(x, f(x)) for x in kinks + roots], _TIE)
 
 
 def best_candidate(candidates, rel_tol: float) -> tuple[float, float]:

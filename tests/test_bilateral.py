@@ -1,18 +1,21 @@
 """Single-relationship screening program and closed-form anchors."""
 
+import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from liqscreen import bilateral
+from liqscreen import bilateral, numerics
 from liqscreen.bilateral import (
     Contract,
     _advance_kinks,
     _advance_slope,
     _best_advance,
-    _stationary_advances,
+    _contingent_slope,
+    _screening_slope,
+    _slope_kinks,
     binding_ir_advance,
     binding_slope,
     closed_form_ell_star,
@@ -34,7 +37,7 @@ from liqscreen.bilateral import (
     sweep_R,
     virtual_surplus,
 )
-from liqscreen.economy import (FinancingCost, benchmark, power,
+from liqscreen.economy import (FinancingCost, benchmark, bimodal, power,
                                truncated_exponential)
 from liqscreen.errors import DomainError
 from liqscreen.numerics import best_candidate
@@ -314,6 +317,18 @@ def test_advance_slope_matches_a_central_difference(name):
                     assert abs(slope - diff) < 1e-9, (b1, a)
 
 
+def _recorded_roots(monkeypatch):
+    """Record each root that numerics.maximize_on_pieces finds."""
+    roots = []
+    root = numerics.find_root
+
+    def recorded(*args):
+        roots.append(root(*args))
+        return roots[-1]
+    monkeypatch.setattr(numerics, "find_root", recorded)
+    return roots
+
+
 @pytest.mark.parametrize("econ, reached", [
     (benchmark(v=2.0, mu0=0.1, R=0.1), False),
     # a steep type density: few types at the top, so past the start of
@@ -321,14 +336,19 @@ def test_advance_slope_matches_a_central_difference(name):
     # slopes nobody is served at the piece's left end
     (benchmark(v=2.0, mu0=0.1, R=0.1, dist=truncated_exponential(5.0)), True),
 ], ids=["uniform", "truncated_exponential"])
-def test_stationary_advances_zero_the_slope_and_win_only_when_interior(econ, reached):
+def test_stationary_advances_zero_the_slope_and_win_only_when_interior(
+        monkeypatch, econ, reached):
+    # the stationary advances are the roots maximize_on_pieces finds
+    roots = _recorded_roots(monkeypatch)
     wins = 0
     for b1 in np.linspace(0.0, flat_rent_slope(econ), 9):
         kinks = _advance_kinks(econ, b1)
+        roots.clear()
         a, v = _best_advance(econ, b1)
+        stationary = list(roots)
         assert abs(v - _golden_best_advance(econ, b1)[1]) <= 1e-10, b1
         v_kink = max(contract_value(econ, k, 0.0, b1) for k in kinks)
-        for a_s in _stationary_advances(econ, b1, kinks):
+        for a_s in stationary:
             assert abs(_advance_slope(econ, b1, a_s)) < 1e-9
             assert contract_value(econ, a_s, 0.0, b1) <= v + 1e-12 * max(1.0, v)
             wins += a == a_s and v > v_kink + 1e-3
@@ -490,9 +510,108 @@ def test_solve_mixed_matches_a_golden_slope_refinement(name):
     assert sol.branch == branch_golden
 
 
-SCREENING_ECONOMIES = {**CLASS_ECONOMIES,
-                       "flat_signal": benchmark(v=2, mu0=0.0, K=1.0, R=1.0,
-                                                signal_kind="flat")}
+def _fourth_order_difference(f, x, h):
+    """The values f(x + k h), k = -2, -1, 1, 2, and their derivative estimate."""
+    w = [f(x + k * h) for k in (-2, -1, 1, 2)]
+    return w, (w[0] - 8.0 * w[1] + 8.0 * w[2] - w[3]) / (12.0 * h)
+
+
+# a tabulated Phi with slopes 1.2 and 1.8 and an informative lowest type:
+# the advance reaches the node K - 0.5 at b1 = (Phi(0.5) - 0.5) / mu(0) = 0.5
+# and 0 at b1 = Phi(1) / mu(0) = 7.5, inside the cap of 10
+TABULATED_KINKS = replace(benchmark(v=2.0, mu0=0.2),
+                          financing=FinancingCost(tightness=0.0, kind="tabulated",
+                                                  nodes=((0.0, 0.5, 1.0),
+                                                         (0.0, 0.6, 1.5))))
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_ECONOMIES) + ["tabulated"])
+def test_screening_slopes_match_a_central_difference(name):
+    # dW/db1 of the screening program along the manifold and dW_C/db1 of
+    # the zero-advance contract, inside each piece between kinks
+    econ = CLASS_ECONOMIES.get(name, TABULATED_KINKS)
+    h = 1e-4
+    cap = slope_cap(econ)
+    searches = ((lambda b: bilateral.principal_value(econ, b)[0], _screening_slope,
+                 _slope_kinks(econ, cap)),
+                (lambda b: bilateral.contingent_value(econ, b), _contingent_slope,
+                 [0.0, cap]))
+    # the screening values divide by f(lower) = 0 on power types
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for value, slope, kinks in searches:
+            for lo, hi in zip(kinks[:-1], kinks[1:]):
+                if hi - lo < 100 * h:
+                    continue
+                for b1 in np.linspace(lo, hi, 5)[1:-1]:
+                    s = slope(econ, b1)
+                    w, diff = _fourth_order_difference(value, b1, h)
+                    if s is None:  # nobody is served: W rests at 0
+                        assert w == [0.0] * 4
+                    else:
+                        assert abs(s - diff) < 1e-9, (slope.__name__, b1, s, diff)
+
+
+def test_screening_slope_kinks():
+    econ = BATCH_ECONOMIES["uniform"]
+    cap = slope_cap(econ)
+    # the advance reaches 0 at b1 = Phi(K) / mu(0) = 5, half the cap of 10;
+    # it would reach K at a negative slope
+    assert _slope_kinks(econ, cap) == [0.0, 5.0, 10.0]
+    assert binding_ir_advance(econ, 5.0) == 0.0
+    # a flat lowest-type signal pins no slope: only the ends remain
+    assert _slope_kinks(benchmark(mu0=0.0), 10.0) == [0.0, 10.0]
+    # a tabulated Phi adds the slope of its node advance K - 0.5
+    assert slope_cap(TABULATED_KINKS) == 10.0
+    assert _slope_kinks(TABULATED_KINKS, 10.0) == pytest.approx([0.0, 0.5, 7.5, 10.0],
+                                                               abs=1e-14)
+
+
+BIMODAL = benchmark(v=4.351, mu0=0.6616, K=1.5748, R=1.2857, signal_scale=0.6979,
+                    dist=bimodal())
+
+
+def test_screening_search_roots_a_local_peak_that_the_zero_slope_beats(monkeypatch):
+    # on bimodal types the first piece's slope reads - + -: the cutoff
+    # jumps between the modes, then W rises to a local peak and falls
+    econ = BIMODAL
+    kinks = _slope_kinks(econ, slope_cap(econ))
+    h = numerics._NUDGE * (kinks[-1] - kinks[0])
+    lo, hi = kinks[0] + h, kinks[1] - h
+    signs = [np.sign(_screening_slope(econ, b)) for b in np.linspace(lo, hi, 33)]
+    assert [s for s, _ in itertools.groupby(signs)] == [-1.0, 1.0, -1.0]
+    roots = _recorded_roots(monkeypatch)
+    sol = solve_optimal(econ)
+    peaks = [r for r in roots if lo < r < hi]
+    assert len(peaks) == 1
+    assert abs(_screening_slope(econ, peaks[0])) < 1e-9
+    assert bilateral.principal_value(econ, peaks[0])[0] < sol.value
+    assert sol.contract.slope == 0.0 and sol.boundary_flag == "corner_b1_zero"
+
+
+def _random_economies(n, seed):
+    """n seeded benchmark draws over the four type families, bimodal included."""
+    rng = np.random.default_rng(seed)
+    out = {}
+    for i in range(n):
+        dist = (None, truncated_exponential(float(rng.uniform(0.3, 6.0))),
+                power(float(rng.uniform(1.0, 2.5))), bimodal())[i % 4]
+        out[f"random-{i}"] = benchmark(
+            v=float(rng.uniform(1.5, 4.5)), mu0=float(rng.uniform(0.0, 0.7)),
+            K=float(rng.uniform(0.5, 2.0)), R=float(rng.uniform(0.05, 3.0)),
+            signal_scale=float(rng.uniform(0.3, 1.5)), dist=dist)
+    return out
+
+
+SCREENING_ECONOMIES = {
+    **CLASS_ECONOMIES,
+    "flat_signal": benchmark(v=2, mu0=0.0, K=1.0, R=1.0, signal_kind="flat"),
+    # bilateral_sweep's seed-2 op 8: the optimum sits on the kink where
+    # the advance reaches 0, where a scan plus Brent's method once spent
+    # more calls than golden section
+    "kink_optimum": benchmark(v=2.56, mu0=0.152, R=1.557, signal_scale=1.008,
+                              dist=truncated_exponential(1.471)),
+    **_random_economies(10, 1),
+}
 
 
 def _counted(monkeypatch, name):
@@ -510,17 +629,20 @@ def _counted(monkeypatch, name):
 @pytest.mark.parametrize("name", sorted(SCREENING_ECONOMIES))
 def test_screening_searches_match_a_golden_reference(monkeypatch, name):
     # solve_optimal and pure_contingent_value against golden section in
-    # value, boundary flag and objective calls: Brent's method may not
-    # spend more calls than golden section on these kinked objectives
+    # value, boundary flag and evaluations: the derivative searches may
+    # not spend more value and slope calls than golden section's values
     econ = SCREENING_ECONOMIES[name]
     cap = slope_cap(econ)
     principal = _counted(monkeypatch, "principal_value")
     contingent = _counted(monkeypatch, "contingent_value")
+    slopes = _counted(monkeypatch, "_screening_slope")
+    contingent_slopes = _counted(monkeypatch, "_contingent_slope")
     # the screening values divide by f(lower) = 0 on power types
     with np.errstate(divide="ignore", invalid="ignore"):
         b1_ref, w_ref = _golden_scan_max(
             lambda b1: bilateral.principal_value(econ, b1)[0], 0.0, cap, 1e-10, 65)
         n_ref = len(principal)
+        empty_ref = bilateral.principal_value(econ, b1_ref)[1]["empty_set"]
         principal.clear()
         sol = solve_optimal(econ)
         a_ref = binding_ir_advance(econ, b1_ref)
@@ -529,11 +651,17 @@ def test_screening_searches_match_a_golden_reference(monkeypatch, name):
         n_ref_c = len(contingent)
         contingent.clear()
         v = pure_contingent_value(econ)
-    assert len(principal) <= n_ref
+    assert len(principal) + len(slopes) <= n_ref
     assert abs(sol.value - w_ref) <= 1e-12
-    assert sol.boundary_flag == ("corner_b1_zero" if b1_ref <= 1e-9 else
-                                 "corner_a_zero" if a_ref <= 1e-9 else "interior")
+    if empty_ref:
+        # W rests at 0 on a plateau of empty service sets, where golden
+        # section quotes some point of it and the search quotes a kink
+        assert sol.value == 0.0 and sol.decomposition["empty_set"] == 1.0
+        assert sol.contract.slope in _slope_kinks(econ, cap)
+    else:
+        assert sol.boundary_flag == ("corner_b1_zero" if b1_ref <= 1e-9 else
+                                     "corner_a_zero" if a_ref <= 1e-9 else "interior")
     if name == "flat_signal":
         assert sol.contract.slope == 0.0  # verify's uninformative_corner check
-    assert len(contingent) <= n_ref_c
+    assert len(contingent) + len(contingent_slopes) <= n_ref_c
     assert abs(v - v_ref) <= 1e-12

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from liqscreen import numerics
 from liqscreen.errors import BracketError, ConvergenceError
 from liqscreen.numerics import (
     Bracket,
@@ -14,6 +15,7 @@ from liqscreen.numerics import (
     find_root,
     fixed_point,
     integrate,
+    maximize_on_pieces,
     maximize_scalar,
 )
 
@@ -131,6 +133,60 @@ def test_maximize_scalar_plateau_resolves_to_the_smallest_scan_point():
 def test_maximize_scalar_names_itself_on_a_reversed_range():
     with pytest.raises(ValueError, match="maximize_scalar"):
         maximize_scalar(lambda x: x, 1.0, 0.0)
+
+
+def test_maximize_on_pieces_roots_an_interior_smooth_peak():
+    f, calls = _counting(lambda x: 2.0 - (x - 0.3) ** 2)
+    x, v = maximize_on_pieces(f, lambda x: -2.0 * (x - 0.3), [0.0, 1.0], 9)
+    assert abs(x - 0.3) < 1e-12 and v == f(x)
+    assert len(calls) == 4  # the two kinks, the root, and v == f(x) above
+
+
+def test_maximize_on_pieces_lands_on_a_jump_of_the_derivative():
+    # the slope jumps from +1 to -1 at 0.37: find_root's forced bisection
+    # closes in on the jump, not on a zero of the slope
+    x, v = maximize_on_pieces(lambda x: -abs(x - 0.37),
+                              lambda x: 1.0 if x < 0.37 else -1.0,
+                              [0.0, 1.0], 9)
+    assert abs(x - 0.37) <= 1e-10 and v == -abs(x - 0.37)
+
+
+def test_maximize_on_pieces_counts_a_floor_as_rising():
+    # f rises to a floor at 0 on [0.3, 0.6], where its slope is None, and
+    # falls beyond it: the fall at the floor's right edge is rooted
+    def f(x):
+        return min(0.0, x - 0.3) if x < 0.6 else 0.6 - x
+
+    def slope(x):
+        return 1.0 if x < 0.3 else None if x < 0.6 else -1.0
+    x, v = maximize_on_pieces(f, slope, [0.0, 1.0], 9)
+    assert abs(x - 0.6) <= 1e-10 and abs(v) <= 1e-10
+
+
+def test_maximize_on_pieces_prices_the_kinks_first():
+    # ties are not transitive: the root at 0.5 ties the kink at 0.0 and
+    # the kink at 1.0, which beats the kink at 0.0. With the kinks first
+    # the kink at 1.0 takes the lead and the smaller root then ties it;
+    # sorted by x, the root would tie 0.0 and lose to 1.0
+    band = numerics._TIE
+    values = {0.0: 1.0, 1.0: 1.0 + 1.8 * band}
+
+    def f(x):
+        return values.get(x, 1.0 + 0.9 * band)
+    x, v = maximize_on_pieces(f, lambda x: 0.5 - x, [0.0, 1.0], 2)
+    assert abs(x - 0.5) < 1e-12 and v == 1.0 + 0.9 * band
+
+
+def test_maximize_on_pieces_skips_a_piece_shorter_than_its_nudges():
+    # the middle piece [0.5, 0.5 + 1e-12] has no room for a scan point
+    seen = []
+
+    def slope(x):
+        seen.append(x)
+        return 1.0
+    x, v = maximize_on_pieces(lambda x: x, slope, [0.0, 0.5, 0.5 + 1e-12, 1.0], 3)
+    assert (x, v) == (1.0, 1.0)
+    assert len(seen) == 6 and not any(0.5 <= s <= 0.5 + 1e-12 for s in seen)
 
 
 @pytest.mark.parametrize("rel_tol", [1e-13, 1e-12])

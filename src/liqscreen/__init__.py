@@ -15,7 +15,7 @@ from .errors import (
     LiqscreenError,
     SingularityError,
 )
-from .numerics import Bracket, Tolerance, find_root, fixed_point, integrate, maximize_scalar
+from .numerics import Bracket, Tolerance, find_root, fixed_point, integrate
 from .economy import (
     EconomyPrimitives,
     FinancingCost,
@@ -112,7 +112,6 @@ __all__ = [
     "integrate",
     "load_config",
     "make_portfolio",
-    "maximize_scalar",
     "mechanism_from_contract",
     "menu_equivalence_check",
     "pure_advance_value",

@@ -20,13 +20,11 @@ import numpy as np
 from .economy import (EconomyPrimitives, cost_slope, financing_cost,
                       marginal_ell, signal_slope, with_tightness)
 from .errors import BracketError, DomainError
-from .numerics import (Bracket, Tolerance, find_root, integrate,
-                       maximize_on_pieces, maximize_scalar)
+from .numerics import Bracket, Tolerance, find_root, integrate, maximize_on_pieces
 
 DEFAULT_TOL = Tolerance()
 _SCREENING_PANELS = 512  # Simpson panels of the screening-program integrals
-_SLOPE_POINTS = 9  # derivative scan per piece of the screening slope searches
-_OUTER_POINTS = 33  # slope scan of the mixed program
+_SLOPE_POINTS = 9  # derivative scan per piece of every slope search
 _MIXED_PANELS = 128  # Simpson panels of each of its contract values
 _ACCEPT_STEPS = 8  # steps that lift the all-accept kink to its accepting side
 
@@ -122,17 +120,21 @@ def flat_rent_slope(econ: EconomyPrimitives) -> float | None:
     return cost_slope(econ, mid) / mu_p
 
 
-def ir_slope(econ: EconomyPrimitives, b1: float) -> float:
-    """d a / d b1 along the binding participation manifold.
+def ir_slope(econ: EconomyPrimitives, b1: float,
+             theta: float | None = None) -> float:
+    """d a / d b1 along type theta's binding participation manifold.
 
-    Equals -mu(lo) / (1 + Phi'(K - a)); at a clamp the value is the
-    one-sided derivative of the unclamped manifold. _screening_slope
-    uses it off the clamps.
+    theta defaults to the lowest type. Equals -mu(theta) / (1 + Phi'(K -
+    a)); at a clamp the value is the one-sided derivative of the
+    unclamped manifold. _screening_slope and _best_advance use it off
+    the clamps.
     """
-    a = binding_ir_advance(econ, b1)
-    mu_lo = float(econ.signal_mean(econ.dist.lower))
+    if theta is None:
+        theta = econ.dist.lower
+    a = binding_ir_advance(econ, b1, theta)
+    mu_t = float(econ.signal_mean(theta))
     phi_l = marginal_ell(econ.financing, econ.working_capital - a)
-    return -mu_lo / (1.0 + phi_l)
+    return -mu_t / (1.0 + phi_l)
 
 
 def slope_cap(econ: EconomyPrimitives) -> float:
@@ -327,20 +329,22 @@ def _screening_slope(econ: EconomyPrimitives, b1: float) -> float | None:
     return slope
 
 
-def _slope_kinks(econ: EconomyPrimitives, b1_hi: float) -> list[float]:
-    """Slopes in [0, b1_hi] where the screening value may kink, sorted.
+def _slope_kinks(econ: EconomyPrimitives, b1_hi: float, thetas) -> list[float]:
+    """Slopes in [0, b1_hi] where a value may kink, sorted.
 
-    0 and b1_hi; the slopes at which the binding advance reaches 0 and
-    K, past which it is clamped; and for a tabulated Phi the slope of
-    each node advance K - ell, where Phi' jumps. Between them W is
-    smooth. A slope that is nan (flat lowest-type signal) or outside
-    (0, b1_hi) is dropped.
+    0 and b1_hi; for each type of thetas, the slopes at which its
+    binding advance reaches 0 and K, past which it is clamped, and for a
+    tabulated Phi the slope of each node advance K - ell, where Phi'
+    jumps. The screening value needs the lowest type, the mixed value
+    the lowest and the highest. Between them the value is smooth. A
+    slope that is nan (flat signal at the type) or outside (0, b1_hi)
+    is dropped.
     """
     K = econ.working_capital
     advances = [0.0, K]
     if econ.financing.kind == "tabulated":
         advances += [K - ell for ell in econ.financing.nodes[0] if 0.0 < ell < K]
-    inside = (binding_slope(econ, a) for a in advances)
+    inside = (binding_slope(econ, a, t) for a in advances for t in thetas)
     return sorted({0.0, b1_hi, *(b for b in inside if 0.0 < b < b1_hi)})
 
 
@@ -357,7 +361,8 @@ def solve_optimal(econ: EconomyPrimitives) -> BilateralSolution:
     b1_hi = slope_cap(econ)
     b1_star, _ = maximize_on_pieces(lambda b: principal_value(econ, b)[0],
                                     lambda b: _screening_slope(econ, b),
-                                    _slope_kinks(econ, b1_hi), _SLOPE_POINTS)
+                                    _slope_kinks(econ, b1_hi, [econ.dist.lower]),
+                                    _SLOPE_POINTS)
     a_star = binding_ir_advance(econ, b1_star)
     w, decomp, that = _screening_value(econ, a_star, b1_star)
     if b1_star <= 1e-9:
@@ -464,16 +469,19 @@ def contract_value(econ: EconomyPrimitives, a: float, b0: float = 0.0,
                      span[0], span[1], panels)
 
 
-def _advance_slope(econ, b1, a):
-    """dW/da of the contract (a, 0, b1) at actual flows, by the Leibniz rule.
+def _directional_slope(econ, b1, a, da, db):
+    """Derivative of W = contract_value(a, 0, b1) at actual flows along (da, db).
 
-    W integrates pi*f over the served interval [lo, hi] and d pi/d a = -1,
-    so dW/da = -(F(hi) - F(lo)) plus a term at each end that is an
-    acceptance root (U = 0). Raising a raises U at rate 1 + Phi'(K - a),
-    so such an end moves at -(1 + Phi')/U_t, with U_t = b1*mu' - c' there:
-    the upper end adds -pi*f*(1 + Phi')/U_t and the lower end the
-    opposite. Support ends and profit roots (pi = 0) add nothing. Holds
-    between the kinks of _advance_kinks, where W is smooth. None where
+    W integrates pi*f over the served interval [lo, hi]. Along (da, db)
+    pi = V - a - b1*mu moves at -(da + db*mu), and the payoff U moves at
+    u_rate = da*(1 + Phi'(K - a)) + db*mu. By the Leibniz rule the
+    derivative is -integral of (da + db*mu)*f over [lo, hi], plus a term
+    at each end that is an acceptance root (U = 0). Such an end moves
+    at -u_rate/U_t, with U_t = b1*mu' - c' there: the upper end adds
+    -pi*f*u_rate/U_t and the lower end the opposite. Support ends and
+    profit roots (pi = 0) add nothing. (1, 0) is dW/da, the slope of
+    the inner advance search; (a'(b1), 1) is the slope of the mixed
+    value along a regime a(b1). Holds where W is smooth. None where
     nobody is served: W rests at 0 there.
     """
     spans = _spans(econ, a, 0.0, b1)
@@ -483,12 +491,17 @@ def _advance_slope(econ, b1, a):
     lo, hi = max(u_lo, p_lo), min(u_hi, p_hi)
     if lo >= hi:
         return None
-    slope = -(float(econ.dist.cdf(hi)) - float(econ.dist.cdf(lo)))
+    d = econ.dist
+    slope = -da * (float(d.cdf(hi)) - float(d.cdf(lo)))
+    if db:
+        slope -= db * integrate(lambda t: np.asarray(econ.signal_mean(t), float)
+                                * np.asarray(d.pdf(t), float), lo, hi, _MIXED_PANELS)
     relief = 1.0 + marginal_ell(econ.financing, econ.working_capital - a)
     for t, sign, root in ((hi, -1.0, u_hi < p_hi), (lo, 1.0, u_lo > p_lo)):
         if root:
             u_t = b1 * signal_slope(econ, t) - cost_slope(econ, t)
-            slope += sign * float(_profit_flow(econ, t, a, 0.0, b1)) * relief / u_t
+            u_rate = da * relief + db * float(econ.signal_mean(t))
+            slope += sign * float(_profit_flow(econ, t, a, 0.0, b1)) * u_rate / u_t
     return slope
 
 
@@ -514,56 +527,72 @@ def _accepting(econ, b1, a):
 
 
 def _advance_kinks(econ, b1):
-    """Advances in [0, K] where W(a) may kink at slope b1, sorted.
+    """Advances in [0, K] where W(a) may kink at slope b1, with their types.
 
     0 and K; the advances at which the lowest and the highest type's
     participation binds, where an acceptance root crosses a support end
     (the larger one, past which every type accepts, taken on its
     accepting side); and for a tabulated Phi each node advance K - ell,
-    where Phi' jumps. Between them W is smooth.
+    where Phi' jumps. Between them W is smooth. Maps each advance to
+    the type whose binding advance it is, or to None: a binding advance
+    clamped to 0 or K is listed as that end, with None.
     """
     d = econ.dist
     K = econ.working_capital
-    binds = sorted(binding_ir_advance(econ, b1, t) for t in (d.lower, d.upper))
-    kinks = {0.0, K, binds[0], _accepting(econ, b1, binds[1])}
+    advances = [0.0, K]
     if econ.financing.kind == "tabulated":
-        kinks.update(K - ell for ell in econ.financing.nodes[0] if 0.0 < ell < K)
-    return sorted(kinks)
+        advances += [K - ell for ell in econ.financing.nodes[0] if 0.0 < ell < K]
+    kinks = dict.fromkeys(advances)
+    (a_lo, t_lo), (a_hi, t_hi) = sorted((binding_ir_advance(econ, b1, t), t)
+                                        for t in (d.lower, d.upper))
+    kinks.setdefault(a_lo, t_lo)
+    kinks.setdefault(_accepting(econ, b1, a_hi), t_hi)
+    return kinks
 
 
 def _best_advance(econ, b1):
-    """Best advance for a fixed slope b1 in the mixed program, and its value.
+    """Best advance for a fixed slope b1 in the mixed program, its value and rate.
 
     W(a) is smooth between its kinks, so its maximum on [0, K] is a kink
     or a stationary point of a piece. maximize_on_pieces reads the sign
-    of _advance_slope at the two ends of each piece (W rests at its
-    floor 0 where nobody is served, so that counts as rising), roots a
-    fall from + to -, and prices every candidate by contract_value; a
-    tie goes to the smaller advance.
+    of dW/da at the two ends of each piece (W rests at its floor 0 where
+    nobody is served, so that counts as rising), roots a fall from + to
+    -, and prices every candidate by contract_value; a tie goes to the
+    smaller advance. The rate is d a/d b1 along the winner's regime:
+    ir_slope of the type whose binding advance it is, by exact equality
+    with a kink of _advance_kinks, and 0 elsewhere. That is 0 at 0, K
+    and the node advances, and at a stationary point, where dW/da = 0.
+    Returns (a, W, rate).
     """
-    return maximize_on_pieces(lambda a: contract_value(econ, a, 0.0, b1, _MIXED_PANELS),
-                              lambda a: _advance_slope(econ, b1, a),
-                              _advance_kinks(econ, b1), 2)
+    kinks = _advance_kinks(econ, b1)
+    a, v = maximize_on_pieces(lambda a: contract_value(econ, a, 0.0, b1, _MIXED_PANELS),
+                              lambda a: _directional_slope(econ, b1, a, 1.0, 0.0),
+                              sorted(kinks), 2)
+    theta = kinks.get(a)
+    return a, v, 0.0 if theta is None else ir_slope(econ, b1, theta)
 
 
 def solve_mixed(econ: EconomyPrimitives) -> MixedSolution:
     """Solve the mixed program over (advance, slope) at actual flows.
 
     The slope search runs on [0, c'/mu'] (rents weakly increase in the
-    slope beyond the flat-rent point), so b1* lies in [0, b1_flat]. Both
-    ends are scan points, and no other slope is injected as a candidate.
-    maximize_scalar scans 33 slopes and refines around the scan's peak
-    by Brent's method, one inner search per step; the objective
-    max_a W(a, b1) is smooth at interior optima, where Brent needs 16-23
-    steps to golden section's 41. Scan and refinement fill one table of
-    searched slopes, so no slope is searched twice. The inner search
-    prices the kinks of W(a) and its stationary points (_best_advance).
-    An uninformative signal reduces the program to the pure-advance
+    slope beyond the flat-rent point), so b1* lies in [0, b1_flat].
+    V(b1) = max_a W(a, b1) is the winner among a few smooth regimes
+    W(a_k(b1), b1), one per kink or stationary point of W(a)
+    (_best_advance). A switch between regimes is a convex kink of V,
+    so no maximum sits there. A regime kinks where a binding advance of
+    the lowest or the highest type reaches 0, K or a node advance: the
+    slopes of _slope_kinks for both types. Between them V's slope is
+    W's along the winner, in the direction (a_k'(b1), 1).
+    maximize_on_pieces scans it at _SLOPE_POINTS points per piece,
+    roots each fall from + to - and prices the kinks and the roots, one
+    inner search per slope; a tie goes to the smaller slope. An
+    uninformative signal reduces the program to the pure-advance
     choice; a negative flat-rent slope raises DomainError.
     """
     b1_flat = flat_rent_slope(econ)
     if b1_flat is None:
-        a_star, v_star = _best_advance(econ, 0.0)
+        a_star, v_star, _ = _best_advance(econ, 0.0)
         return MixedSolution(Contract(a_star, 0.0, 0.0),
                              served_interval(econ, a_star, 0.0, 0.0),
                              v_star, "uninformative")
@@ -578,9 +607,15 @@ def solve_mixed(econ: EconomyPrimitives) -> MixedSolution:
             found[b1] = _best_advance(econ, b1)
         return found[b1]
 
-    b1_star, _ = maximize_scalar(lambda b1: best(b1)[1], 0.0, b1_flat,
-                                 Tolerance(abs_x=1e-9), _OUTER_POINTS)
-    a_star, v_star = best(b1_star)
+    def slope(b1):
+        a, _, rate = best(b1)
+        return _directional_slope(econ, b1, a, rate, 1.0)
+
+    d = econ.dist
+    b1_star, _ = maximize_on_pieces(lambda b1: best(b1)[1], slope,
+                                    _slope_kinks(econ, b1_flat, [d.lower, d.upper]),
+                                    _SLOPE_POINTS)
+    a_star, v_star, _ = best(b1_star)
     span = served_interval(econ, a_star, 0.0, b1_star)
     branch = "flat" if abs(b1_star - b1_flat) <= 1e-9 else "decreasing"
     return MixedSolution(Contract(a_star, 0.0, b1_star), span, v_star, branch)

@@ -6,7 +6,6 @@ tolerance handling, tie-breaking, and failure modes stay uniform.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -17,7 +16,6 @@ from .errors import BracketError, ConvergenceError
 # Name of the only numerical backend; kept for tools that record it.
 BACKEND = "pure"
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # inverse golden ratio
 _NUDGE = 1e-9  # share of the span by which a piece's end slopes step inside it
 _TIE = 1e-12  # relative band within which maximize_on_pieces' candidates tie
 
@@ -99,31 +97,6 @@ def find_root(f: Callable[[float], float], bracket: Bracket,
     raise ConvergenceError(f"root iteration exhausted {tol.max_iter} steps", last=x)
 
 
-def maximize_scalar(f: Callable[[float], float], lo: float, hi: float,
-                    tol: Tolerance = DEFAULT_TOL,
-                    scan_points: int = 65) -> tuple[float, float]:
-    """Global scalar maximum on [lo, hi]: a uniform scan, then Brent's method.
-
-    Evaluates f on a uniform scan of scan_points points (both ends
-    included) and runs brent_max on the two scan cells either side of
-    the best scan point. Both scan ends, that scan point and Brent's
-    point then compete through best_candidate. Values within 1e-13
-    relative tie, and a tie goes to the smallest x.
-    """
-    if not (lo <= hi):
-        raise ValueError("maximize_scalar needs lo <= hi")
-    if lo == hi:
-        return lo, f(lo)
-    xs = np.linspace(lo, hi, scan_points).tolist()
-    fs = [float(f(x)) for x in xs]
-    top = float(np.max(fs))  # a NaN anywhere leaves no tie, and index 0 wins
-    band = 1e-13 * max(1.0, abs(top))
-    i = next((k for k, fx in enumerate(fs) if abs(fx - top) <= band), 0)
-    x_b, f_b = brent_max(f, xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)], tol)
-    return best_candidate([(xs[0], fs[0]), (xs[-1], fs[-1]), (xs[i], fs[i]),
-                           (x_b, float(f_b))], 1e-13)
-
-
 def maximize_on_pieces(f: Callable[[float], float],
                        slope: Callable[[float], float | None],
                        kinks: list[float], points: int) -> tuple[float, float]:
@@ -177,71 +150,6 @@ def best_candidate(candidates, rel_tol: float) -> tuple[float, float]:
         elif abs(fx - best_f) <= band and x < best_x:
             best_x, best_f = x, fx
     return best_x, best_f
-
-
-def brent_max(f: Callable[[float], float], a: float, b: float,
-              tol: Tolerance = DEFAULT_TOL) -> tuple[float, float]:
-    """Maximum of f on [a, b] by Brent's method: parabolic steps, golden fallback.
-
-    Brent (1973), Algorithms for Minimization without Derivatives, ch. 5,
-    with a purely absolute tolerance: it stops once the best point lies
-    within tol.abs_x / 2 of both ends of the bracket, and no step from
-    its best point is shorter than tol.abs_x / 4. On a smooth peak it
-    needs far fewer evaluations than golden section; at a kink it falls
-    back to golden steps. Returns
-    (x, f(x)) of the best point evaluated. Raises ConvergenceError
-    (carrying .last) after tol.max_iter steps.
-    """
-    if not (a <= b):
-        raise ValueError("brent_max needs a <= b")
-    if a == b:
-        return a, f(a)
-    step = 0.25 * tol.abs_x  # smallest step; the stop needs x within 2 * step of a and b
-    x = w = v = a + (1.0 - GOLDEN) * (b - a)
-    fx = fw = fv = f(x)
-    d = e = 0.0  # last step and the one before it
-    for _ in range(tol.max_iter):
-        m = 0.5 * (a + b)
-        if abs(x - m) <= 2.0 * step - 0.5 * (b - a):
-            return x, fx
-        parabolic = False
-        if abs(e) > step:
-            # vertex of the parabola through x, w and v, as an offset p / q from x
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            # accept it when it lands inside and moves less than half the step
-            # before last; otherwise take a golden step
-            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
-                e, d = d, p / q
-                if (x + d) - a < 2.0 * step or b - (x + d) < 2.0 * step:
-                    d = math.copysign(step, m - x)
-                parabolic = True
-        if not parabolic:
-            e = (a - x) if x >= m else (b - x)
-            d = (1.0 - GOLDEN) * e
-        u = x + d if abs(d) >= step else x + math.copysign(step, d)
-        fu = f(u)
-        if fu >= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu >= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu >= fv or v == x or v == w:
-                v, fv = u, fu
-    raise ConvergenceError(f"Brent search exhausted {tol.max_iter} steps", last=x)
 
 
 def fixed_point(g: Callable[[np.ndarray], np.ndarray], x0,

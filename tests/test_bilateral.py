@@ -11,9 +11,9 @@ from liqscreen import bilateral, numerics
 from liqscreen.bilateral import (
     Contract,
     _advance_kinks,
-    _advance_slope,
     _best_advance,
     _contingent_slope,
+    _directional_slope,
     _screening_slope,
     _slope_kinks,
     binding_ir_advance,
@@ -261,7 +261,7 @@ def test_contract_values_match_contract_value(name):
     panels = bilateral._MIXED_PANELS
     assert contract_value(econ, 0.0, 0.0, 0.0, panels) == 0.0  # nobody accepts
     for b1 in np.linspace(0.0, flat_rent_slope(econ), 5).tolist():
-        a, v = _best_advance(econ, b1)
+        a, v, _ = _best_advance(econ, b1)
         assert 0.0 <= a <= K
         assert v == contract_value(econ, a, 0.0, b1, panels), b1
     sol = bilateral.solve_mixed(econ)
@@ -276,10 +276,10 @@ def test_best_advances_equal_the_scalar_search(name):
     # the kink search against the reference scan-and-golden search
     econ = INNER_ECONOMIES[name]
     b1_flat = flat_rent_slope(econ)
-    # b1_flat is a scan point of solve_mixed; there U does not vary with
+    # b1_flat is a kink that solve_mixed prices; there U does not vary with
     # the type and W(a) jumps at the participation root
     for b1 in [b for b in (0.0, 0.2, 0.55, 1.0, 1.7) if b < b1_flat] + [b1_flat]:
-        a, v = _best_advance(econ, b1)
+        a, v, _ = _best_advance(econ, b1)
         a_ref, v_ref = _golden_best_advance(econ, b1)
         assert abs(v - v_ref) <= 1e-10, (b1, a, v, a_ref, v_ref)
 
@@ -289,7 +289,7 @@ def test_best_advance_prices_the_accepting_side_at_the_flat_slope():
     # may lie a hair below the root, where nobody accepts and W = 0
     for econ, value in ((FLAT_CORNER, 0.5 * closed_form_ell_star(0.25) ** 2),
                         (TABULATED, 0.385047896709704)):
-        a, v = _best_advance(econ, 1.0)
+        a, v, _ = _best_advance(econ, 1.0)
         assert abs(v - value) < 1e-9, (econ.label, v)
         assert served_interval(econ, a, 0.0, 1.0)[1] == econ.dist.upper
     # the node advance K - 0.5 is a kink of the tabulated W(a)
@@ -301,12 +301,12 @@ def test_advance_slope_matches_a_central_difference(name):
     econ = INNER_ECONOMIES[name]
     h = 1e-4
     for b1 in np.linspace(0.0, flat_rent_slope(econ), 6)[:-1]:
-        kinks = _advance_kinks(econ, b1)
+        kinks = sorted(_advance_kinks(econ, b1))
         for lo, hi in zip(kinks[:-1], kinks[1:]):
             if hi - lo < 100 * h:
                 continue
             for a in np.linspace(lo, hi, 5)[1:-1]:
-                slope = _advance_slope(econ, b1, a)
+                slope = _directional_slope(econ, b1, a, 1.0, 0.0)
                 w = [contract_value(econ, a + k * h, 0.0, b1, 512)
                      for k in (-2, -1, 1, 2)]
                 if slope is None:  # nobody is served: W rests at 0
@@ -344,12 +344,12 @@ def test_stationary_advances_zero_the_slope_and_win_only_when_interior(
     for b1 in np.linspace(0.0, flat_rent_slope(econ), 9):
         kinks = _advance_kinks(econ, b1)
         roots.clear()
-        a, v = _best_advance(econ, b1)
+        a, v, _ = _best_advance(econ, b1)
         stationary = list(roots)
         assert abs(v - _golden_best_advance(econ, b1)[1]) <= 1e-10, b1
         v_kink = max(contract_value(econ, k, 0.0, b1) for k in kinks)
         for a_s in stationary:
-            assert abs(_advance_slope(econ, b1, a_s)) < 1e-9
+            assert abs(_directional_slope(econ, b1, a_s, 1.0, 0.0)) < 1e-9
             assert contract_value(econ, a_s, 0.0, b1) <= v + 1e-12 * max(1.0, v)
             wins += a == a_s and v > v_kink + 1e-3
     assert (wins > 0) is reached
@@ -446,6 +446,18 @@ def test_dropped_slope_candidates_never_win(dist):
                 assert not (abs(v_c - v_star) <= band and c < b1_star), (mu0, R, c)
 
 
+def _mixed_slope(econ, b1):
+    """dV/db1 of the mixed value along the regime that wins at b1."""
+    a, _, rate = _best_advance(econ, b1)
+    return _directional_slope(econ, b1, a, rate, 1.0)
+
+
+def _mixed_kinks(econ):
+    """The kinks of the mixed value on [0, c'/mu']."""
+    d = econ.dist
+    return _slope_kinks(econ, flat_rent_slope(econ), [d.lower, d.upper])
+
+
 def test_solve_mixed_searches_each_slope_once(monkeypatch, bench_informative):
     def no_screening(econ):
         raise AssertionError("the mixed program ran a screening solve")
@@ -459,31 +471,33 @@ def test_solve_mixed_searches_each_slope_once(monkeypatch, bench_informative):
 
     monkeypatch.setattr(bilateral, "solve_optimal", no_screening)
     monkeypatch.setattr(bilateral, "_best_advance", recorded)
-    # b1* is a Brent point at the informative benchmark and the scan's
-    # top point c'/mu' at the loose-credit one
-    for econ, interior in ((bench_informative, True), (FLAT_CORNER, False)):
+    # b1* roots dV/db1 at the informative benchmark and is the top kink
+    # c'/mu' at the loose-credit one. Both values have one piece: its 9
+    # scan points and 2 kinks, plus the root's steps at the informative
+    # benchmark. The scan-and-Brent search took 56 and 71 inner searches
+    for econ, interior, budget in ((bench_informative, True, 20),
+                                   (FLAT_CORNER, False, 11)):
         slopes.clear()
         sol = bilateral.solve_mixed(econ)
-        scan = slopes[:bilateral._OUTER_POINTS]
-        assert scan == np.linspace(0.0, flat_rent_slope(econ),
-                                   bilateral._OUTER_POINTS).tolist()
+        b1_flat = flat_rent_slope(econ)
+        assert _mixed_kinks(econ) == [0.0, b1_flat]
         assert len(slopes) == len(set(slopes))
-        found_by = slopes[bilateral._OUTER_POINTS:] if interior else scan
-        assert sol.contract.slope in found_by
+        assert len(slopes) <= budget
+        assert b1_flat in slopes
+        assert sol.contract.slope in slopes
         assert (sol.branch == "flat") is not interior
         if interior:
-            # 23 Brent steps on the kink-priced inner values, where golden
-            # section took 41
-            assert len(slopes) - bilateral._OUTER_POINTS <= 23
+            assert abs(_mixed_slope(econ, sol.contract.slope)) < 1e-9
         else:
-            assert sol.contract.slope == flat_rent_slope(econ)
+            assert sol.contract.slope == b1_flat
 
 
 def _golden_mixed(econ):
-    """solve_mixed's (value, branch) with golden section refining the slope."""
+    """Reference (value, branch) of solve_mixed: a 33-point slope scan, then
+    golden section to 1e-9 around its best point."""
     b1_flat = flat_rent_slope(econ)
     b1, v = _golden_scan_max(lambda b1: _best_advance(econ, b1)[1], 0.0, b1_flat,
-                             1e-9, bilateral._OUTER_POINTS)
+                             1e-9, 33)
     return v, "flat" if abs(b1 - b1_flat) <= 1e-9 else "decreasing"
 
 
@@ -501,15 +515,6 @@ CLASS_ECONOMIES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CLASS_ECONOMIES))
-def test_solve_mixed_matches_a_golden_slope_refinement(name):
-    econ = CLASS_ECONOMIES[name]
-    sol = solve_mixed(econ)
-    v_golden, branch_golden = _golden_mixed(econ)
-    assert abs(sol.value - v_golden) <= 1e-10
-    assert sol.branch == branch_golden
-
-
 def _fourth_order_difference(f, x, h):
     """The values f(x + k h), k = -2, -1, 1, 2, and their derivative estimate."""
     w = [f(x + k * h) for k in (-2, -1, 1, 2)]
@@ -525,20 +530,56 @@ TABULATED_KINKS = replace(benchmark(v=2.0, mu0=0.2),
                                                          (0.0, 0.6, 1.5))))
 
 
-@pytest.mark.parametrize("name", sorted(CLASS_ECONOMIES) + ["tabulated"])
+MIXED_ECONOMIES = {
+    **CLASS_ECONOMIES,
+    # a node slope among the outer kinks
+    "tabulated": TABULATED_KINKS,
+    # the inner root branch wins, and the mixed value has 4 kinks
+    "steep": benchmark(v=2.0, mu0=0.1, R=0.1, dist=truncated_exponential(5.0)),
+    # bimodal types: V falls on its one piece, and b1* = 0
+    "bimodal": benchmark(v=1.7170449188658876, mu0=0.16055958273827126,
+                         K=1.4803321539808287, R=2.0881841584868504,
+                         signal_scale=1.3471502463658693, dist=bimodal()),
+    # bimodal types where the inner search misses W(a)'s interior peak
+    # for b1 in about (0.02, 0.11), so V drops there and its slope reads
+    # + - + - on the first piece. V's peak lies 1.2e-3 left of the kink
+    # that ends the piece: a scan of 3 to 6 points misses the last fall
+    # and quotes the kink, 6.5e-7 below the peak
+    "bimodal_peak": benchmark(v=4.15656080012984, mu0=0.4622487663643663,
+                              K=0.8683284008647664, R=2.31712514674395,
+                              signal_scale=0.5540096911290127, dist=bimodal()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MIXED_ECONOMIES))
+def test_solve_mixed_matches_a_golden_slope_refinement(name):
+    econ = MIXED_ECONOMIES[name]
+    sol = solve_mixed(econ)
+    v_golden, branch_golden = _golden_mixed(econ)
+    assert abs(sol.value - v_golden) <= 1e-10
+    assert sol.branch == branch_golden
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_ECONOMIES) + ["steep", "tabulated"])
 def test_screening_slopes_match_a_central_difference(name):
-    # dW/db1 of the screening program along the manifold and dW_C/db1 of
-    # the zero-advance contract, inside each piece between kinks
-    econ = CLASS_ECONOMIES.get(name, TABULATED_KINKS)
+    # dW/db1 of the screening program along the manifold, dW_C/db1 of
+    # the zero-advance contract and dV/db1 of the mixed value along its
+    # winning regime, inside each piece between kinks. The first two
+    # agree to 1e-9. The mixed value is a 128-panel Simpson integral,
+    # whose error moves with b1 by up to 9e-9 on the steep density (it
+    # falls as panels^-4), so its slope is held to 5e-8
+    econ = MIXED_ECONOMIES[name]
     h = 1e-4
     cap = slope_cap(econ)
     searches = ((lambda b: bilateral.principal_value(econ, b)[0], _screening_slope,
-                 _slope_kinks(econ, cap)),
+                 _slope_kinks(econ, cap, [econ.dist.lower]), 1e-9),
                 (lambda b: bilateral.contingent_value(econ, b), _contingent_slope,
-                 [0.0, cap]))
+                 [0.0, cap], 1e-9),
+                (lambda b: _best_advance(econ, b)[1], _mixed_slope, _mixed_kinks(econ),
+                 5e-8))
     # the screening values divide by f(lower) = 0 on power types
     with np.errstate(divide="ignore", invalid="ignore"):
-        for value, slope, kinks in searches:
+        for value, slope, kinks, tol in searches:
             for lo, hi in zip(kinks[:-1], kinks[1:]):
                 if hi - lo < 100 * h:
                     continue
@@ -548,7 +589,7 @@ def test_screening_slopes_match_a_central_difference(name):
                     if s is None:  # nobody is served: W rests at 0
                         assert w == [0.0] * 4
                     else:
-                        assert abs(s - diff) < 1e-9, (slope.__name__, b1, s, diff)
+                        assert abs(s - diff) < tol, (slope.__name__, b1, s, diff)
 
 
 def test_screening_slope_kinks():
@@ -556,14 +597,18 @@ def test_screening_slope_kinks():
     cap = slope_cap(econ)
     # the advance reaches 0 at b1 = Phi(K) / mu(0) = 5, half the cap of 10;
     # it would reach K at a negative slope
-    assert _slope_kinks(econ, cap) == [0.0, 5.0, 10.0]
+    assert _slope_kinks(econ, cap, [econ.dist.lower]) == [0.0, 5.0, 10.0]
     assert binding_ir_advance(econ, 5.0) == 0.0
     # a flat lowest-type signal pins no slope: only the ends remain
-    assert _slope_kinks(benchmark(mu0=0.0), 10.0) == [0.0, 10.0]
+    assert _slope_kinks(benchmark(mu0=0.0), 10.0, [0.0]) == [0.0, 10.0]
     # a tabulated Phi adds the slope of its node advance K - 0.5
     assert slope_cap(TABULATED_KINKS) == 10.0
-    assert _slope_kinks(TABULATED_KINKS, 10.0) == pytest.approx([0.0, 0.5, 7.5, 10.0],
-                                                               abs=1e-14)
+    assert _slope_kinks(TABULATED_KINKS, 10.0, [0.0]) == pytest.approx(
+        [0.0, 0.5, 7.5, 10.0], abs=1e-14)
+    # the mixed value's kinks on [0, c'/mu'] = [0, 1] add the highest
+    # type's: its node slope is (c(1) + Phi(0.5) - 0.5) / mu(1) = 11/12
+    assert _mixed_kinks(TABULATED_KINKS) == pytest.approx([0.0, 0.5, 11 / 12, 1.0],
+                                                          abs=1e-14)
 
 
 BIMODAL = benchmark(v=4.351, mu0=0.6616, K=1.5748, R=1.2857, signal_scale=0.6979,
@@ -574,7 +619,7 @@ def test_screening_search_roots_a_local_peak_that_the_zero_slope_beats(monkeypat
     # on bimodal types the first piece's slope reads - + -: the cutoff
     # jumps between the modes, then W rises to a local peak and falls
     econ = BIMODAL
-    kinks = _slope_kinks(econ, slope_cap(econ))
+    kinks = _slope_kinks(econ, slope_cap(econ), [econ.dist.lower])
     h = numerics._NUDGE * (kinks[-1] - kinks[0])
     lo, hi = kinks[0] + h, kinks[1] - h
     signs = [np.sign(_screening_slope(econ, b)) for b in np.linspace(lo, hi, 33)]
@@ -657,7 +702,7 @@ def test_screening_searches_match_a_golden_reference(monkeypatch, name):
         # W rests at 0 on a plateau of empty service sets, where golden
         # section quotes some point of it and the search quotes a kink
         assert sol.value == 0.0 and sol.decomposition["empty_set"] == 1.0
-        assert sol.contract.slope in _slope_kinks(econ, cap)
+        assert sol.contract.slope in _slope_kinks(econ, cap, [econ.dist.lower])
     else:
         assert sol.boundary_flag == ("corner_b1_zero" if b1_ref <= 1e-9 else
                                      "corner_a_zero" if a_ref <= 1e-9 else "interior")

@@ -425,14 +425,15 @@ def _spans(econ, a, b0, b1):
     def profit(t):
         return float(_profit(econ, t, a, b0, b1))
 
+    ends = np.array([d.lower, d.upper])
     span_u = _monotone_region(
-        u(d.lower), u(d.upper),
+        *_acceptance(econ, ends, a, b0, b1, phi).tolist(),
         lambda: find_root(u, Bracket(d.lower, d.upper), DEFAULT_TOL),
         d.lower, d.upper)
     if span_u is None:
         return None
     span_p = _monotone_region(
-        profit(d.lower), profit(d.upper),
+        *_profit(econ, ends, a, b0, b1).tolist(),
         lambda: find_root(profit, Bracket(d.lower, d.upper), DEFAULT_TOL),
         d.lower, d.upper)
     if span_p is None:
@@ -535,7 +536,9 @@ def _advance_kinks(econ, b1):
     accepting side); and for a tabulated Phi each node advance K - ell,
     where Phi' jumps. Between them W is smooth. Maps each advance to
     the type whose binding advance it is, or to None: a binding advance
-    clamped to 0 or K is listed as that end, with None.
+    clamped to 0 or K is listed as that end, with None. Also returns
+    the two binding advances: the ends of the sweep, over which the
+    acceptance root moves from one support end to the other.
     """
     d = econ.dist
     K = econ.working_capital
@@ -545,31 +548,63 @@ def _advance_kinks(econ, b1):
     kinks = dict.fromkeys(advances)
     (a_lo, t_lo), (a_hi, t_hi) = sorted((binding_ir_advance(econ, b1, t), t)
                                         for t in (d.lower, d.upper))
+    a_hi = _accepting(econ, b1, a_hi)
     kinks.setdefault(a_lo, t_lo)
-    kinks.setdefault(_accepting(econ, b1, a_hi), t_hi)
-    return kinks
+    kinks.setdefault(a_hi, t_hi)
+    return kinks, (a_lo, a_hi)
 
 
 def _best_advance(econ, b1):
     """Best advance for a fixed slope b1 in the mixed program, its value and rate.
 
     W(a) is smooth between its kinks, so its maximum on [0, K] is a kink
-    or a stationary point of a piece. maximize_on_pieces reads the sign
-    of dW/da at the two ends of each piece (W rests at its floor 0 where
-    nobody is served, so that counts as rising), roots a fall from + to
-    -, and prices every candidate by contract_value; a tie goes to the
-    smaller advance. The rate is d a/d b1 along the winner's regime:
-    ir_slope of the type whose binding advance it is, by exact equality
-    with a kink of _advance_kinks, and 0 elsewhere. That is 0 at 0, K
-    and the node advances, and at a stationary point, where dW/da = 0.
-    Returns (a, W, rate).
+    or a stationary point of a piece. Below the sweep of _advance_kinks
+    nobody accepts and W rests at 0; above it every type accepts and W
+    falls at the served mass. Only inside the sweep, where the
+    acceptance root moves through the types, can W peak inside a piece,
+    and on a multimodal density more than once. maximize_on_pieces
+    scans dW/da at _SLOPE_POINTS points per piece of the sweep (W rests
+    at its floor 0 where nobody is served, so that counts as rising;
+    outside the sweep the scan reads None and roots nothing), roots
+    each fall from + to -, and prices every candidate by
+    contract_value; a tie goes to the smaller advance. The rate is
+    d a/d b1 along the winner's regime: ir_slope of the type whose
+    binding advance it is, by exact equality with a kink of
+    _advance_kinks, and 0 elsewhere. That is 0 at 0, K and the node
+    advances, and at a stationary point, where dW/da = 0. Returns (a, W,
+    rate).
     """
-    kinks = _advance_kinks(econ, b1)
+    kinks, (a_lo, a_hi) = _advance_kinks(econ, b1)
+
+    def slope(a):
+        if a_lo < a < a_hi:
+            return _directional_slope(econ, b1, a, 1.0, 0.0)
+        return None
+
     a, v = maximize_on_pieces(lambda a: contract_value(econ, a, 0.0, b1, _MIXED_PANELS),
-                              lambda a: _directional_slope(econ, b1, a, 1.0, 0.0),
-                              sorted(kinks), 2)
+                              slope, sorted(kinks), _SLOPE_POINTS)
     theta = kinks.get(a)
     return a, v, 0.0 if theta is None else ir_slope(econ, b1, theta)
+
+
+def _mixed_kinks(econ, b1_flat):
+    """Slopes in [0, b1_flat] where the mixed value V(b1) may kink.
+
+    Those of _slope_kinks for the lowest and the highest type: where a
+    binding advance of either reaches 0, K or a node advance.
+    """
+    d = econ.dist
+    return _slope_kinks(econ, b1_flat, [d.lower, d.upper])
+
+
+def _mixed_slope(econ, b1, best):
+    """dV/db1 of the mixed value at b1, given best = _best_advance(econ, b1).
+
+    W's slope along the regime that wins at b1, in the direction
+    (a_k'(b1), 1), where a_k' is the rate best reports.
+    """
+    a, _, rate = best
+    return _directional_slope(econ, b1, a, rate, 1.0)
 
 
 def solve_mixed(econ: EconomyPrimitives) -> MixedSolution:
@@ -581,10 +616,11 @@ def solve_mixed(econ: EconomyPrimitives) -> MixedSolution:
     W(a_k(b1), b1), one per kink or stationary point of W(a)
     (_best_advance). A switch between regimes is a convex kink of V,
     so no maximum sits there. A regime kinks where a binding advance of
-    the lowest or the highest type reaches 0, K or a node advance: the
-    slopes of _slope_kinks for both types. Between them V's slope is
-    W's along the winner, in the direction (a_k'(b1), 1).
-    maximize_on_pieces scans it at _SLOPE_POINTS points per piece,
+    the lowest or the highest type reaches 0, K or a node advance
+    (_mixed_kinks). Between them V's slope is W's along the winner, in
+    the direction (a_k'(b1), 1) (_mixed_slope). This needs every peak
+    of W(a) found, or V drops where the inner search misses one.
+    maximize_on_pieces scans V's slope at _SLOPE_POINTS points per piece,
     roots each fall from + to - and prices the kinks and the roots, one
     inner search per slope; a tie goes to the smaller slope. An
     uninformative signal reduces the program to the pure-advance
@@ -607,14 +643,9 @@ def solve_mixed(econ: EconomyPrimitives) -> MixedSolution:
             found[b1] = _best_advance(econ, b1)
         return found[b1]
 
-    def slope(b1):
-        a, _, rate = best(b1)
-        return _directional_slope(econ, b1, a, rate, 1.0)
-
-    d = econ.dist
-    b1_star, _ = maximize_on_pieces(lambda b1: best(b1)[1], slope,
-                                    _slope_kinks(econ, b1_flat, [d.lower, d.upper]),
-                                    _SLOPE_POINTS)
+    b1_star, _ = maximize_on_pieces(lambda b1: best(b1)[1],
+                                    lambda b1: _mixed_slope(econ, b1, best(b1)),
+                                    _mixed_kinks(econ, b1_flat), _SLOPE_POINTS)
     a_star, v_star, _ = best(b1_star)
     span = served_interval(econ, a_star, 0.0, b1_star)
     branch = "flat" if abs(b1_star - b1_flat) <= 1e-9 else "decreasing"

@@ -14,6 +14,8 @@ from liqscreen.bilateral import (
     _best_advance,
     _contingent_slope,
     _directional_slope,
+    _mixed_kinks,
+    _mixed_slope,
     _screening_slope,
     _slope_kinks,
     binding_ir_advance,
@@ -193,6 +195,28 @@ TABULATED = replace(benchmark(v=2.0, mu0=0.0, R=0.3),
                                             nodes=((0.0, 0.5, 1.0),
                                                    (0.0, 0.0375, 0.15))))
 FLAT_CORNER = benchmark(v=2.0, mu0=0.0, R=0.25)
+# Bimodal types, where W(a) peaks twice inside the sweep between the
+# binding advances on some slopes. An inner search that read dW/da only at
+# the ends of each piece missed one of the peaks, and V(b1) dropped
+BIMODAL_SWEEPS = {
+    # _random_economies(12, 1)["random-11"]: V dropped for b1 in about
+    # (0.02, 0.11)
+    "bimodal_peak": benchmark(v=4.15656080012984, mu0=0.4622487663643663,
+                              K=0.8683284008647664, R=2.31712514674395,
+                              signal_scale=0.5540096911290127, dist=bimodal()),
+    # _random_economies(20, 7)["random-7"]: V's slope reads + - + on its
+    # one piece [0, c'/mu']; a scan of 2 or 3 points sees no fall and
+    # quotes the kink c'/mu', 9.8e-3 below the peak at b1 = 1.10, with the
+    # branch flat
+    "bimodal_two_peaks": benchmark(v=3.2945522016216393, mu0=0.04147614964185253,
+                                   K=1.081447701666093, R=1.0029572214617097,
+                                   signal_scale=0.4802396748845422, dist=bimodal()),
+    # _random_economies(40, 1)["random-23"]: with V dropped, the outer
+    # search stopped 1.4e-2 below the optimum
+    "bimodal_missed_peak": benchmark(v=3.5808685041087456, mu0=0.36506758549269225,
+                                     K=0.9634522986133867, R=1.2168914421046648,
+                                     signal_scale=1.429121025194282, dist=bimodal()),
+}
 INNER_ECONOMIES = {**BATCH_ECONOMIES, "tabulated": TABULATED,
                    "flat_corner": FLAT_CORNER}
 
@@ -271,10 +295,10 @@ def test_contract_values_match_contract_value(name):
     assert sol.implemented == served_interval(econ, c.advance, 0.0, c.slope)
 
 
-@pytest.mark.parametrize("name", sorted(INNER_ECONOMIES))
+@pytest.mark.parametrize("name", sorted({**INNER_ECONOMIES, **BIMODAL_SWEEPS}))
 def test_best_advances_equal_the_scalar_search(name):
     # the kink search against the reference scan-and-golden search
-    econ = INNER_ECONOMIES[name]
+    econ = {**INNER_ECONOMIES, **BIMODAL_SWEEPS}[name]
     b1_flat = flat_rent_slope(econ)
     # b1_flat is a kink that solve_mixed prices; there U does not vary with
     # the type and W(a) jumps at the participation root
@@ -293,7 +317,7 @@ def test_best_advance_prices_the_accepting_side_at_the_flat_slope():
         assert abs(v - value) < 1e-9, (econ.label, v)
         assert served_interval(econ, a, 0.0, 1.0)[1] == econ.dist.upper
     # the node advance K - 0.5 is a kink of the tabulated W(a)
-    assert 0.5 in _advance_kinks(TABULATED, 0.6)
+    assert 0.5 in _advance_kinks(TABULATED, 0.6)[0]
 
 
 @pytest.mark.parametrize("name", sorted(INNER_ECONOMIES))
@@ -301,7 +325,7 @@ def test_advance_slope_matches_a_central_difference(name):
     econ = INNER_ECONOMIES[name]
     h = 1e-4
     for b1 in np.linspace(0.0, flat_rent_slope(econ), 6)[:-1]:
-        kinks = sorted(_advance_kinks(econ, b1))
+        kinks = sorted(_advance_kinks(econ, b1)[0])
         for lo, hi in zip(kinks[:-1], kinks[1:]):
             if hi - lo < 100 * h:
                 continue
@@ -342,7 +366,7 @@ def test_stationary_advances_zero_the_slope_and_win_only_when_interior(
     roots = _recorded_roots(monkeypatch)
     wins = 0
     for b1 in np.linspace(0.0, flat_rent_slope(econ), 9):
-        kinks = _advance_kinks(econ, b1)
+        kinks, _ = _advance_kinks(econ, b1)
         roots.clear()
         a, v, _ = _best_advance(econ, b1)
         stationary = list(roots)
@@ -446,18 +470,6 @@ def test_dropped_slope_candidates_never_win(dist):
                 assert not (abs(v_c - v_star) <= band and c < b1_star), (mu0, R, c)
 
 
-def _mixed_slope(econ, b1):
-    """dV/db1 of the mixed value along the regime that wins at b1."""
-    a, _, rate = _best_advance(econ, b1)
-    return _directional_slope(econ, b1, a, rate, 1.0)
-
-
-def _mixed_kinks(econ):
-    """The kinks of the mixed value on [0, c'/mu']."""
-    d = econ.dist
-    return _slope_kinks(econ, flat_rent_slope(econ), [d.lower, d.upper])
-
-
 def test_solve_mixed_searches_each_slope_once(monkeypatch, bench_informative):
     def no_screening(econ):
         raise AssertionError("the mixed program ran a screening solve")
@@ -480,14 +492,15 @@ def test_solve_mixed_searches_each_slope_once(monkeypatch, bench_informative):
         slopes.clear()
         sol = bilateral.solve_mixed(econ)
         b1_flat = flat_rent_slope(econ)
-        assert _mixed_kinks(econ) == [0.0, b1_flat]
+        assert _mixed_kinks(econ, b1_flat) == [0.0, b1_flat]
         assert len(slopes) == len(set(slopes))
         assert len(slopes) <= budget
         assert b1_flat in slopes
         assert sol.contract.slope in slopes
         assert (sol.branch == "flat") is not interior
         if interior:
-            assert abs(_mixed_slope(econ, sol.contract.slope)) < 1e-9
+            b1 = sol.contract.slope
+            assert abs(_mixed_slope(econ, b1, search(econ, b1))) < 1e-9
         else:
             assert sol.contract.slope == b1_flat
 
@@ -540,14 +553,7 @@ MIXED_ECONOMIES = {
     "bimodal": benchmark(v=1.7170449188658876, mu0=0.16055958273827126,
                          K=1.4803321539808287, R=2.0881841584868504,
                          signal_scale=1.3471502463658693, dist=bimodal()),
-    # bimodal types where the inner search misses W(a)'s interior peak
-    # for b1 in about (0.02, 0.11), so V drops there and its slope reads
-    # + - + - on the first piece. V's peak lies 1.2e-3 left of the kink
-    # that ends the piece: a scan of 3 to 6 points misses the last fall
-    # and quotes the kink, 6.5e-7 below the peak
-    "bimodal_peak": benchmark(v=4.15656080012984, mu0=0.4622487663643663,
-                              K=0.8683284008647664, R=2.31712514674395,
-                              signal_scale=0.5540096911290127, dist=bimodal()),
+    **BIMODAL_SWEEPS,
 }
 
 
@@ -575,8 +581,9 @@ def test_screening_slopes_match_a_central_difference(name):
                  _slope_kinks(econ, cap, [econ.dist.lower]), 1e-9),
                 (lambda b: bilateral.contingent_value(econ, b), _contingent_slope,
                  [0.0, cap], 1e-9),
-                (lambda b: _best_advance(econ, b)[1], _mixed_slope, _mixed_kinks(econ),
-                 5e-8))
+                (lambda b: _best_advance(econ, b)[1],
+                 lambda e, b: _mixed_slope(e, b, _best_advance(e, b)),
+                 _mixed_kinks(econ, flat_rent_slope(econ)), 5e-8))
     # the screening values divide by f(lower) = 0 on power types
     with np.errstate(divide="ignore", invalid="ignore"):
         for value, slope, kinks, tol in searches:
@@ -607,7 +614,7 @@ def test_screening_slope_kinks():
         [0.0, 0.5, 7.5, 10.0], abs=1e-14)
     # the mixed value's kinks on [0, c'/mu'] = [0, 1] add the highest
     # type's: its node slope is (c(1) + Phi(0.5) - 0.5) / mu(1) = 11/12
-    assert _mixed_kinks(TABULATED_KINKS) == pytest.approx([0.0, 0.5, 11 / 12, 1.0],
+    assert _mixed_kinks(TABULATED_KINKS, 1.0) == pytest.approx([0.0, 0.5, 11 / 12, 1.0],
                                                           abs=1e-14)
 
 

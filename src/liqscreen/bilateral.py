@@ -20,9 +20,8 @@ import numpy as np
 from .economy import (EconomyPrimitives, cost_slope, financing_cost,
                       marginal_ell, signal_slope, with_tightness)
 from .errors import BracketError, DomainError
-from .numerics import Bracket, Tolerance, find_root, integrate, maximize_on_pieces
+from .numerics import Bracket, find_root, integrate, maximize_on_pieces
 
-DEFAULT_TOL = Tolerance()
 _SCREENING_PANELS = 512  # Simpson panels of the screening-program integrals
 _SLOPE_POINTS = 9  # derivative scan per piece of every slope search
 _MIXED_PANELS = 128  # Simpson panels of each of its contract values
@@ -88,7 +87,7 @@ def binding_ir_advance(econ: EconomyPrimitives, b1: float,
         return 0.0
     if gap(K) <= 0.0:
         return K
-    return find_root(gap, Bracket(0.0, K), DEFAULT_TOL)
+    return find_root(gap, Bracket(0.0, K))
 
 
 def binding_slope(econ: EconomyPrimitives, a: float,
@@ -120,18 +119,18 @@ def flat_rent_slope(econ: EconomyPrimitives) -> float | None:
     return cost_slope(econ, mid) / mu_p
 
 
-def ir_slope(econ: EconomyPrimitives, b1: float,
+def ir_slope(econ: EconomyPrimitives, a: float,
              theta: float | None = None) -> float:
-    """d a / d b1 along type theta's binding participation manifold.
+    """d a / d b1 along type theta's binding participation manifold at advance a.
 
-    theta defaults to the lowest type. Equals -mu(theta) / (1 + Phi'(K -
-    a)); at a clamp the value is the one-sided derivative of the
-    unclamped manifold. _screening_slope and _best_advance use it off
-    the clamps.
+    theta defaults to the lowest type; a is the advance at which its
+    participation binds, which the caller already holds. Equals
+    -mu(theta) / (1 + Phi'(K - a)); at a clamp the value is the
+    one-sided derivative of the unclamped manifold. _manifold_slope and
+    _best_advance use it off the clamps.
     """
     if theta is None:
         theta = econ.dist.lower
-    a = binding_ir_advance(econ, b1, theta)
     mu_t = float(econ.signal_mean(theta))
     phi_l = marginal_ell(econ.financing, econ.working_capital - a)
     return -mu_t / (1.0 + phi_l)
@@ -186,7 +185,7 @@ def cutoff(econ: EconomyPrimitives, a: float, b1: float) -> float:
         return d.upper
     i = int(idx[0])
     return find_root(lambda t: float(virtual_surplus(econ, t, a, b1)),
-                     Bracket(float(ts[i - 1]), float(ts[i])), DEFAULT_TOL)
+                     Bracket(float(ts[i - 1]), float(ts[i])))
 
 
 def rent_schedule(econ: EconomyPrimitives, b1: float, theta: float) -> float:
@@ -305,46 +304,65 @@ def sufficient_statistics(econ: EconomyPrimitives,
             "corner": sol.boundary_flag != "interior"}
 
 
-def _screening_slope(econ: EconomyPrimitives, b1: float) -> float | None:
-    """dW/db1 of principal_value along the participation manifold a(b1).
+def _screening_slope(econ: EconomyPrimitives, b1: float, a: float,
+                     rate: float) -> float | None:
+    """dW/db1 of the screening value at (a, b1) along a path a(b1) with a' = rate.
 
     Virtual surplus vanishes at the cutoff, so by the envelope theorem
     the cutoff adds no term and, with tail = 1 - F(cutoff),
-    dW/db1 = -a'(b1) * (1 - Phi'(K - a) * tail) - rent_tail(cutoff),
-    where a' = ir_slope = -mu(lo) / (1 + Phi'). The first term drops
-    where a is clamped at 0 or K. Holds between the kinks of
-    _slope_kinks. None on an empty service set, where W rests at 0.
+    dW/db1 = -rate * (1 - Phi'(K - a) * tail) - rent_tail(cutoff).
+    Along the participation manifold (_manifold_slope) rate is ir_slope
+    off the clamps and 0 on them; at a = 0 and rate 0 it is dW_C/db1 of
+    contingent_value, <= 0 wherever mu' >= 0. None on an empty service
+    set, where W rests at 0.
     """
     d = econ.dist
-    K = econ.working_capital
-    a = binding_ir_advance(econ, b1)
     if float(virtual_surplus(econ, d.upper, a, b1)) < 0.0:
         return None
     that = cutoff(econ, a, b1)
     slope = -rent_tail(econ, that, _SCREENING_PANELS)
-    if 0.0 < a < K:
+    if rate:
         tail = 1.0 - float(d.cdf(that))
-        relief = marginal_ell(econ.financing, K - a) * tail
-        slope -= ir_slope(econ, b1) * (1.0 - relief)
+        relief = marginal_ell(econ.financing, econ.working_capital - a) * tail
+        slope -= rate * (1.0 - relief)
     return slope
 
 
-def _slope_kinks(econ: EconomyPrimitives, b1_hi: float, thetas) -> list[float]:
-    """Slopes in [0, b1_hi] where a value may kink, sorted.
+def _manifold_slope(econ: EconomyPrimitives, b1: float) -> float | None:
+    """dW/db1 of principal_value along the participation manifold a(b1).
 
-    0 and b1_hi; for each type of thetas, the slopes at which its
-    binding advance reaches 0 and K, past which it is clamped, and for a
-    tabulated Phi the slope of each node advance K - ell, where Phi'
-    jumps. The screening value needs the lowest type, the mixed value
-    the lowest and the highest. Between them the value is smooth. A
-    slope that is nan (flat signal at the type) or outside (0, b1_hi)
-    is dropped.
+    The rate a'(b1) is ir_slope, and 0 where a is clamped at 0 or K.
+    Holds between the kinks of _slope_kinks.
+    """
+    a = binding_ir_advance(econ, b1)
+    rate = ir_slope(econ, a) if 0.0 < a < econ.working_capital else 0.0
+    return _screening_slope(econ, b1, a, rate)
+
+
+def _fixed_advances(econ: EconomyPrimitives) -> list[float]:
+    """Advances at which a value may kink whatever the slope.
+
+    0 and K, and for a tabulated Phi each node advance K - ell in (0, K),
+    where Phi' jumps.
     """
     K = econ.working_capital
     advances = [0.0, K]
     if econ.financing.kind == "tabulated":
         advances += [K - ell for ell in econ.financing.nodes[0] if 0.0 < ell < K]
-    inside = (binding_slope(econ, a, t) for a in advances for t in thetas)
+    return advances
+
+
+def _slope_kinks(econ: EconomyPrimitives, b1_hi: float, thetas) -> list[float]:
+    """Slopes in [0, b1_hi] where a value may kink, sorted.
+
+    0 and b1_hi, and for each type of thetas the slopes at which its
+    binding advance reaches one of _fixed_advances: 0 and K, past which
+    it is clamped, and the node advances. The screening value needs the
+    lowest type, the mixed value the lowest and the highest. Between
+    them the value is smooth. A slope that is nan (flat signal at the
+    type) or outside (0, b1_hi) is dropped.
+    """
+    inside = (binding_slope(econ, a, t) for a in _fixed_advances(econ) for t in thetas)
     return sorted({0.0, b1_hi, *(b for b in inside if 0.0 < b < b1_hi)})
 
 
@@ -353,14 +371,14 @@ def solve_optimal(econ: EconomyPrimitives) -> BilateralSolution:
 
     W(b1) is smooth between the kinks of _slope_kinks, so its maximum
     on [0, slope_cap] is a kink or a local maximum of a piece, where
-    _screening_slope falls from + to -. maximize_on_pieces scans that
+    _manifold_slope falls from + to -. maximize_on_pieces scans that
     derivative at _SLOPE_POINTS points per piece, roots each fall and
     prices the kinks and the roots by principal_value; a tie goes to
     the smaller slope.
     """
     b1_hi = slope_cap(econ)
     b1_star, _ = maximize_on_pieces(lambda b: principal_value(econ, b)[0],
-                                    lambda b: _screening_slope(econ, b),
+                                    lambda b: _manifold_slope(econ, b),
                                     _slope_kinks(econ, b1_hi, [econ.dist.lower]),
                                     _SLOPE_POINTS)
     a_star = binding_ir_advance(econ, b1_star)
@@ -380,16 +398,6 @@ def solve_optimal(econ: EconomyPrimitives) -> BilateralSolution:
 # mixed program at actual flows
 
 
-def _monotone_region(f_lo, f_hi, root_fn, lo, hi):
-    """Sub-interval of [lo, hi] where a monotone function is nonnegative."""
-    if f_lo >= 0.0 and f_hi >= 0.0:
-        return lo, hi
-    if f_lo < 0.0 and f_hi < 0.0:
-        return None
-    r = root_fn()
-    return (r, hi) if f_lo < 0.0 else (lo, r)
-
-
 def _acceptance(econ, t, a, b0, b1, phi):
     """Acceptance payoff U = a + b0 + b1*mu - c - Phi of type t; elementwise."""
     return a + b0 + b1 * np.asarray(econ.signal_mean(t), float) \
@@ -407,53 +415,48 @@ def _profit_flow(econ, t, a, b0, b1):
     return _profit(econ, t, a, b0, b1) * np.asarray(econ.dist.pdf(t), float)
 
 
-def _spans(econ, a, b0, b1):
-    """Types that accept (U >= 0) and types worth serving (pi >= 0).
+def _served(econ, a, b0, b1):
+    """Types that accept (U >= 0) and are worth serving (pi >= 0).
 
     U = a + b0 + b1*mu - c - Phi(K - a) and pi = V - a - b0 - b1*mu are
     assumed monotone in theta (true for the affine benchmark family), so
-    each set is an interval whose ends are support ends or roots.
-    Returns the two intervals (span_u, span_p), or None when either is
-    empty.
+    each set is an interval whose ends are support ends or roots, and so
+    is their intersection [lo, hi]. Returns (lo, hi, lo_is_acceptance_root,
+    hi_is_acceptance_root), an end being an acceptance root (U = 0) when
+    the acceptance interval alone sets it, or None when nothing is served.
     """
     d = econ.dist
     phi = financing_cost(econ.financing, econ.working_capital - a)
-
-    def u(t):
-        return float(_acceptance(econ, t, a, b0, b1, phi))
-
-    def profit(t):
-        return float(_profit(econ, t, a, b0, b1))
-
     ends = np.array([d.lower, d.upper])
-    span_u = _monotone_region(
-        *_acceptance(econ, ends, a, b0, b1, phi).tolist(),
-        lambda: find_root(u, Bracket(d.lower, d.upper), DEFAULT_TOL),
-        d.lower, d.upper)
+
+    def region(pay, *terms):
+        f_lo, f_hi = pay(econ, ends, *terms).tolist()
+        if f_lo >= 0.0 and f_hi >= 0.0:
+            return d.lower, d.upper
+        if f_lo < 0.0 and f_hi < 0.0:
+            return None
+        r = find_root(lambda t: float(pay(econ, t, *terms)), Bracket(d.lower, d.upper))
+        return (r, d.upper) if f_lo < 0.0 else (d.lower, r)
+
+    span_u = region(_acceptance, a, b0, b1, phi)
     if span_u is None:
         return None
-    span_p = _monotone_region(
-        *_profit(econ, ends, a, b0, b1).tolist(),
-        lambda: find_root(profit, Bracket(d.lower, d.upper), DEFAULT_TOL),
-        d.lower, d.upper)
+    span_p = region(_profit, a, b0, b1)
     if span_p is None:
         return None
-    return span_u, span_p
+    (u_lo, u_hi), (p_lo, p_hi) = span_u, span_p
+    lo, hi = max(u_lo, p_lo), min(u_hi, p_hi)
+    return (lo, hi, u_lo > p_lo, u_hi < p_hi) if lo < hi else None
 
 
 def served_interval(econ: EconomyPrimitives, a: float, b0: float,
                     b1: float) -> tuple[float, float] | None:
     """Types that accept (U >= 0) and are worth serving (pi >= 0).
 
-    The intersection of the two intervals of _spans, or None when it is
-    empty.
+    The interval of _served, or None when it is empty.
     """
-    spans = _spans(econ, a, b0, b1)
-    if spans is None:
-        return None
-    (u_lo, u_hi), (p_lo, p_hi) = spans
-    lo, hi = max(u_lo, p_lo), min(u_hi, p_hi)
-    return (lo, hi) if lo < hi else None
+    served = _served(econ, a, b0, b1)
+    return None if served is None else served[:2]
 
 
 def contract_value(econ: EconomyPrimitives, a: float, b0: float = 0.0,
@@ -485,20 +488,17 @@ def _directional_slope(econ, b1, a, da, db):
     value along a regime a(b1). Holds where W is smooth. None where
     nobody is served: W rests at 0 there.
     """
-    spans = _spans(econ, a, 0.0, b1)
-    if spans is None:
+    served = _served(econ, a, 0.0, b1)
+    if served is None:
         return None
-    (u_lo, u_hi), (p_lo, p_hi) = spans
-    lo, hi = max(u_lo, p_lo), min(u_hi, p_hi)
-    if lo >= hi:
-        return None
+    lo, hi, lo_root, hi_root = served
     d = econ.dist
     slope = -da * (float(d.cdf(hi)) - float(d.cdf(lo)))
     if db:
         slope -= db * integrate(lambda t: np.asarray(econ.signal_mean(t), float)
                                 * np.asarray(d.pdf(t), float), lo, hi, _MIXED_PANELS)
     relief = 1.0 + marginal_ell(econ.financing, econ.working_capital - a)
-    for t, sign, root in ((hi, -1.0, u_hi < p_hi), (lo, 1.0, u_lo > p_lo)):
+    for t, sign, root in ((hi, -1.0, hi_root), (lo, 1.0, lo_root)):
         if root:
             u_t = b1 * signal_slope(econ, t) - cost_slope(econ, t)
             u_rate = da * relief + db * float(econ.signal_mean(t))
@@ -530,22 +530,18 @@ def _accepting(econ, b1, a):
 def _advance_kinks(econ, b1):
     """Advances in [0, K] where W(a) may kink at slope b1, with their types.
 
-    0 and K; the advances at which the lowest and the highest type's
-    participation binds, where an acceptance root crosses a support end
-    (the larger one, past which every type accepts, taken on its
-    accepting side); and for a tabulated Phi each node advance K - ell,
-    where Phi' jumps. Between them W is smooth. Maps each advance to
+    _fixed_advances (0, K and the node advances), and the advances at
+    which the lowest and the highest type's participation binds, where
+    an acceptance root crosses a support end (the larger one, past which
+    every type accepts, taken on its accepting side). Between them W is
+    smooth. Maps each advance to
     the type whose binding advance it is, or to None: a binding advance
     clamped to 0 or K is listed as that end, with None. Also returns
     the two binding advances: the ends of the sweep, over which the
     acceptance root moves from one support end to the other.
     """
     d = econ.dist
-    K = econ.working_capital
-    advances = [0.0, K]
-    if econ.financing.kind == "tabulated":
-        advances += [K - ell for ell in econ.financing.nodes[0] if 0.0 < ell < K]
-    kinks = dict.fromkeys(advances)
+    kinks = dict.fromkeys(_fixed_advances(econ))
     (a_lo, t_lo), (a_hi, t_hi) = sorted((binding_ir_advance(econ, b1, t), t)
                                         for t in (d.lower, d.upper))
     a_hi = _accepting(econ, b1, a_hi)
@@ -568,9 +564,9 @@ def _best_advance(econ, b1):
     outside the sweep the scan reads None and roots nothing), roots
     each fall from + to -, and prices every candidate by
     contract_value; a tie goes to the smaller advance. The rate is
-    d a/d b1 along the winner's regime: ir_slope of the type whose
-    binding advance it is, by exact equality with a kink of
-    _advance_kinks, and 0 elsewhere. That is 0 at 0, K and the node
+    d a/d b1 along the winner's regime: ir_slope at the kink won, of
+    the type whose binding advance it is, by exact equality with a kink
+    of _advance_kinks, and 0 elsewhere. That is 0 at 0, K and the node
     advances, and at a stationary point, where dW/da = 0. Returns (a, W,
     rate).
     """
@@ -584,7 +580,7 @@ def _best_advance(econ, b1):
     a, v = maximize_on_pieces(lambda a: contract_value(econ, a, 0.0, b1, _MIXED_PANELS),
                               slope, sorted(kinks), _SLOPE_POINTS)
     theta = kinks.get(a)
-    return a, v, 0.0 if theta is None else ir_slope(econ, b1, theta)
+    return a, v, 0.0 if theta is None else ir_slope(econ, a, theta)
 
 
 def _mixed_kinks(econ, b1_flat):
@@ -683,29 +679,17 @@ def contingent_value(econ: EconomyPrimitives, b1: float) -> float:
     return screening_integral(econ, that, 0.0, b1, _SCREENING_PANELS)
 
 
-def _contingent_slope(econ: EconomyPrimitives, b1: float) -> float | None:
-    """dW_C/db1 of contingent_value: -rent_tail(cutoff(0, b1)).
-
-    Virtual surplus vanishes at the cutoff, so by the envelope theorem
-    only the rent term moves. It is <= 0 wherever mu' >= 0. None on an
-    empty service set, where W_C rests at 0.
-    """
-    if float(virtual_surplus(econ, econ.dist.upper, 0.0, b1)) < 0.0:
-        return None
-    return -rent_tail(econ, cutoff(econ, 0.0, b1), _SCREENING_PANELS)
-
-
 def pure_contingent_value(econ: EconomyPrimitives) -> float:
     """Value of the best zero-advance contract.
 
     With a = 0 fixed, contingent_value is smooth on [0, slope_cap], so
-    maximize_on_pieces scans _contingent_slope at _SLOPE_POINTS points
-    between the two ends, roots each fall from + to - and prices the
-    ends and the roots. Where mu' >= 0 the slope never rises, and the
-    value is contingent_value(0).
+    maximize_on_pieces scans its slope, _screening_slope at a = 0 and
+    rate 0, at _SLOPE_POINTS points between the two ends, roots each
+    fall from + to - and prices the ends and the roots. Where mu' >= 0
+    the slope never rises, and the value is contingent_value(0).
     """
     _, v = maximize_on_pieces(lambda b: contingent_value(econ, b),
-                              lambda b: _contingent_slope(econ, b),
+                              lambda b: _screening_slope(econ, b, 0.0, 0.0),
                               [0.0, slope_cap(econ)], _SLOPE_POINTS)
     return v
 
@@ -729,7 +713,7 @@ def crossing_threshold(econ: EconomyPrimitives) -> float:
         hi *= 2.0
         if hi > 64.0:
             raise BracketError("no crossing found for tightness up to 64")
-    return find_root(gap, Bracket(lo, hi), DEFAULT_TOL)
+    return find_root(gap, Bracket(lo, hi))
 
 
 def advance_share(econ: EconomyPrimitives, mix: MixedSolution) -> float:

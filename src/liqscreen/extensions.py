@@ -301,7 +301,7 @@ def solve_renegotiation(econ: EconomyPrimitives, lam: float) -> BilateralSolutio
     elif gap(K) >= 0.0:
         a_lam = K
     else:
-        a_lam = find_root(gap, Bracket(a_s, K), Tolerance())
+        a_lam = find_root(gap, Bracket(a_s, K))
     survive = 1.0 - lam
     slope = binding_slope(econ, a_lam)
     mu_lo = float(econ.signal_mean(econ.dist.lower))
@@ -328,7 +328,7 @@ def _quantile_grid(dist: TypeDistribution, n: int) -> np.ndarray:
     out = np.empty(n)
     for i, q in enumerate(qs):
         out[i] = find_root(lambda t: float(dist.cdf(t)) - q,
-                           Bracket(dist.lower, dist.upper), Tolerance())
+                           Bracket(dist.lower, dist.upper))
     return out
 
 

@@ -175,8 +175,9 @@ def second_difference_profile(values, h: float = 1.0) -> np.ndarray:
 def concavity_probe(econ: EconomyPrimitives, b1_grid) -> dict:
     """Difference profile of the screening value over a slope grid.
 
-    Used to validate the scalar maximizer's unimodality assumption;
-    reports the number of sign changes in the first differences.
+    Computed from the oracle's own grid value, apart from the solvers;
+    reports the number of sign changes in the first differences, which
+    shows how many peaks the screening value has over the grid.
     """
     b1s = np.asarray(b1_grid, float)
     w = np.array([manifold_value_grid(econ, float(b), 400) for b in b1s])

@@ -201,7 +201,7 @@ def _cutoff_given_coupling(econ, contract, load, psi_lo, psi_hi):
         return d.upper, "empty"
     a, b1 = contract.advance, contract.slope
     return find_root(lambda t: float(virtual_surplus(econ, t, a, b1)) + load,
-                     Bracket(d.lower, d.upper), Tolerance()), "none"
+                     Bracket(d.lower, d.upper)), "none"
 
 
 def solve_cutoffs(port: PortfolioEconomy) -> PortfolioSolution:

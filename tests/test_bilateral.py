@@ -12,11 +12,13 @@ from liqscreen.bilateral import (
     Contract,
     _advance_kinks,
     _best_advance,
-    _contingent_slope,
     _directional_slope,
+    _fixed_advances,
+    _manifold_slope,
     _mixed_kinks,
     _mixed_slope,
     _screening_slope,
+    _served,
     _slope_kinks,
     binding_ir_advance,
     binding_slope,
@@ -68,14 +70,26 @@ def test_binding_ir_advance_anchor():
     assert abs(resid) < 1e-10
 
 
-def test_ir_slope_direction():
+def test_ir_slope_direction(monkeypatch):
     econ = benchmark(v=2.0, mu0=0.1, K=1.0, R=1.0)
-    # raising b1 lowers the binding advance
-    assert ir_slope(econ, 1.0) < 0.0
-    a1 = binding_ir_advance(econ, 1.0)
-    a2 = binding_ir_advance(econ, 1.01)
-    fd = (a2 - a1) / 0.01
-    assert abs(fd - ir_slope(econ, 1.0)) < 1e-2
+    h = 1e-4
+    # raising b1 lowers the binding advance of the lowest and the highest
+    # type; ir_slope at that advance is its central difference in b1
+    for theta, b1 in ((None, 1.0), (econ.dist.upper, 0.5)):
+        a = binding_ir_advance(econ, b1, theta)
+        assert 0.0 < a < econ.working_capital
+        fd = (binding_ir_advance(econ, b1 + h, theta)
+              - binding_ir_advance(econ, b1 - h, theta)) / (2.0 * h)
+        rate = ir_slope(econ, a, theta)
+        assert rate < 0.0
+        assert abs(fd - rate) < 1e-6, (theta, fd, rate)
+
+    # the advance is given, so no root is solved
+    def no_root(*args):
+        raise AssertionError("ir_slope solved a root")
+    monkeypatch.setattr(bilateral, "find_root", no_root)
+    assert ir_slope(econ, 0.3) == pytest.approx(-0.1 / 1.7, rel=1e-15)
+    assert ir_slope(econ, 0.3, econ.dist.upper) == pytest.approx(-1.1 / 1.7, rel=1e-15)
 
 
 def test_slope_cap_benchmark():
@@ -144,6 +158,35 @@ def test_pure_values_and_crossing():
     assert abs(pure_contingent_value(econ) - 0.125) < 1e-6
     r_star = crossing_threshold(econ)
     assert abs(r_star - (2.0 - math.sqrt(2.0))) < 1e-6
+
+
+@pytest.mark.parametrize("econ, terms, expected", [
+    # U falls in the type (b1 < c'/mu' = 1): the top is the acceptance
+    # root 0.85, the bottom the profit root 0.55/1.5
+    (benchmark(v=2.0, mu0=0.1, R=1.0), (0.5, 0.0, 0.5), (0.55 / 1.5, 0.85, False, True)),
+    # U rises in the type: the bottom is the acceptance root 0.31, above
+    # the profit root 1/6, and the top is the support end
+    (benchmark(v=3.0, mu0=0.1, R=1.0), (0.1, 0.0, 1.5), (0.31, 1.0, True, False)),
+    # U and pi are nonnegative on the whole support: two support ends
+    (benchmark(v=2.0, mu0=0.0, R=0.0), (0.0, 0.0, 1.5), (0.0, 1.0, False, False)),
+    # nobody accepts
+    (benchmark(v=2.0, mu0=0.1, R=1.0), (0.0, 0.0, 0.0), None),
+    # nobody is worth serving
+    (benchmark(v=2.0, mu0=0.1, R=1.0), (1.0, 2.0, 0.0), None),
+    # the accepting types, below 0.85, all lie below the profit root 0.55/0.6
+    (benchmark(v=1.1, mu0=0.1, R=1.0), (0.5, 0.0, 0.5), None),
+], ids=["upper_acceptance_root", "lower_acceptance_root", "support_ends",
+        "none_accept", "none_profitable", "disjoint"])
+def test_served_flags_acceptance_roots(econ, terms, expected):
+    served = _served(econ, *terms)
+    if expected is None:
+        assert served is None
+        assert served_interval(econ, *terms) is None
+    else:
+        lo, hi, lo_root, hi_root = served
+        assert (lo, hi) == served_interval(econ, *terms)
+        assert (lo, hi) == pytest.approx(expected[:2], abs=1e-10)
+        assert (lo_root, hi_root) == expected[2:]
 
 
 def test_served_interval_full_advance():
@@ -577,9 +620,12 @@ def test_screening_slopes_match_a_central_difference(name):
     econ = MIXED_ECONOMIES[name]
     h = 1e-4
     cap = slope_cap(econ)
-    searches = ((lambda b: bilateral.principal_value(econ, b)[0], _screening_slope,
+    def contingent_slope(e, b):
+        return _screening_slope(e, b, 0.0, 0.0)
+
+    searches = ((lambda b: bilateral.principal_value(econ, b)[0], _manifold_slope,
                  _slope_kinks(econ, cap, [econ.dist.lower]), 1e-9),
-                (lambda b: bilateral.contingent_value(econ, b), _contingent_slope,
+                (lambda b: bilateral.contingent_value(econ, b), contingent_slope,
                  [0.0, cap], 1e-9),
                 (lambda b: _best_advance(econ, b)[1],
                  lambda e, b: _mixed_slope(e, b, _best_advance(e, b)),
@@ -606,6 +652,9 @@ def test_screening_slope_kinks():
     # it would reach K at a negative slope
     assert _slope_kinks(econ, cap, [econ.dist.lower]) == [0.0, 5.0, 10.0]
     assert binding_ir_advance(econ, 5.0) == 0.0
+    # the advances every slope's kinks come from: 0, K and the node advances
+    assert _fixed_advances(econ) == [0.0, 1.0]
+    assert _fixed_advances(TABULATED_KINKS) == [0.0, 1.0, 0.5]
     # a flat lowest-type signal pins no slope: only the ends remain
     assert _slope_kinks(benchmark(mu0=0.0), 10.0, [0.0]) == [0.0, 10.0]
     # a tabulated Phi adds the slope of its node advance K - 0.5
@@ -629,13 +678,13 @@ def test_screening_search_roots_a_local_peak_that_the_zero_slope_beats(monkeypat
     kinks = _slope_kinks(econ, slope_cap(econ), [econ.dist.lower])
     h = numerics._NUDGE * (kinks[-1] - kinks[0])
     lo, hi = kinks[0] + h, kinks[1] - h
-    signs = [np.sign(_screening_slope(econ, b)) for b in np.linspace(lo, hi, 33)]
+    signs = [np.sign(_manifold_slope(econ, b)) for b in np.linspace(lo, hi, 33)]
     assert [s for s, _ in itertools.groupby(signs)] == [-1.0, 1.0, -1.0]
     roots = _recorded_roots(monkeypatch)
     sol = solve_optimal(econ)
     peaks = [r for r in roots if lo < r < hi]
     assert len(peaks) == 1
-    assert abs(_screening_slope(econ, peaks[0])) < 1e-9
+    assert abs(_manifold_slope(econ, peaks[0])) < 1e-9
     assert bilateral.principal_value(econ, peaks[0])[0] < sol.value
     assert sol.contract.slope == 0.0 and sol.boundary_flag == "corner_b1_zero"
 
@@ -687,8 +736,10 @@ def test_screening_searches_match_a_golden_reference(monkeypatch, name):
     cap = slope_cap(econ)
     principal = _counted(monkeypatch, "principal_value")
     contingent = _counted(monkeypatch, "contingent_value")
-    slopes = _counted(monkeypatch, "_screening_slope")
-    contingent_slopes = _counted(monkeypatch, "_contingent_slope")
+    slopes = _counted(monkeypatch, "_manifold_slope")
+    # _manifold_slope calls _screening_slope too: cleared before the
+    # zero-advance search, this counts that search's slopes alone
+    contingent_slopes = _counted(monkeypatch, "_screening_slope")
     # the screening values divide by f(lower) = 0 on power types
     with np.errstate(divide="ignore", invalid="ignore"):
         b1_ref, w_ref = _golden_scan_max(
@@ -702,6 +753,7 @@ def test_screening_searches_match_a_golden_reference(monkeypatch, name):
                                     0.0, cap, 1e-10, 65)
         n_ref_c = len(contingent)
         contingent.clear()
+        contingent_slopes.clear()
         v = pure_contingent_value(econ)
     assert len(principal) + len(slopes) <= n_ref
     assert abs(sol.value - w_ref) <= 1e-12

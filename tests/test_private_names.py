@@ -1,0 +1,52 @@
+"""Every private module-level name under src/liqscreen is used there.
+
+A helper left behind when its last caller goes (a second copy of a
+slope, an interval routine) is dead code that still reads as live. This
+parses each module with ast and fails on any underscore-prefixed
+function, class or module constant that no code under src/liqscreen
+references outside its own definition.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "liqscreen"
+
+
+def _references(node):
+    """Names loaded and attributes read anywhere inside node."""
+    refs = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            refs[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            refs[sub.attr] += 1
+    return refs
+
+
+def _private_definitions(tree):
+    """(name, defining node) of each private module-level definition."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def test_every_private_definition_is_referenced():
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    refs = sum((_references(tree) for tree in trees.values()), Counter())
+    unused = [f"{module}:{name}"
+              for module, tree in trees.items()
+              for name, node in _private_definitions(tree)
+              if refs[name] - _references(node)[name] <= 0]
+    assert not unused, f"private definitions with no reference: {unused}"

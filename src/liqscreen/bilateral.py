@@ -253,54 +253,48 @@ def _screening_value(econ: EconomyPrimitives, a: float,
     return ps - phi * tail - rent - a, decomp, that
 
 
-def _rent_of_advance(econ, a_target, b1_hi):
-    """Aggregate rent along the manifold, parameterized by the advance.
+def _envelope_slope(econ: EconomyPrimitives, that: float, a: float,
+                    da: float, db: float) -> float:
+    """Derivative of the screening value at advance a along (da, db) in (a, b1).
 
-    Needs an informative lowest-type signal (sufficient_statistics
-    checks it first), so the slope inverse binding_slope is finite.
+    The served set [that, upper] is held fixed: virtual surplus vanishes
+    at the cutoff, so by the envelope theorem moving it adds no term.
+    With tail = 1 - F(that) the derivative is
+    -da * (1 - Phi'(K - a) * tail) - db * rent_tail(that).
     """
-    b1 = binding_slope(econ, a_target)
-    if b1 < -1e-9 or b1 > b1_hi + 1e-9:
-        raise BracketError("advance target unreachable on the slope range")
-    _, decomp = principal_value(econ, min(max(b1, 0.0), b1_hi))
-    return decomp["aggregate_information_rent"]
+    slope = -db * rent_tail(econ, that, _SCREENING_PANELS)
+    if da:
+        tail = 1.0 - float(econ.dist.cdf(that))
+        relief = marginal_ell(econ.financing, econ.working_capital - a) * tail
+        slope -= da * (1.0 - relief)
+    return slope
 
 
 def sufficient_statistics(econ: EconomyPrimitives,
                           sol: BilateralSolution) -> dict:
     """Marginal statistics behind the advance optimality condition.
 
-    At an interior optimum the marginal financing relief Phi'(K - a)
-    equals the marginal screening cost (1 + dRent/da) / (1 - F(cutoff)).
-    dRent/da is a central finite difference along the manifold; when the
-    lowest type's signal is flat the manifold does not pin the slope and
-    both the statistic and the residual are reported as nan.
+    Along the participation manifold, parameterized by the advance, the
+    value moves at _envelope_slope in the direction (1, 1 / ir_slope)
+    with the cutoff held fixed. Divided by tail = 1 - F(cutoff) that is
+    the residual: the marginal financing relief Phi'(K - a) net of the
+    marginal screening cost (1 + dRent/da) / tail. The residual vanishes
+    wherever dW/db1 along the manifold does, and is signed at a corner.
+    Where the lowest type's signal is flat the manifold does not pin the
+    slope, and on an empty tail nothing is served: the screening cost
+    and the residual are then nan.
     """
     a = sol.contract.advance
     phi_l = marginal_ell(econ.financing, econ.working_capital - a)
     mu_lo = float(econ.signal_mean(econ.dist.lower))
     tail = 1.0 - float(econ.dist.cdf(sol.cutoff))
-    drent = math.nan
+    residual = math.nan
     if abs(mu_lo) >= 1e-12 and tail >= 1e-12:
-        h = 1e-5
-        b1_hi = slope_cap(econ)
-        ends = (binding_ir_advance(econ, 0.0), binding_ir_advance(econ, b1_hi))
-        lo_r, hi_r = min(ends), max(ends)
-        can_up = lo_r <= a + h <= hi_r + 1e-15
-        can_dn = lo_r - 1e-15 <= a - h <= hi_r
-        rent_here = sol.decomposition["aggregate_information_rent"]
-        if can_up and can_dn:
-            rent_up = _rent_of_advance(econ, a + h, b1_hi)
-            rent_dn = _rent_of_advance(econ, a - h, b1_hi)
-            drent = (rent_up - rent_dn) / (2.0 * h)
-        elif can_dn:
-            drent = (rent_here - _rent_of_advance(econ, a - h, b1_hi)) / h
-        elif can_up:
-            drent = (_rent_of_advance(econ, a + h, b1_hi) - rent_here) / h
-    screening = (1.0 + drent) / tail if tail >= 1e-12 else math.nan
+        db = 1.0 / ir_slope(econ, a)
+        residual = _envelope_slope(econ, sol.cutoff, a, 1.0, db) / tail
     return {"marginal_financing_relief": phi_l,
-            "marginal_screening_cost": screening,
-            "residual": phi_l - screening,
+            "marginal_screening_cost": phi_l - residual,
+            "residual": residual,
             "corner": sol.boundary_flag != "interior"}
 
 
@@ -308,24 +302,15 @@ def _screening_slope(econ: EconomyPrimitives, b1: float, a: float,
                      rate: float) -> float | None:
     """dW/db1 of the screening value at (a, b1) along a path a(b1) with a' = rate.
 
-    Virtual surplus vanishes at the cutoff, so by the envelope theorem
-    the cutoff adds no term and, with tail = 1 - F(cutoff),
-    dW/db1 = -rate * (1 - Phi'(K - a) * tail) - rent_tail(cutoff).
+    _envelope_slope in the direction (rate, 1) at the cutoff of (a, b1).
     Along the participation manifold (_manifold_slope) rate is ir_slope
     off the clamps and 0 on them; at a = 0 and rate 0 it is dW_C/db1 of
     contingent_value, <= 0 wherever mu' >= 0. None on an empty service
     set, where W rests at 0.
     """
-    d = econ.dist
-    if float(virtual_surplus(econ, d.upper, a, b1)) < 0.0:
+    if float(virtual_surplus(econ, econ.dist.upper, a, b1)) < 0.0:
         return None
-    that = cutoff(econ, a, b1)
-    slope = -rent_tail(econ, that, _SCREENING_PANELS)
-    if rate:
-        tail = 1.0 - float(d.cdf(that))
-        relief = marginal_ell(econ.financing, econ.working_capital - a) * tail
-        slope -= rate * (1.0 - relief)
-    return slope
+    return _envelope_slope(econ, cutoff(econ, a, b1), a, rate, 1.0)
 
 
 def _manifold_slope(econ: EconomyPrimitives, b1: float) -> float | None:
@@ -607,7 +592,7 @@ def solve_mixed(econ: EconomyPrimitives) -> MixedSolution:
     """Solve the mixed program over (advance, slope) at actual flows.
 
     The slope search runs on [0, c'/mu'] (rents weakly increase in the
-    slope beyond the flat-rent point), so b1* lies in [0, b1_flat].
+    slope beyond the flat-rent point), so b1* lies in [0, c'/mu'].
     V(b1) = max_a W(a, b1) is the winner among a few smooth regimes
     W(a_k(b1), b1), one per kink or stationary point of W(a)
     (_best_advance). A switch between regimes is a convex kink of V,
@@ -619,17 +604,14 @@ def solve_mixed(econ: EconomyPrimitives) -> MixedSolution:
     maximize_on_pieces scans V's slope at _SLOPE_POINTS points per piece,
     roots each fall from + to - and prices the kinks and the roots, one
     inner search per slope; a tie goes to the smaller slope. An
-    uninformative signal reduces the program to the pure-advance
-    choice; a negative flat-rent slope raises DomainError.
+    uninformative signal (no flat-rent slope) shrinks the range to
+    [0, 0], whose one kink is the pure-advance choice; a negative
+    flat-rent slope raises DomainError.
     """
     b1_flat = flat_rent_slope(econ)
-    if b1_flat is None:
-        a_star, v_star, _ = _best_advance(econ, 0.0)
-        return MixedSolution(Contract(a_star, 0.0, 0.0),
-                             served_interval(econ, a_star, 0.0, 0.0),
-                             v_star, "uninformative")
-    if b1_flat < 0.0:
-        raise DomainError(f"flat-rent slope c'/mu' = {b1_flat:.6g} is negative; "
+    b1_hi = 0.0 if b1_flat is None else b1_flat
+    if b1_hi < 0.0:
+        raise DomainError(f"flat-rent slope c'/mu' = {b1_hi:.6g} is negative; "
                           "the mixed program needs it nonnegative")
 
     found = {}
@@ -641,10 +623,11 @@ def solve_mixed(econ: EconomyPrimitives) -> MixedSolution:
 
     b1_star, _ = maximize_on_pieces(lambda b1: best(b1)[1],
                                     lambda b1: _mixed_slope(econ, b1, best(b1)),
-                                    _mixed_kinks(econ, b1_flat), _SLOPE_POINTS)
+                                    _mixed_kinks(econ, b1_hi), _SLOPE_POINTS)
     a_star, v_star, _ = best(b1_star)
     span = served_interval(econ, a_star, 0.0, b1_star)
-    branch = "flat" if abs(b1_star - b1_flat) <= 1e-9 else "decreasing"
+    branch = ("uninformative" if b1_flat is None
+              else "flat" if abs(b1_star - b1_flat) <= 1e-9 else "decreasing")
     return MixedSolution(Contract(a_star, 0.0, b1_star), span, v_star, branch)
 
 

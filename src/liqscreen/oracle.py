@@ -75,10 +75,11 @@ def ic_verify(mech: DiscreteMechanism, econ: EconomyPrimitives) -> dict:
             "violating_pair": None if ok else (int(i), int(j))}
 
 
-def mechanism_from_contract(econ: EconomyPrimitives, contract: Contract,
-                            m: int = 50) -> DiscreteMechanism:
-    """Discretize a uniform contract: serve exactly the served interval."""
+def mechanism_from_contract(econ: EconomyPrimitives,
+                            contract: Contract) -> DiscreteMechanism:
+    """Discretize a uniform contract on 50 types: serve exactly the served interval."""
     d = econ.dist
+    m = 50
     types = np.linspace(d.lower, d.upper, m)
     span = served_interval(econ, contract.advance, contract.intercept,
                            contract.slope)
@@ -195,15 +196,17 @@ def concavity_probe(econ: EconomyPrimitives, b1_grid) -> dict:
 
 
 def rent_identity_check(econ: EconomyPrimitives, a: float, b1: float,
-                        theta_hat: float | None = None, n: int = 2000) -> dict:
+                        theta_hat: float | None = None) -> dict:
     """Two quadrature routes to the aggregate information rent.
 
     direct integrates the envelope rent U(theta) over served types;
     hazard_form is the integration-by-parts expression, including the
     boundary term U(theta_hat) * (1 - F(theta_hat)) that a cutoff above
-    the lowest type generates.
+    the lowest type generates. Both use 2000 trapezoid intervals on each
+    side of the cutoff.
     """
     d = econ.dist
+    n = 2000
     if theta_hat is None:
         ts_scan = np.linspace(d.lower, d.upper, 513)
         psi = _psi_grid(econ, ts_scan, a, b1)
@@ -237,13 +240,13 @@ def rent_identity_check(econ: EconomyPrimitives, a: float, b1: float,
             "gap": direct - hazard_form}
 
 
-def advance_irrelevance_gap(econ: EconomyPrimitives, b1: float,
-                            n_splits: int = 9) -> float:
+def advance_irrelevance_gap(econ: EconomyPrimitives, b1: float) -> float:
     """Value spread across advance/intercept splits of fixed total pay.
 
     Holds the lowest type's total compensation at the binding level and
-    re-divides it between the advance and the completion intercept; the
-    spread is zero exactly when financing is free.
+    re-divides it between the advance and the completion intercept at 9
+    evenly spaced splits; the spread is zero exactly when financing is
+    free.
     """
     from .bilateral import contract_value
 
@@ -251,19 +254,19 @@ def advance_irrelevance_gap(econ: EconomyPrimitives, b1: float,
     if total <= 0.0:
         return 0.0
     vals = [contract_value(econ, s, total - s, b1, panels=256)
-            for s in np.linspace(0.0, total, n_splits)]
+            for s in np.linspace(0.0, total, 9)]
     return float(max(vals) - min(vals))
 
 
-def decreasing_slope_mechanism(econ: EconomyPrimitives,
-                               m: int = 50) -> DiscreteMechanism:
+def decreasing_slope_mechanism(econ: EconomyPrimitives) -> DiscreteMechanism:
     """Constructed violation: slopes fall in type, so low reports tempt.
 
-    Serves every type at a common advance with slope 1 - theta/2; any
+    Serves 50 types at a common advance with slope 1 - theta/2; any
     type with an informative signal strictly gains by reporting the
     bottom, which ic_verify must catch.
     """
     d = econ.dist
+    m = 50
     types = np.linspace(d.lower, d.upper, m)
     slopes = 1.0 - 0.5 * types
     if np.any(slopes < 0.0):

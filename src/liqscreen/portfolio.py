@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bilateral import (Contract, binding_ir_advance, cutoff, rent_tail,
+from .bilateral import (Contract, _envelope_slope, binding_ir_advance, cutoff,
                         screening_integral, solve_mixed, virtual_surplus)
 from .economy import (EconomyPrimitives, marginal_ell, marginal_r,
                       with_tightness)
@@ -381,8 +381,10 @@ def contagion_derivative(port: PortfolioEconomy, j: int,
     it). The analytic decomposition uses the envelope property of the
     coupled cutoffs: direct_financing is the mechanical financing-cost
     effect at fixed contracts, screening_spillover the contract-response
-    terms. flagged marks corner contracts, where the schedule derivative
-    is one-sided.
+    terms: bilateral._envelope_slope in the direction (a'(R), b1'(R)) at
+    the coupled cutoff, where psi + load = 0, so the cutoff's move adds
+    no term. flagged marks corner contracts, where the schedule
+    derivative is one-sided.
     """
     base = solve_cutoffs(port)
     e_j = port.economies[j]
@@ -401,8 +403,7 @@ def contagion_derivative(port: PortfolioEconomy, j: int,
     b1p = slope_calibration_prime(R_j)
     ap = advance_response(e_j, c_j.slope, b1p)
     direct = -marginal_r(e_j.financing, ell) * tail
-    spillover = ap * (marginal_ell(e_j.financing, ell) * tail - 1.0) \
-        - b1p * rent_tail(e_j, that, 256)
+    spillover = _envelope_slope(e_j, that, c_j.advance, ap, b1p)
     K = e_j.working_capital
     flagged = (c_j.advance <= 1e-9 or c_j.advance >= K - 1e-9
                or c_j.slope <= 1e-9)
@@ -420,8 +421,9 @@ def contagion_threshold(econ: EconomyPrimitives,
 
     analytic inverts the sign condition of the fixed-contract value
     derivative at the uncoupled cutoff. empirical is the first coupling
-    in delta_grid where the full finite-difference derivative (contracts
-    re-calibrated) turns positive, nan when none does. The scan solves
+    in delta_grid at which the full finite-difference derivative
+    (contracts re-calibrated) of a book of two copies of econ turns
+    positive, nan when none does. The scan solves
     three coupled books per grid point, so it runs only when a grid is
     given (EMPIRICAL_DELTA_GRID is the customary one); without one,
     empirical is nan.
@@ -438,9 +440,8 @@ def contagion_threshold(econ: EconomyPrimitives,
     analytic = (K - c.advance) * (1.0 + c.slope) \
         * marginal_r(econ.financing, ell) / (c.slope * tail)
     empirical = math.nan
-    R = econ.financing.tightness
     for dlt in (() if delta_grid is None else delta_grid):
-        port = symmetric_portfolio(R, float(dlt))
+        port = make_portfolio([econ, econ], delta=float(dlt))
         if contagion_derivative(port, 0)["total"] > 0.0:
             empirical = float(dlt)
             break

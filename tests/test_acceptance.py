@@ -118,7 +118,7 @@ def test_c05_rent_identity_on_seeded_draws():
 
 def test_c06_ic_verifier_passes_solution_and_catches_counterexample():
     e_half = benchmark(v=2.0, mu0=0.1, K=1.0, R=0.5)
-    mech = mechanism_from_contract(e_half, solve_mixed(e_half).contract, 50)
+    mech = mechanism_from_contract(e_half, solve_mixed(e_half).contract)
     report = ic_verify(mech, e_half)
     assert report["ok"], report
     bad = decreasing_slope_mechanism(benchmark(v=2.0, mu0=0.1, K=1.0, R=1.0))

@@ -204,14 +204,6 @@ def test_contract_value_matches_closed_form():
     assert abs(contract_value(econ, 1.0, 0.0, 0.0) - 0.25) < 1e-10
 
 
-def test_sufficient_statistics_reports_marginals():
-    econ = benchmark(v=2.0, mu0=0.1, K=1.0, R=0.5)
-    sol = solve_optimal(econ)
-    stats = sufficient_statistics(econ, sol)
-    assert np.isfinite(stats["marginal_financing_relief"])
-    assert "corner" in stats
-
-
 def test_sweep_rows_have_stable_schema():
     rows = sweep_R(benchmark(v=2.0, mu0=0.0, K=1.0, R=1.0), (0.5, 1.0))
     assert [r["R"] for r in rows] == [0.5, 1.0]
@@ -489,6 +481,24 @@ def test_solve_mixed_rejects_a_negative_flat_rent_slope():
     assert abs(flat_rent_slope(econ) + 0.3) < 1e-12
     with pytest.raises(DomainError, match="flat-rent slope"):
         solve_mixed(econ)
+
+
+@pytest.mark.parametrize("econ, expected", [
+    (benchmark(signal_scale=0.0),
+     "MixedSolution(contract=Contract(advance=1.0, intercept=0.0, slope=0.0), "
+     "implemented=(0.5, 1.0), value=0.25, branch='uninformative')"),
+    (benchmark(v=3.0, R=0.5, signal_kind="flat", dist=truncated_exponential(1.5)),
+     "MixedSolution(contract=Contract(advance=1.0, intercept=0.0, slope=0.0), "
+     "implemented=(0.33333333333333337, 1.0), value=0.4126053842377843, "
+     "branch='uninformative')"),
+], ids=["zero_scale", "flat_signal"])
+def test_solve_mixed_searches_only_the_zero_slope_without_a_flat_rent_slope(
+        monkeypatch, econ, expected):
+    # no flat-rent slope leaves the one kink b1 = 0: one inner search,
+    # and the pure-advance choice, pinned to its last digit
+    searches = _counted(monkeypatch, "_best_advance")
+    assert repr(solve_mixed(econ)) == expected
+    assert [b1 for _, b1 in searches] == [0.0]
 
 
 @pytest.mark.parametrize("dist", [None, truncated_exponential(1.5), power(1.7)],
@@ -769,3 +779,81 @@ def test_screening_searches_match_a_golden_reference(monkeypatch, name):
         assert sol.contract.slope == 0.0  # verify's uninformative_corner check
     assert len(contingent) + len(contingent_slopes) <= n_ref_c
     assert abs(v - v_ref) <= 1e-12
+
+
+# stationary points of dW/db1 along the participation manifold, inside a
+# piece and with 0 < a < K: an economy and a slope bracket holding one root
+# of _manifold_slope, a trough or on bimodal types the local peak (its
+# other sign change, near b1 = 0.7, is the cutoff's jump between modes)
+STATIONARY_POINTS = {
+    "uniform": (BATCH_ECONOMIES["uniform"], (1.25, 1.41)),
+    "truncated_exponential": (BATCH_ECONOMIES["truncated_exponential"], (0.79, 0.87)),
+    "power": (BATCH_ECONOMIES["power"], (3.4, 3.8)),
+    "bimodal_peak": (BIMODAL, (1.43, 1.51)),
+}
+
+
+def _solution_at(econ, b1):
+    """The screening program's solution object at slope b1, advance on the manifold."""
+    a = binding_ir_advance(econ, b1)
+    w, decomp, that = bilateral._screening_value(econ, a, b1)
+    return bilateral.BilateralSolution(Contract(a, 0.0, b1), that, w, decomp,
+                                       "interior")
+
+
+@pytest.mark.parametrize("name", sorted(STATIONARY_POINTS))
+def test_sufficient_statistics_balance_at_stationary_points(name):
+    # where dW/db1 along the manifold vanishes, relief equals screening
+    # cost: the residual holds the cutoff fixed, as dW/db1 does
+    econ, (lo, hi) = STATIONARY_POINTS[name]
+    # the screening values divide by f(lower) = 0 on power types
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b1 = numerics.find_root(lambda b: _manifold_slope(econ, b),
+                                numerics.Bracket(lo, hi))
+        assert abs(_manifold_slope(econ, b1)) <= 1e-9
+        sol = _solution_at(econ, b1)
+        stats = sufficient_statistics(econ, sol)
+    assert 0.0 < sol.contract.advance < econ.working_capital
+    assert abs(stats["residual"]) <= 1e-8, stats
+    assert abs(stats["marginal_screening_cost"]
+               - stats["marginal_financing_relief"]) <= 1e-8
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_ECONOMIES) + ["bimodal"])
+def test_sufficient_statistics_residual_is_the_manifold_slope(name):
+    # residual * tail is the value's slope in the advance along the
+    # manifold; times a'(b1) = ir_slope it is dW/db1, held against a
+    # fourth-order difference of principal_value at interior points
+    econ = {**BATCH_ECONOMIES, "bimodal": BIMODAL}[name]
+    h = 1e-4
+    kinks = _slope_kinks(econ, slope_cap(econ), [econ.dist.lower])
+    checked = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo, hi in zip(kinks[:-1], kinks[1:]):
+            for b1 in np.linspace(lo, hi, 5)[1:-1]:
+                sol = _solution_at(econ, b1)
+                a = sol.contract.advance
+                if not 0.0 < a < econ.working_capital:
+                    continue
+                stats = sufficient_statistics(econ, sol)
+                tail = 1.0 - float(econ.dist.cdf(sol.cutoff))
+                _, diff = _fourth_order_difference(
+                    lambda b: bilateral.principal_value(econ, b)[0], b1, h)
+                slope = stats["residual"] * tail * ir_slope(econ, a)
+                assert abs(slope - diff) <= 1e-6, (b1, slope, diff)
+                checked += 1
+    assert checked >= 3
+
+
+def test_sufficient_statistics_are_nan_without_a_pinned_slope_or_a_tail():
+    # mu(0) = 0 leaves the slope unpinned on a served tail; no_contract
+    # serves nobody, so its tail is empty
+    for econ, served in ((benchmark(mu0=0.0), True),
+                         (CLASS_ECONOMIES["no_contract"], False)):
+        sol = solve_optimal(econ)
+        assert (sol.cutoff < econ.dist.upper) is served
+        stats = sufficient_statistics(econ, sol)
+        assert np.isfinite(stats["marginal_financing_relief"])
+        assert math.isnan(stats["marginal_screening_cost"])
+        assert math.isnan(stats["residual"])
+        assert stats["corner"]

@@ -57,7 +57,7 @@ def test_decreasing_slope_mechanism_reports_pair():
 
 def test_mechanism_from_solved_contract_passes():
     econ = benchmark(v=2.0, mu0=0.1, K=1.0, R=0.5)
-    mech = mechanism_from_contract(econ, solve_mixed(econ).contract, 50)
+    mech = mechanism_from_contract(econ, solve_mixed(econ).contract)
     assert ic_verify(mech, econ)["ok"]
 
 

@@ -369,6 +369,27 @@ def test_contagion_threshold_without_grid_skips_the_scan(scanned_threshold,
     assert len(calls) == 1
 
 
+def test_contagion_threshold_scans_books_of_the_economy_it_names(monkeypatch):
+    # every book of the empirical scan, the two tightness-shifted ones
+    # included, holds econ: its value, signal and types, not v = 2,
+    # mu0 = 0 and uniform types
+    books = []
+    real = portfolio.solve_cutoffs
+
+    def recorded(port):
+        books.append(port)
+        return real(port)
+
+    monkeypatch.setattr(portfolio, "solve_cutoffs", recorded)
+    econ = benchmark(v=3.0, mu0=0.2, K=1.0, R=1.0)
+    contagion_threshold(econ, [0.5, 1.0])
+    assert len(books) == 6
+    for port in books:
+        assert port.economies[1] is econ
+        assert all(e.surplus is econ.surplus and e.signal_mean is econ.signal_mean
+                   and e.dist is econ.dist for e in port.economies)
+
+
 def test_hump_scan_peak_only_when_coupled():
     Rs = np.round(np.arange(0.5, 3.01, 0.1), 10)
     coupled = hump_scan(Rs, 1.2)

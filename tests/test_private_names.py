@@ -1,10 +1,13 @@
-"""Every private module-level name under src/liqscreen is used there.
+"""Every private module-level name and every import under src/liqscreen is used.
 
 A helper left behind when its last caller goes (a second copy of a
-slope, an interval routine) is dead code that still reads as live. This
-parses each module with ast and fails on any underscore-prefixed
-function, class or module constant that no code under src/liqscreen
-references outside its own definition.
+slope, an interval routine) is dead code that still reads as live, and
+so is the import of a routine a module no longer calls. This parses
+each module with ast and fails on any underscore-prefixed function,
+class or module constant that no code under src/liqscreen references
+outside its own definition, and on any module-level import that its
+module never references (the package's __init__.py, which imports to
+re-export, and __future__ imports aside).
 """
 
 import ast
@@ -50,3 +53,24 @@ def test_every_private_definition_is_referenced():
               for name, node in _private_definitions(tree)
               if refs[name] - _references(node)[name] <= 0]
     assert not unused, f"private definitions with no reference: {unused}"
+
+
+def _imported_names(tree):
+    """Names bound by each module-level import, __future__ aside."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+def test_every_module_level_import_is_referenced():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        refs = _references(tree)
+        unused += [f"{path.name}:{name}" for name in _imported_names(tree)
+                   if not refs[name]]
+    assert not unused, f"imports with no reference: {unused}"

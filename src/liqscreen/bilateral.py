@@ -83,11 +83,13 @@ def binding_ir_advance(econ: EconomyPrimitives, b1: float,
     def gap(a):
         return a + b1 * mu_t - c_t - financing_cost(econ.financing, K - a)
 
-    if gap(0.0) >= 0.0:
+    g_lo = gap(0.0)
+    if g_lo >= 0.0:
         return 0.0
-    if gap(K) <= 0.0:
+    g_hi = gap(K)
+    if g_hi <= 0.0:
         return K
-    return find_root(gap, Bracket(0.0, K))
+    return find_root(gap, Bracket(0.0, K), ends=(g_lo, g_hi))
 
 
 def binding_slope(econ: EconomyPrimitives, a: float,
@@ -185,7 +187,8 @@ def cutoff(econ: EconomyPrimitives, a: float, b1: float) -> float:
         return d.upper
     i = int(idx[0])
     return find_root(lambda t: float(virtual_surplus(econ, t, a, b1)),
-                     Bracket(float(ts[i - 1]), float(ts[i])))
+                     Bracket(float(ts[i - 1]), float(ts[i])),
+                     ends=(float(vals[i - 1]), float(vals[i])))
 
 
 def rent_schedule(econ: EconomyPrimitives, b1: float, theta: float) -> float:
@@ -409,6 +412,8 @@ def _served(econ, a, b0, b1):
     is their intersection [lo, hi]. Returns (lo, hi, lo_is_acceptance_root,
     hi_is_acceptance_root), an end being an acceptance root (U = 0) when
     the acceptance interval alone sets it, or None when nothing is served.
+    U and pi at both support ends come from one array call each, and
+    each root reuses those two values as find_root's ends.
     """
     d = econ.dist
     phi = financing_cost(econ.financing, econ.working_capital - a)
@@ -420,7 +425,8 @@ def _served(econ, a, b0, b1):
             return d.lower, d.upper
         if f_lo < 0.0 and f_hi < 0.0:
             return None
-        r = find_root(lambda t: float(pay(econ, t, *terms)), Bracket(d.lower, d.upper))
+        r = find_root(lambda t: float(pay(econ, t, *terms)), Bracket(d.lower, d.upper),
+                      ends=(f_lo, f_hi))
         return (r, d.upper) if f_lo < 0.0 else (d.lower, r)
 
     span_u = region(_acceptance, a, b0, b1, phi)
@@ -692,11 +698,13 @@ def crossing_threshold(econ: EconomyPrimitives) -> float:
     g_lo = gap(lo)
     if g_lo <= 0.0:
         raise BracketError("pure contingent already dominated at R = 0")
-    while gap(hi) > 0.0:
+    g_hi = gap(hi)
+    while g_hi > 0.0:
         hi *= 2.0
         if hi > 64.0:
             raise BracketError("no crossing found for tightness up to 64")
-    return find_root(gap, Bracket(lo, hi))
+        g_hi = gap(hi)
+    return find_root(gap, Bracket(lo, hi), ends=(g_lo, g_hi))
 
 
 def advance_share(econ: EconomyPrimitives, mix: MixedSolution) -> float:

@@ -296,12 +296,15 @@ def solve_renegotiation(econ: EconomyPrimitives, lam: float) -> BilateralSolutio
     def gap(a):
         return marginal_ell(econ.financing, K - a) - anchor
 
-    if gap(a_s) <= 0.0 or K - a_s <= 1e-12:
+    g_lo = gap(a_s)
+    if g_lo <= 0.0 or K - a_s <= 1e-12:
         a_lam = K if lam >= 1.0 else a_s
-    elif gap(K) >= 0.0:
-        a_lam = K
     else:
-        a_lam = find_root(gap, Bracket(a_s, K))
+        g_hi = gap(K)
+        if g_hi >= 0.0:
+            a_lam = K
+        else:
+            a_lam = find_root(gap, Bracket(a_s, K), ends=(g_lo, g_hi))
     survive = 1.0 - lam
     slope = binding_slope(econ, a_lam)
     mu_lo = float(econ.signal_mean(econ.dist.lower))

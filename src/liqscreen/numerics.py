@@ -49,15 +49,18 @@ DEFAULT_TOL = Tolerance()
 
 
 def find_root(f: Callable[[float], float], bracket: Bracket,
-              tol: Tolerance = DEFAULT_TOL) -> float:
+              tol: Tolerance = DEFAULT_TOL,
+              ends: tuple[float, float] | None = None) -> float:
     """Root of f on bracket: bisection with a secant acceleration step.
 
     Requires a sign change over the bracket (an exact zero at either
     endpoint counts). Raises BracketError otherwise and ConvergenceError
-    (carrying .last) if the iteration budget runs out.
+    (carrying .last) if the iteration budget runs out. ends is
+    (f(lo), f(hi)) when the caller already holds them; f is then not
+    called at either end, and the values are trusted as given.
     """
     lo, hi = bracket.lo, bracket.hi
-    flo, fhi = f(lo), f(hi)
+    flo, fhi = (f(lo), f(hi)) if ends is None else ends
     if flo == 0.0:
         return lo
     if fhi == 0.0:

@@ -201,7 +201,8 @@ def _cutoff_given_coupling(econ, contract, load, psi_lo, psi_hi):
         return d.upper, "empty"
     a, b1 = contract.advance, contract.slope
     return find_root(lambda t: float(virtual_surplus(econ, t, a, b1)) + load,
-                     Bracket(d.lower, d.upper)), "none"
+                     Bracket(d.lower, d.upper),
+                     ends=(float(psi_lo) + load, float(psi_hi) + load)), "none"
 
 
 def solve_cutoffs(port: PortfolioEconomy) -> PortfolioSolution:

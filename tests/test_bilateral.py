@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from liqscreen import bilateral, numerics
+from liqscreen import bilateral, extensions, numerics, portfolio
 from liqscreen.bilateral import (
     Contract,
     _advance_kinks,
@@ -44,7 +44,9 @@ from liqscreen.bilateral import (
 from liqscreen.economy import (FinancingCost, benchmark, bimodal, power,
                                truncated_exponential)
 from liqscreen.errors import DomainError
+from liqscreen.extensions import solve_renegotiation
 from liqscreen.numerics import best_candidate
+from liqscreen.portfolio import solve_cutoffs, symmetric_portfolio
 
 
 def test_contract_rejects_negative_terms():
@@ -187,6 +189,62 @@ def test_served_flags_acceptance_roots(econ, terms, expected):
         assert (lo, hi) == served_interval(econ, *terms)
         assert (lo, hi) == pytest.approx(expected[:2], abs=1e-10)
         assert (lo_root, hi_root) == expected[2:]
+
+
+def _guarded_roots(monkeypatch):
+    """Record each root that bilateral, portfolio and extensions open.
+
+    A record is (the function that built f, whether its caller gave the
+    end values, the evaluations of f). A call of f at a bracket end whose
+    value the caller gave fails.
+    """
+    roots = []
+    for mod in (bilateral, portfolio, extensions):
+        def guarded(f, bracket, *args, ends=None, root=mod.find_root):
+            evals = []
+
+            def counted(x):
+                assert ends is None or x not in (bracket.lo, bracket.hi), \
+                    f"{f.__qualname__} priced the bracket end {x} again"
+                evals.append(x)
+                return f(x)
+            try:
+                return root(counted, bracket, *args, ends=ends)
+            finally:
+                roots.append((f.__qualname__.split(".")[0], ends is not None,
+                              len(evals)))
+        monkeypatch.setattr(mod, "find_root", guarded)
+    return roots
+
+
+def test_no_root_prices_a_bracket_end_twice(monkeypatch):
+    roots = _guarded_roots(monkeypatch)
+    for econ in (benchmark(v=2.0, mu0=0.1, R=1.0), MIXED_ECONOMIES["steep"],
+                 MIXED_ECONOMIES["bimodal"]):
+        solve_mixed(econ)
+        solve_optimal(econ)
+        pure_contingent_value(econ)
+        solve_renegotiation(econ, 0.5)
+    crossing_threshold(benchmark(v=2.0, mu0=0.0))
+    solve_cutoffs(symmetric_portfolio(1.0, 0.6))
+    # each of the six callers holds both end values and gives them
+    assert {caller for caller, _, _ in roots} == {
+        "_served", "binding_ir_advance", "cutoff", "crossing_threshold",
+        "_cutoff_given_coupling", "solve_renegotiation"}
+    assert all(given for _, given, _ in roots)
+
+
+@pytest.mark.parametrize("econ, terms", [
+    (benchmark(v=2.0, mu0=0.1, R=1.0), (0.5, 0.0, 0.5)),
+    (benchmark(v=3.0, mu0=0.1, R=1.0), (0.1, 0.0, 1.5)),
+], ids=["upper_acceptance_root", "lower_acceptance_root"])
+def test_served_roots_cost_one_evaluation_on_affine_primitives(monkeypatch, econ,
+                                                               terms):
+    # U and pi are affine in the type, so the secant step from the exact
+    # end values lands on each root
+    roots = _guarded_roots(monkeypatch)
+    assert _served(econ, *terms) is not None
+    assert roots == [("_served", True, 1), ("_served", True, 1)]
 
 
 def test_served_interval_full_advance():

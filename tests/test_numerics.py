@@ -39,12 +39,44 @@ def test_find_root_budget_exhaustion_carries_last_iterate():
     assert abs(err.value.last - math.pi / 2) < 0.5
 
 
+def _step(x):
+    return -1.0 if x < 0.3 else 1.0
+
+
+_STEP_TOL = Tolerance(abs_x=1e-12, abs_f=1e-30, max_iter=300)
+
+
 def test_find_root_handles_discontinuous_sign_change():
     # step function: the root bracket collapses onto the jump
-    f = lambda x: -1.0 if x < 0.3 else 1.0
-    x = find_root(f, Bracket(0.0, 1.0), Tolerance(abs_x=1e-12, abs_f=1e-30,
-                                                  max_iter=300))
+    x = find_root(_step, Bracket(0.0, 1.0), _STEP_TOL)
     assert abs(x - 0.3) < 1e-9
+
+
+@pytest.mark.parametrize("f, bracket, tol", [
+    (math.cos, Bracket(1.0, 2.0), numerics.DEFAULT_TOL),
+    (lambda x: x * x - 2.0, Bracket(0.0, 3.0), numerics.DEFAULT_TOL),
+    (_step, Bracket(0.0, 1.0), _STEP_TOL),
+], ids=["cosine", "quadratic", "step"])
+def test_find_root_given_ends_finds_the_same_root(f, bracket, tol):
+    ends = (f(bracket.lo), f(bracket.hi))
+    x = find_root(f, bracket, tol, ends=ends)
+    assert x.hex() == find_root(f, bracket, tol).hex()
+
+
+def test_find_root_given_ends_never_calls_f_at_them():
+    f, calls = _counting(math.cos)
+    find_root(f, Bracket(1.0, 2.0), ends=(math.cos(1.0), math.cos(2.0)))
+    assert calls and 1.0 not in calls and 2.0 not in calls
+
+
+def test_find_root_given_ends_checks_their_signs():
+    f, calls = _counting(math.cos)
+    with pytest.raises(BracketError):
+        find_root(f, Bracket(1.0, 2.0), ends=(-1.0, -0.5))
+    # an exact zero among the given ends is that end
+    assert find_root(f, Bracket(1.0, 2.0), ends=(0.0, -0.5)) == 1.0
+    assert find_root(f, Bracket(1.0, 2.0), ends=(0.5, 0.0)) == 2.0
+    assert calls == []
 
 
 def test_bracket_validation():

@@ -550,16 +550,33 @@ def _best_advance(econ, b1):
     falls at the served mass. Only inside the sweep, where the
     acceptance root moves through the types, can W peak inside a piece,
     and on a multimodal density more than once. maximize_on_pieces
-    scans dW/da at _SLOPE_POINTS points per piece of the sweep (W rests
-    at its floor 0 where nobody is served, so that counts as rising;
-    outside the sweep the scan reads None and roots nothing), roots
-    each fall from + to -, and prices every candidate by
-    contract_value; a tie goes to the smaller advance. The rate is
-    d a/d b1 along the winner's regime: ir_slope at the kink won, of
-    the type whose binding advance it is, by exact equality with a kink
-    of _advance_kinks, and 0 elsewhere. That is 0 at 0, K and the node
-    advances, and at a stationary point, where dW/da = 0. Returns (a, W,
-    rate).
+    scans dW/da on each piece of the sweep (W rests at its floor 0
+    where nobody is served, so that counts as rising; outside the sweep
+    the scan reads None and roots nothing), roots each fall from + to
+    -, and prices every candidate by contract_value; a tie goes to the
+    smaller advance.
+
+    The scan reads 2 points per piece, its two ends, when the type
+    density is log-concave (TypeDistribution.log_concave) and
+    _SLOPE_POINTS otherwise. The sketch behind the 2 points: on
+    [0, c'/mu'] the payoff U falls in the type, so the acceptance root
+    theta is the top of the served set [lo, theta], and dW/da = 0 sets
+    pi*(1 + Phi')/(-U_t) equal to (F(theta) - F(lo))/f(theta). What is
+    proved: for log-concave f, F(theta) - F(lo) is log-concave in theta
+    (Bagnoli and Bergstrom 2005), so the right side rises in theta at a
+    fixed lo. What is not proved: that the left side, and lo where it is
+    a profit root, move so that the two sides cross once per piece.
+    That is measured: on seeded draws of uniform, truncated-exponential
+    (rate 0.2-9) and power (exponent 1-4) types the 2-point search
+    matched the _SLOPE_POINTS one within 1e-12 in value, at every
+    slope tried. A density with more or narrower modes can hide a peak
+    between scan points, so it keeps the finer scan.
+
+    The rate is d a/d b1 along the winner's regime: ir_slope at the
+    kink won, of the type whose binding advance it is, by exact
+    equality with a kink of _advance_kinks, and 0 elsewhere. That is 0
+    at 0, K and the node advances, and at a stationary point, where
+    dW/da = 0. Returns (a, W, rate).
     """
     kinks, (a_lo, a_hi) = _advance_kinks(econ, b1)
 
@@ -569,7 +586,8 @@ def _best_advance(econ, b1):
         return None
 
     a, v = maximize_on_pieces(lambda a: contract_value(econ, a, 0.0, b1, _MIXED_PANELS),
-                              slope, sorted(kinks), _SLOPE_POINTS)
+                              slope, sorted(kinks),
+                              2 if econ.dist.log_concave else _SLOPE_POINTS)
     theta = kinks.get(a)
     return a, v, 0.0 if theta is None else ir_slope(econ, a, theta)
 

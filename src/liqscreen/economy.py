@@ -12,6 +12,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -34,6 +35,23 @@ class TypeDistribution:
     def __post_init__(self):
         if not (self.lower < self.upper):
             raise DomainError("type support needs lower < upper")
+
+    @cached_property
+    def log_concave(self) -> bool:
+        """True when log f is finite and concave on the support's interior.
+
+        Tested once per distribution, at the interior points of a
+        257-point grid of types: log f must be finite there and its
+        second differences at most 1e-12. The grid's ends are left out,
+        so a density that vanishes at the lower end, as power types
+        with exponent > 1 do, can pass. Uniform, truncated-exponential
+        and power (exponent >= 1) types pass; power types with exponent
+        < 1 and bimodal mixtures do not.
+        """
+        ts = np.linspace(self.lower, self.upper, 257)[1:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_f = np.log(np.asarray(self.pdf(ts), float))
+        return bool(np.all(np.isfinite(log_f)) and np.all(np.diff(log_f, 2) <= 1e-12))
 
 
 def uniform(lo: float = 0.0, hi: float = 1.0) -> TypeDistribution:

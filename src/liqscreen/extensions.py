@@ -31,6 +31,7 @@ _IC_SLACK = 1e-12
 _MENU_TYPES = 10  # quantile types of the menu check
 _MENU_ADVANCES = 20  # advances and slopes of its instrument grid
 _MENU_SLOPES = 20
+_SIGMA_MIN = 1e-6  # smallest monitoring intensity solved; below it sigma* is 0
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +207,9 @@ class MonitoringConfig:
     sigma_max: float = 3.0
 
     def __post_init__(self):
-        if self.kappa0 <= 0 or self.sigma_max <= 0:
-            raise DomainError("monitoring cost scale and range must be positive")
+        if self.kappa0 <= 0 or self.sigma_max <= _SIGMA_MIN:
+            raise DomainError("monitoring cost scale must be positive and its "
+                              f"range must exceed {_SIGMA_MIN:g}")
 
 
 def scale_signal(econ: EconomyPrimitives, factor: float) -> EconomyPrimitives:
@@ -241,15 +243,20 @@ def solve_monitoring(econ: EconomyPrimitives, cfg: MonitoringConfig) -> dict:
     Balances b1*(sigma) times the informativeness gain of the rent-
     bearing tail against the marginal monitoring cost 2*kappa0*sigma.
     """
-    # each gap is a mixed-program solve; find_root opens at sigma_max again
-    # and ends on a point it has evaluated, so no gap is solved twice
+    # each gap is a mixed-program solve. The bracket opens at _SIGMA_MIN,
+    # where the corner is tested, and find_root takes both end gaps as
+    # held, so no gap is solved at sigma = 0; it ends on a point it has
+    # evaluated, so no gap is solved twice
     gap = functools.cache(lambda s: _monitoring_gap(econ, cfg, s))
-    if gap(1e-6) <= 0.0:
-        return {"sigma_star": 0.0, "foc_residual": gap(1e-6), "corner": True}
-    if gap(cfg.sigma_max) > 0.0:
+    g_lo = gap(_SIGMA_MIN)
+    if g_lo <= 0.0:
+        return {"sigma_star": 0.0, "foc_residual": g_lo, "corner": True}
+    g_hi = gap(cfg.sigma_max)
+    if g_hi > 0.0:
         raise BracketError("monitoring FOC positive through sigma_max")
-    sigma = find_root(gap, Bracket(0.0, cfg.sigma_max),
-                      Tolerance(abs_x=1e-7, abs_f=1e-8, max_iter=100))
+    sigma = find_root(gap, Bracket(_SIGMA_MIN, cfg.sigma_max),
+                      Tolerance(abs_x=1e-7, abs_f=1e-8, max_iter=100),
+                      ends=(g_lo, g_hi))
     return {"sigma_star": sigma, "foc_residual": gap(sigma), "corner": False}
 
 

@@ -616,6 +616,66 @@ def test_solve_mixed_searches_each_slope_once(monkeypatch, bench_informative):
             assert sol.contract.slope == b1_flat
 
 
+def _log_concave_economies(n, seed):
+    """n seeded benchmark draws on uniform, truncated-exponential (rate
+    0.2-9) and power (exponent 1-4) types."""
+    rng = np.random.default_rng(seed)
+    out = {}
+    for i in range(n):
+        dist = (None, truncated_exponential(float(rng.uniform(0.2, 9.0))),
+                power(float(rng.uniform(1.0, 4.0))))[i % 3]
+        out[f"log_concave-{i}"] = benchmark(
+            v=float(rng.uniform(1.5, 4.5)), mu0=float(rng.uniform(0.0, 0.7)),
+            K=float(rng.uniform(0.5, 2.0)), R=float(rng.uniform(0.05, 3.0)),
+            signal_scale=float(rng.uniform(0.3, 1.5)), dist=dist)
+    return out
+
+
+LOG_CONCAVE_ECONOMIES = _log_concave_economies(30, 11)
+
+
+@pytest.mark.parametrize("name", sorted(LOG_CONCAVE_ECONOMIES))
+def test_log_concave_advance_scan_matches_the_full_scan(name):
+    # on a log-concave type density the inner search scans dW/da at the
+    # two ends of each piece; the scan at _SLOPE_POINTS per piece is the
+    # reference, with the same kinks, slope and values
+    econ = LOG_CONCAVE_ECONOMIES[name]
+    assert econ.dist.log_concave
+    b1_flat = flat_rent_slope(econ)
+    for b1 in np.linspace(0.0, b1_flat, 6)[:-1].tolist() + [b1_flat]:
+        kinks, (a_lo, a_hi) = _advance_kinks(econ, b1)
+
+        def slope(a):
+            return _directional_slope(econ, b1, a, 1.0, 0.0) if a_lo < a < a_hi else None
+
+        _, v_ref = numerics.maximize_on_pieces(
+            lambda a: contract_value(econ, a, 0.0, b1, bilateral._MIXED_PANELS),
+            slope, sorted(kinks), bilateral._SLOPE_POINTS)
+        _, v, _ = _best_advance(econ, b1)
+        assert abs(v - v_ref) <= 1e-12, (b1, v, v_ref)
+
+
+def test_inner_search_scans_two_points_per_piece_on_uniform_types(monkeypatch,
+                                                                 bench_informative):
+    # W(a) peaks at a kink on every slope here, so each inner search reads
+    # dW/da at the two ends of the sweep's one piece and roots nothing; a
+    # scan at _SLOPE_POINTS would read 9
+    slopes = _counted(monkeypatch, "_directional_slope")
+    search = bilateral._best_advance
+    per_search = []
+
+    def counted(econ, b1):
+        slopes.clear()
+        out = search(econ, b1)
+        per_search.append(sum(args[3:] == (1.0, 0.0) for args in slopes))
+        return out
+
+    monkeypatch.setattr(bilateral, "_best_advance", counted)
+    solve_mixed(bench_informative)
+    assert len(per_search) >= 10
+    assert max(per_search) <= 2, per_search
+
+
 def _golden_mixed(econ):
     """Reference (value, branch) of solve_mixed: a 33-point slope scan, then
     golden section to 1e-9 around its best point."""
@@ -665,6 +725,11 @@ MIXED_ECONOMIES = {
                          K=1.4803321539808287, R=2.0881841584868504,
                          signal_scale=1.3471502463658693, dist=bimodal()),
     **BIMODAL_SWEEPS,
+    # tight credit and weak surplus on uniform types: an outer scan of dV/db1
+    # at 2 points per piece instead of 9 stops 1.6e-3 and 1.1e-3 below the
+    # optimum
+    "tight_low_floor": benchmark(v=1.5, mu0=0.1, R=3.0),
+    "tight_high_floor": benchmark(v=1.5, mu0=0.3, R=3.0),
 }
 
 

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from liqscreen import extensions
 from liqscreen.bilateral import binding_ir_advance, solve_optimal
 from liqscreen.economy import (EconomyPrimitives, benchmark, power,
                                truncated_exponential, uniform, with_tightness)
@@ -125,6 +126,27 @@ def test_monitoring_interior_and_corner():
     assert corner["sigma_star"] == 0.0
     with pytest.raises(BracketError):
         solve_monitoring(econ, MonitoringConfig(kappa0=1e-6, sigma_max=0.5))
+
+
+def test_monitoring_solves_no_gap_at_zero_intensity(monkeypatch):
+    # the bracket opens at 1e-6, where the corner is tested, and find_root
+    # takes both end gaps as held: no mixed-program solve at sigma = 0 and
+    # none twice
+    sigmas = []
+    gap = extensions._monitoring_gap
+
+    def recorded(econ, cfg, sigma):
+        sigmas.append(sigma)
+        return gap(econ, cfg, sigma)
+
+    monkeypatch.setattr(extensions, "_monitoring_gap", recorded)
+    out = solve_monitoring(benchmark(v=2.0, mu0=0.1, K=1.0, R=1.0),
+                           MonitoringConfig(kappa0=0.05))
+    assert not out["corner"]
+    assert min(sigmas) == 1e-6
+    assert len(sigmas) == len(set(sigmas))
+    with pytest.raises(DomainError):
+        MonitoringConfig(kappa0=0.05, sigma_max=1e-6)
 
 
 def test_monitoring_gap_uses_pointwise_signal_slope(curved_signal_pair):

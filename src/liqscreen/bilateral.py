@@ -37,8 +37,9 @@ class Contract:
     slope: float = 0.0
 
     def __post_init__(self):
-        if self.advance < -1e-12 or self.intercept < -1e-12 or self.slope < -1e-12:
-            raise DomainError("contract terms must be nonnegative")
+        terms = (self.advance, self.intercept, self.slope)
+        if not all(math.isfinite(x) and x >= -1e-12 for x in terms):
+            raise DomainError("contract terms must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -170,25 +171,26 @@ def virtual_surplus(econ: EconomyPrimitives, theta, a: float, b1: float):
     return float(out) if np.isscalar(theta) else out
 
 
-def cutoff(econ: EconomyPrimitives, a: float, b1: float) -> float:
-    """Lowest served type: first sign change of the virtual surplus.
+def cutoff(econ: EconomyPrimitives, a: float, b1: float) -> tuple[float, float, float]:
+    """(Lowest served type, psi(lower), psi(upper)) from one grid of virtual surplus.
 
-    Returns the support's lower end when virtual surplus is nonnegative
-    everywhere and its upper end when it is negative everywhere (empty
-    service set).
+    The type is the first sign change of psi: the support's lower end
+    when psi is nonnegative everywhere, its upper end when negative
+    everywhere. The service set is empty when psi(upper) < 0.
     """
     d = econ.dist
     ts = np.linspace(d.lower, d.upper, 257)
     vals = virtual_surplus(econ, ts, a, b1)
+    ends = float(vals[0]), float(vals[-1])
     if vals[0] >= 0.0:
-        return d.lower
+        return d.lower, *ends
     idx = np.nonzero(vals >= 0.0)[0]
     if idx.size == 0:
-        return d.upper
+        return d.upper, *ends
     i = int(idx[0])
     return find_root(lambda t: float(virtual_surplus(econ, t, a, b1)),
                      Bracket(float(ts[i - 1]), float(ts[i])),
-                     ends=(float(vals[i - 1]), float(vals[i])))
+                     ends=(float(vals[i - 1]), float(vals[i]))), *ends
 
 
 def rent_schedule(econ: EconomyPrimitives, b1: float, theta: float) -> float:
@@ -237,8 +239,8 @@ def _screening_value(econ: EconomyPrimitives, a: float,
     """
     d = econ.dist
     phi = financing_cost(econ.financing, econ.working_capital - a)
-    that = cutoff(econ, a, slope)
-    if float(virtual_surplus(econ, d.upper, a, slope)) < 0.0:
+    that, _, psi_hi = cutoff(econ, a, slope)
+    if psi_hi < 0.0:
         decomp = {"productive_surplus": 0.0, "aggregate_financing_cost": 0.0,
                   "aggregate_information_rent": 0.0, "advance_outlay": 0.0,
                   "empty_set": 1.0}
@@ -311,9 +313,10 @@ def _screening_slope(econ: EconomyPrimitives, b1: float, a: float,
     contingent_value, <= 0 wherever mu' >= 0. None on an empty service
     set, where W rests at 0.
     """
-    if float(virtual_surplus(econ, econ.dist.upper, a, b1)) < 0.0:
+    that, _, psi_hi = cutoff(econ, a, b1)
+    if psi_hi < 0.0:
         return None
-    return _envelope_slope(econ, cutoff(econ, a, b1), a, rate, 1.0)
+    return _envelope_slope(econ, that, a, rate, 1.0)
 
 
 def _manifold_slope(econ: EconomyPrimitives, b1: float) -> float | None:
@@ -679,9 +682,8 @@ def pure_advance_value(econ: EconomyPrimitives) -> float:
 
 def contingent_value(econ: EconomyPrimitives, b1: float) -> float:
     """Screening value of a zero-advance contract with slope b1."""
-    d = econ.dist
-    that = cutoff(econ, 0.0, b1)
-    if float(virtual_surplus(econ, d.upper, 0.0, b1)) < 0.0:
+    that, _, psi_hi = cutoff(econ, 0.0, b1)
+    if psi_hi < 0.0:
         return 0.0
     return screening_integral(econ, that, 0.0, b1, _SCREENING_PANELS)
 
@@ -702,10 +704,13 @@ def pure_contingent_value(econ: EconomyPrimitives) -> float:
 
 
 def crossing_threshold(econ: EconomyPrimitives) -> float:
-    """Tightness at which the pure-contingent value falls to the pure-advance one.
+    """Smallest tightness at which pure-contingent value falls to pure-advance value.
 
     The pure-advance value does not depend on tightness (no uncovered
-    gap); the pure-contingent value strictly decreases in it.
+    gap); the pure-contingent value decreases in it, strictly until its
+    service set empties, and then rests at 0. Where the pure-advance
+    value is 0 as well, the gap rests at 0 from the crossing on; the
+    root of the gap's sign is then where that plateau starts.
     """
     w_a = pure_advance_value(econ)
 
@@ -722,6 +727,9 @@ def crossing_threshold(econ: EconomyPrimitives) -> float:
         if hi > 64.0:
             raise BracketError("no crossing found for tightness up to 64")
         g_hi = gap(hi)
+    if g_hi == 0.0:
+        return find_root(lambda R: 1.0 if gap(R) > 0.0 else -1.0, Bracket(lo, hi),
+                         ends=(1.0, -1.0))
     return find_root(gap, Bracket(lo, hi), ends=(g_lo, g_hi))
 
 

@@ -163,11 +163,13 @@ class FinancingCost:
 
     def __post_init__(self):
         if self.kind == "quadratic":
-            if self.tightness < 0:
-                raise DomainError("tightness must be nonnegative")
+            if not (math.isfinite(self.tightness) and self.tightness >= 0):
+                raise DomainError("tightness must be finite and nonnegative")
         elif self.kind == "tabulated":
             if self.nodes is None or len(self.nodes[0]) != len(self.nodes[1]):
                 raise DomainError("tabulated cost needs matching (ell, phi) nodes")
+            if not np.all(np.isfinite(np.asarray(self.nodes, float))):
+                raise DomainError("tabulated cost nodes must be finite")
             ells = np.asarray(self.nodes[0])
             if np.any(np.diff(ells) <= 0):
                 raise DomainError("tabulated ell nodes must be strictly increasing")
@@ -229,8 +231,8 @@ class EconomyPrimitives:
     label: str = "custom"
 
     def __post_init__(self):
-        if self.working_capital <= 0:
-            raise DomainError("working capital must be positive")
+        if not (math.isfinite(self.working_capital) and self.working_capital > 0):
+            raise DomainError("working capital must be finite and positive")
 
 
 def signal_slope(econ: EconomyPrimitives, t):

@@ -87,8 +87,12 @@ class PortfolioEconomy:
     def __post_init__(self):
         n = len(self.economies)
         c = np.asarray(self.coupling, float)
+        if n == 0:
+            raise DomainError("a portfolio needs at least one relationship")
         if c.shape != (n, n):
             raise DomainError("coupling matrix shape must match economy count")
+        if not np.all(np.isfinite(c)):
+            raise DomainError("complementarities must be finite")
         if np.any(np.abs(c - c.T) > 1e-12):
             raise DomainError("coupling matrix must be symmetric")
         if np.any(np.abs(np.diag(c)) > 1e-12):
@@ -120,7 +124,7 @@ def make_portfolio(economies, delta=None, coupling=None,
     if coupling is None:
         if delta is None:
             raise DomainError("provide delta or a coupling matrix")
-        coupling = delta * (np.ones((n, n)) - np.eye(n))
+        coupling = np.where(np.eye(n, dtype=bool), 0.0, delta)
     if contracts is None:
         contracts = tuple(calibrated_contract(e) for e in econs)
     return PortfolioEconomy(econs, np.asarray(coupling, float), tuple(contracts))
@@ -219,10 +223,7 @@ def solve_cutoffs(port: PortfolioEconomy) -> PortfolioSolution:
     flags come from the pass that produced the returned cutoffs.
     """
     pairs = tuple(zip(port.economies, port.contracts))
-    psi_lo = np.array([float(virtual_surplus(e, e.dist.lower, c.advance, c.slope))
-                       for e, c in pairs])
-    psi_hi = np.array([float(virtual_surplus(e, e.dist.upper, c.advance, c.slope))
-                       for e, c in pairs])
+    x0, psi_lo, psi_hi = np.array([cutoff(e, c.advance, c.slope) for e, c in pairs]).T
     flags = []
 
     def responses(x):
@@ -232,7 +233,6 @@ def solve_cutoffs(port: PortfolioEconomy) -> PortfolioSolution:
         flags[:] = [flag for _, flag in out]
         return np.array([t for t, _ in out])
 
-    x0 = np.array([cutoff(e, c.advance, c.slope) for e, c in pairs])
     x, steps = _newton_cutoffs(port, x0, psi_lo, psi_hi)
     x, residual, iters = fixed_point(responses, x, FP_TOL)
     clamped = tuple(flags)
@@ -434,7 +434,7 @@ def contagion_threshold(econ: EconomyPrimitives,
         raise DegeneracyError("calibrated slope is zero; threshold undefined")
     K = econ.working_capital
     ell = K - c.advance
-    that = cutoff(econ, c.advance, c.slope)
+    that = cutoff(econ, c.advance, c.slope)[0]
     tail = 1.0 - float(econ.dist.cdf(that))
     if tail <= 1e-12:
         raise DegeneracyError("uncoupled service set is empty")
@@ -497,7 +497,7 @@ def breadth_comparison(port: PortfolioEconomy,
         w1 = solve_mixed(port.economies[0]).value
     elif single == "matched":
         e, c = port.economies[0], port.contracts[0]
-        w1 = screening_integral(e, cutoff(e, c.advance, c.slope),
+        w1 = screening_integral(e, cutoff(e, c.advance, c.slope)[0],
                                 c.advance, c.slope, 256) - c.advance
     else:
         raise DomainError(f"unknown single-value convention {single!r}")
@@ -523,7 +523,7 @@ def independent_cutoff_value(port: PortfolioEconomy) -> dict:
     reports the relative shortfall against the coupled optimum.
     """
     sol = solve_cutoffs(port)
-    x_ind = np.array([cutoff(e, c.advance, c.slope)
+    x_ind = np.array([cutoff(e, c.advance, c.slope)[0]
                       for e, c in zip(port.economies, port.contracts)])
     v_ind, _ = portfolio_value(port, x_ind)
     if abs(sol.total_value) < 1e-12:

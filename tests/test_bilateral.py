@@ -43,7 +43,7 @@ from liqscreen.bilateral import (
 )
 from liqscreen.economy import (FinancingCost, benchmark, bimodal, power,
                                truncated_exponential)
-from liqscreen.errors import DomainError
+from liqscreen.errors import BracketError, DomainError
 from liqscreen.extensions import solve_renegotiation
 from liqscreen.numerics import best_candidate
 from liqscreen.portfolio import solve_cutoffs, symmetric_portfolio
@@ -54,6 +54,14 @@ def test_contract_rejects_negative_terms():
         Contract(advance=-0.1)
     with pytest.raises(DomainError):
         Contract(advance=0.1, slope=-0.2)
+
+
+@pytest.mark.parametrize("terms", [{"advance": math.nan}, {"intercept": math.nan},
+                                   {"slope": math.inf}],
+                         ids=["advance", "intercept", "slope"])
+def test_contract_rejects_non_finite_terms(terms):
+    with pytest.raises(DomainError, match="finite"):
+        Contract(**{"advance": 0.1, **terms})
 
 
 def test_closed_form_gap_share():
@@ -103,7 +111,7 @@ def test_slope_cap_benchmark():
 def test_virtual_surplus_and_cutoff():
     econ = benchmark(v=2.0, mu0=0.0, K=1.0, R=1.0)
     a = binding_ir_advance(econ, 0.0)
-    that = cutoff(econ, a, 0.0)
+    that = cutoff(econ, a, 0.0)[0]
     psi = float(virtual_surplus(econ, that, a, 0.0))
     assert abs(psi) < 1e-8
     assert float(virtual_surplus(econ, min(that + 0.1, 1.0), a, 0.0)) > 0.0
@@ -160,6 +168,23 @@ def test_pure_values_and_crossing():
     assert abs(pure_contingent_value(econ) - 0.125) < 1e-6
     r_star = crossing_threshold(econ)
     assert abs(r_star - (2.0 - math.sqrt(2.0))) < 1e-6
+
+
+@pytest.mark.parametrize("K, r_star", [(2.0, 0.5), (3.0, 2.0 / 9.0)])
+def test_crossing_threshold_finds_where_the_plateau_starts(K, r_star):
+    # W_A = 0 and W_C = (1 - R K^2/2)^2 / 2 until R K^2/2 reaches 1, then 0:
+    # the gap rests at 0 from r_star on, through the bracket end 1
+    assert pure_advance_value(benchmark(K=K)) == 0.0
+    assert abs(crossing_threshold(benchmark(K=K)) - r_star) < 1e-8
+
+
+def test_crossing_threshold_doubles_its_bracket_up_to_64():
+    # W_A = K^2/4 and W_C = (1 - R K^2/2)^2 / 2 cross at 2(1 - K/sqrt 2)/K^2
+    K = 0.5
+    closed = 2.0 * (1.0 - K / math.sqrt(2.0)) / K ** 2  # 5.17..., past 4
+    assert abs(crossing_threshold(benchmark(K=K)) - closed) < 1e-8
+    with pytest.raises(BracketError, match="64"):
+        crossing_threshold(benchmark(K=0.15))  # crosses near R = 79
 
 
 @pytest.mark.parametrize("econ, terms, expected", [
@@ -232,6 +257,26 @@ def test_no_root_prices_a_bracket_end_twice(monkeypatch):
         "_served", "binding_ir_advance", "cutoff", "crossing_threshold",
         "_cutoff_given_coupling", "solve_renegotiation"}
     assert all(given for _, given, _ in roots)
+
+
+def test_support_end_psi_comes_from_the_cutoff_grid(monkeypatch):
+    # psi at the support ends is read off cutoff's grid, so neither the
+    # empty-set tests nor solve_cutoffs' clamps price it by a scalar call
+    at_ends = []
+    for mod in (bilateral, portfolio):
+        def recorded(econ, theta, a, b1, psi=mod.virtual_surplus):
+            if np.ndim(theta) == 0 and float(theta) in (econ.dist.lower,
+                                                        econ.dist.upper):
+                at_ends.append(float(theta))
+            return psi(econ, theta, a, b1)
+        monkeypatch.setattr(mod, "virtual_surplus", recorded)
+    solve_cutoffs(symmetric_portfolio(1.0, 0.6))
+    econ = benchmark(v=2.0, mu0=0.1)
+    for b1 in (0.0, 0.5, 3.0, 9.0):
+        bilateral.principal_value(econ, b1)
+        _screening_slope(econ, b1, 0.2, 0.5)
+        bilateral.contingent_value(econ, b1)
+    assert at_ends == []
 
 
 @pytest.mark.parametrize("econ, terms", [

@@ -143,6 +143,28 @@ def test_working_capital_must_be_positive():
         benchmark(K=0.0)
 
 
+@pytest.mark.parametrize("K", [math.nan, math.inf])
+def test_working_capital_must_be_finite(K):
+    # a nan K used to reach the participation root and fail in Bracket
+    with pytest.raises(DomainError, match="working capital"):
+        benchmark(K=K)
+
+
+@pytest.mark.parametrize("R", [math.nan, math.inf])
+def test_tightness_must_be_finite(R):
+    # a nan R used to solve to a nan value
+    with pytest.raises(DomainError, match="tightness"):
+        benchmark(R=R)
+
+
+@pytest.mark.parametrize("nodes", [((0.0, math.nan), (0.0, 1.0)),
+                                   ((0.0, 1.0), (0.0, math.inf))],
+                         ids=["ell", "phi"])
+def test_tabulated_nodes_must_be_finite(nodes):
+    with pytest.raises(DomainError, match="finite"):
+        FinancingCost(tightness=0.0, kind="tabulated", nodes=nodes)
+
+
 def test_config_round_trip(tmp_path):
     cfg = {"dist": {"kind": "uniform", "params": {"lo": 0.0, "hi": 1.0}},
            "v": 3.0, "mu0": 0.1, "K": 1.0, "R": 2.0,

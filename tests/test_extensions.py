@@ -9,7 +9,7 @@ import pytest
 
 from liqscreen import extensions
 from liqscreen.bilateral import binding_ir_advance, solve_optimal
-from liqscreen.economy import (EconomyPrimitives, benchmark, power,
+from liqscreen.economy import (EconomyPrimitives, benchmark, financing_cost, power,
                                truncated_exponential, uniform, with_tightness)
 from liqscreen.errors import (BracketError, DegeneracyError, DomainError,
                               SingularityError)
@@ -174,6 +174,25 @@ def test_renegotiation_value_weakly_falls():
     assert all(b <= a + 1e-9 for a, b in zip(vals, vals[1:])), vals
     with pytest.raises(DomainError):
         solve_renegotiation(econ, 1.5)
+
+
+def test_renegotiation_pays_the_surviving_slope():
+    # mu(lower) = 0.3 > 0 and the anchored advance 0.3 falls short of the
+    # lowest type's participation, so the slope grosses up for the survival
+    # share: b1 = (Phi(0.7) - 0.3) / 0.3 / (1 - lam) = 29/14
+    econ, lam = benchmark(v=2.0, mu0=0.3, R=3.0), 0.3
+    sol = solve_renegotiation(econ, lam)
+    a, b1 = sol.contract.advance, sol.contract.slope
+    assert sol.boundary_flag == "interior"
+    assert abs(b1 - 29.0 / 14.0) < 1e-9
+    lo = econ.dist.lower
+    participation = (a + (1.0 - lam) * b1 * float(econ.signal_mean(lo))
+                     - float(econ.cost(lo))
+                     - financing_cost(econ.financing, econ.working_capital - a))
+    assert abs(participation) < 1e-9
+    d = sol.decomposition
+    assert sol.value == (d["productive_surplus"] - d["aggregate_financing_cost"]
+                         - d["aggregate_information_rent"] - d["advance_outlay"])
 
 
 # --- menus -------------------------------------------------------------------

@@ -73,6 +73,19 @@ def test_portfolio_requires_symmetric_coupling():
         make_portfolio(econs)
 
 
+@pytest.mark.parametrize("delta", [math.nan, math.inf])
+def test_portfolio_rejects_non_finite_coupling(delta):
+    # a nan coupling used to solve to cutoffs [1, 1] with a nan value, an
+    # infinite one to an infinite value
+    with pytest.raises(DomainError, match="finite"):
+        make_portfolio([benchmark(), benchmark()], delta=delta)
+
+
+def test_portfolio_needs_a_relationship():
+    with pytest.raises(DomainError):
+        make_portfolio([], delta=0.5)
+
+
 def test_symmetric_cutoff_closed_form_and_degenerate_denominator():
     theta, clamped = symmetric_cutoff(0.3, 0.5, 0.2, v=2.0)
     assert abs(theta - (0.3 + 0.5 - 0.2) / (1.0 + 0.5 - 0.2)) < 1e-12
@@ -113,7 +126,7 @@ def test_zero_coupling_reduces_to_bilateral_cutoffs():
     port = symmetric_portfolio(1.0, 0.0)
     sol = solve_cutoffs(port)
     for i, (econ, con) in enumerate(zip(port.economies, port.contracts)):
-        solo = cutoff(econ, con.advance, con.slope)
+        solo = cutoff(econ, con.advance, con.slope)[0]
         assert abs(sol.cutoffs[i] - solo) < 1e-8
 
 
@@ -216,7 +229,7 @@ def _damped_reference(port):
                 out.append((find_root(g, Bracket(d.lower, d.upper)), "none"))
         return np.array([t for t, _ in out]), tuple(flag for _, flag in out)
 
-    x = np.array([cutoff(e, c.advance, c.slope)
+    x = np.array([cutoff(e, c.advance, c.slope)[0]
                   for e, c in zip(port.economies, port.contracts)])
     for passes in range(1, 20001):
         tx, _ = respond(x)

@@ -20,7 +20,7 @@ import numpy as np
 from .economy import (EconomyPrimitives, cost_slope, financing_cost,
                       marginal_ell, signal_slope, with_tightness)
 from .errors import BracketError, DomainError
-from .numerics import Bracket, find_root, integrate, maximize_on_pieces
+from .numerics import Bracket, find_root, grid, integrate, maximize_on_pieces
 
 _SCREENING_PANELS = 512  # Simpson panels of the screening-program integrals
 _SLOPE_POINTS = 9  # derivative scan per piece of every slope search
@@ -159,38 +159,66 @@ def _wedge(econ, t):
     return (1.0 - np.asarray(econ.dist.cdf(t), float)) / np.asarray(econ.dist.pdf(t), float)
 
 
+def _lanes(x) -> list:
+    """x, a float or a 1-d numpy array of lanes, as a list of floats."""
+    return x.tolist() if isinstance(x, np.ndarray) else [x]
+
+
+def _psi(econ, t, phi, b1):
+    """V - c - phi - b1 * mu' * (1 - F)/f at types t, one row per lane of phi, b1.
+
+    phi and b1 are floats, or column arrays with one lane per row. The
+    association ((V - c) - phi) - (b1 * mu') * (1 - F)/f is the same
+    for every shape, so each lane's row is bit for bit the scalar one.
+    """
+    return (np.asarray(econ.surplus(t), float) - np.asarray(econ.cost(t), float)
+            - phi - b1 * signal_slope(econ, t) * _wedge(econ, t))
+
+
 def virtual_surplus(econ: EconomyPrimitives, theta, a: float, b1: float):
     """Pointwise virtual surplus of serving type theta under (a, b1).
 
     V - c - Phi(K - a) - b1 * mu' * (1 - F)/f; elementwise over theta.
     """
-    t = np.asarray(theta, dtype=float)
-    phi = financing_cost(econ.financing, econ.working_capital - a)
-    out = (np.asarray(econ.surplus(t), float) - np.asarray(econ.cost(t), float)
-           - phi - b1 * signal_slope(econ, t) * _wedge(econ, t))
+    out = _psi(econ, np.asarray(theta, dtype=float),
+               financing_cost(econ.financing, econ.working_capital - a), b1)
     return float(out) if np.isscalar(theta) else out
 
 
-def cutoff(econ: EconomyPrimitives, a: float, b1: float) -> tuple[float, float, float]:
+def cutoff(econ: EconomyPrimitives, a, b1):
     """(Lowest served type, psi(lower), psi(upper)) from one grid of virtual surplus.
 
     The type is the first sign change of psi: the support's lower end
     when psi is nonnegative everywhere, its upper end when negative
-    everywhere. The service set is empty when psi(upper) < 0.
+    everywhere. The service set is empty when psi(upper) < 0. a and b1
+    are floats, or equal-length 1-d arrays with one lane per (a, b1)
+    pair; each of the three then comes back as an array, lane by lane
+    bit for bit the scalar call's. All lanes price psi on one 257-point
+    type grid, and each lane roots its own sign change.
     """
     d = econ.dist
-    ts = np.linspace(d.lower, d.upper, 257)
-    vals = virtual_surplus(econ, ts, a, b1)
-    ends = float(vals[0]), float(vals[-1])
-    if vals[0] >= 0.0:
-        return d.lower, *ends
-    idx = np.nonzero(vals >= 0.0)[0]
-    if idx.size == 0:
-        return d.upper, *ends
-    i = int(idx[0])
-    return find_root(lambda t: float(virtual_surplus(econ, t, a, b1)),
-                     Bracket(float(ts[i - 1]), float(ts[i])),
-                     ends=(float(vals[i - 1]), float(vals[i]))), *ends
+    ts = grid(d.lower, d.upper, 257)
+    lanes = isinstance(a, np.ndarray)
+    a_s, b1_s = _lanes(a), _lanes(b1)
+    phi = [financing_cost(econ.financing, econ.working_capital - x) for x in a_s]
+    # one row per lane; a scalar call keeps its one row 1-d, which is cheaper
+    rows = (_psi(econ, ts, np.array(phi)[:, None], b1[:, None]) if lanes
+            else [_psi(econ, ts, phi[0], b1)])
+
+    def lane(vals, a_k, b1_k):
+        ends = float(vals[0]), float(vals[-1])
+        if vals[0] >= 0.0:
+            return d.lower, *ends
+        idx = np.nonzero(vals >= 0.0)[0]
+        if idx.size == 0:
+            return d.upper, *ends
+        i = int(idx[0])
+        return find_root(lambda t: virtual_surplus(econ, t, a_k, b1_k),
+                         Bracket(float(ts[i - 1]), float(ts[i])),
+                         ends=(float(vals[i - 1]), float(vals[i]))), *ends
+
+    out = [lane(*lane_args) for lane_args in zip(rows, a_s, b1_s)]
+    return tuple(np.array(out, dtype=float).reshape(-1, 3).T) if lanes else out[0]
 
 
 def rent_schedule(econ: EconomyPrimitives, b1: float, theta: float) -> float:
@@ -202,8 +230,12 @@ def rent_schedule(econ: EconomyPrimitives, b1: float, theta: float) -> float:
                      lo, theta, panels=256)
 
 
-def rent_tail(econ: EconomyPrimitives, x: float, panels: int = 512) -> float:
-    """Integral of the pointwise mu' * (1 - F) from x to the top type."""
+def rent_tail(econ: EconomyPrimitives, x, panels: int = 512):
+    """Integral of the pointwise mu' * (1 - F) from x to the top type.
+
+    x is a float, or a 1-d array of lower limits priced by one
+    integrate call, one Simpson row each.
+    """
     d = econ.dist
     return integrate(lambda t: signal_slope(econ, t)
                      * (1.0 - np.asarray(d.cdf(t), float)), x, d.upper, panels)
@@ -258,21 +290,26 @@ def _screening_value(econ: EconomyPrimitives, a: float,
     return ps - phi * tail - rent - a, decomp, that
 
 
-def _envelope_slope(econ: EconomyPrimitives, that: float, a: float,
-                    da: float, db: float) -> float:
+def _envelope_slope(econ: EconomyPrimitives, that, a, da, db):
     """Derivative of the screening value at advance a along (da, db) in (a, b1).
 
     The served set [that, upper] is held fixed: virtual surplus vanishes
     at the cutoff, so by the envelope theorem moving it adds no term.
     With tail = 1 - F(that) the derivative is
-    -da * (1 - Phi'(K - a) * tail) - db * rent_tail(that).
+    -da * (1 - Phi'(K - a) * tail) - db * rent_tail(that). that, a and
+    da are floats, or equal-length 1-d arrays of lanes (db then a float
+    or one more such array), and the result is a float or an array. The
+    rent tails take one integrate call; the relief term is added lane by
+    lane, and skipped, not multiplied by 0, on a lane with da = 0. It
+    prices F(that) at a scalar type: numpy's array power can differ
+    from its scalar power in the last bit, and a lane must match the
+    one-lane call.
     """
     slope = -db * rent_tail(econ, that, _SCREENING_PANELS)
-    if da:
-        tail = 1.0 - float(econ.dist.cdf(that))
-        relief = marginal_ell(econ.financing, econ.working_capital - a) * tail
-        slope -= da * (1.0 - relief)
-    return slope
+    fin, K, cdf = econ.financing, econ.working_capital, econ.dist.cdf
+    out = [s - r * (1.0 - marginal_ell(fin, K - x) * (1.0 - float(cdf(t)))) if r else s
+           for s, t, x, r in zip(_lanes(slope), _lanes(that), _lanes(a), _lanes(da))]
+    return np.array(out) if isinstance(a, np.ndarray) else out[0]
 
 
 def sufficient_statistics(econ: EconomyPrimitives,
@@ -303,30 +340,37 @@ def sufficient_statistics(econ: EconomyPrimitives,
             "corner": sol.boundary_flag != "interior"}
 
 
-def _screening_slope(econ: EconomyPrimitives, b1: float, a: float,
-                     rate: float) -> float | None:
+def _screening_slope(econ: EconomyPrimitives, b1, a, rate) -> list[float | None]:
     """dW/db1 of the screening value at (a, b1) along a path a(b1) with a' = rate.
 
     _envelope_slope in the direction (rate, 1) at the cutoff of (a, b1).
     Along the participation manifold (_manifold_slope) rate is ir_slope
     off the clamps and 0 on them; at a = 0 and rate 0 it is dW_C/db1 of
-    contingent_value, <= 0 wherever mu' >= 0. None on an empty service
-    set, where W rests at 0.
+    contingent_value, <= 0 wherever mu' >= 0. One lane per slope of b1,
+    a sequence; a and rate are floats or sequences of the same length.
+    All lanes share one cutoff call and one rent-tail integral. Returns
+    a list, None on a lane with an empty service set, where W rests at 0.
     """
+    b1, a, rate = np.broadcast_arrays(np.asarray(b1, float), a, rate)
     that, _, psi_hi = cutoff(econ, a, b1)
-    if psi_hi < 0.0:
-        return None
-    return _envelope_slope(econ, that, a, rate, 1.0)
+    empty = psi_hi < 0.0
+    served = ~empty
+    slopes = np.zeros(b1.shape)
+    if served.any():
+        slopes[served] = _envelope_slope(econ, that[served], a[served],
+                                         rate[served], 1.0)
+    return [None if e else s for s, e in zip(slopes.tolist(), empty.tolist())]
 
 
-def _manifold_slope(econ: EconomyPrimitives, b1: float) -> float | None:
+def _manifold_slope(econ: EconomyPrimitives, b1) -> list[float | None]:
     """dW/db1 of principal_value along the participation manifold a(b1).
 
-    The rate a'(b1) is ir_slope, and 0 where a is clamped at 0 or K.
-    Holds between the kinks of _slope_kinks.
+    One lane per slope of b1, a sequence. The rate a'(b1) is ir_slope,
+    and 0 where a is clamped at 0 or K. Holds between the kinks of
+    _slope_kinks.
     """
-    a = binding_ir_advance(econ, b1)
-    rate = ir_slope(econ, a) if 0.0 < a < econ.working_capital else 0.0
+    a = [binding_ir_advance(econ, b) for b in b1]
+    rate = [ir_slope(econ, x) if 0.0 < x < econ.working_capital else 0.0 for x in a]
     return _screening_slope(econ, b1, a, rate)
 
 
@@ -363,13 +407,13 @@ def solve_optimal(econ: EconomyPrimitives) -> BilateralSolution:
     W(b1) is smooth between the kinks of _slope_kinks, so its maximum
     on [0, slope_cap] is a kink or a local maximum of a piece, where
     _manifold_slope falls from + to -. maximize_on_pieces scans that
-    derivative at _SLOPE_POINTS points per piece, roots each fall and
-    prices the kinks and the roots by principal_value; a tie goes to
-    the smaller slope.
+    derivative at _SLOPE_POINTS points per piece, each scan one batch of
+    lanes, roots each fall and prices the kinks and the roots by
+    principal_value; a tie goes to the smaller slope.
     """
     b1_hi = slope_cap(econ)
     b1_star, _ = maximize_on_pieces(lambda b: principal_value(econ, b)[0],
-                                    lambda b: _manifold_slope(econ, b),
+                                    lambda bs: _manifold_slope(econ, bs),
                                     _slope_kinks(econ, b1_hi, [econ.dist.lower]),
                                     _SLOPE_POINTS)
     a_star = binding_ir_advance(econ, b1_star)
@@ -589,7 +633,7 @@ def _best_advance(econ, b1):
         return None
 
     a, v = maximize_on_pieces(lambda a: contract_value(econ, a, 0.0, b1, _MIXED_PANELS),
-                              slope, sorted(kinks),
+                              lambda xs: [slope(a) for a in xs], sorted(kinks),
                               2 if econ.dist.log_concave else _SLOPE_POINTS)
     theta = kinks.get(a)
     return a, v, 0.0 if theta is None else ir_slope(econ, a, theta)
@@ -649,7 +693,8 @@ def solve_mixed(econ: EconomyPrimitives) -> MixedSolution:
         return found[b1]
 
     b1_star, _ = maximize_on_pieces(lambda b1: best(b1)[1],
-                                    lambda b1: _mixed_slope(econ, b1, best(b1)),
+                                    lambda b1s: [_mixed_slope(econ, b1, best(b1))
+                                                 for b1 in b1s],
                                     _mixed_kinks(econ, b1_hi), _SLOPE_POINTS)
     a_star, v_star, _ = best(b1_star)
     span = served_interval(econ, a_star, 0.0, b1_star)
@@ -693,12 +738,13 @@ def pure_contingent_value(econ: EconomyPrimitives) -> float:
 
     With a = 0 fixed, contingent_value is smooth on [0, slope_cap], so
     maximize_on_pieces scans its slope, _screening_slope at a = 0 and
-    rate 0, at _SLOPE_POINTS points between the two ends, roots each
-    fall from + to - and prices the ends and the roots. Where mu' >= 0
-    the slope never rises, and the value is contingent_value(0).
+    rate 0, at _SLOPE_POINTS points between the two ends in one batch of
+    lanes, roots each fall from + to - and prices the ends and the
+    roots. Where mu' >= 0 the slope never rises, and the value is
+    contingent_value(0).
     """
     _, v = maximize_on_pieces(lambda b: contingent_value(econ, b),
-                              lambda b: _screening_slope(econ, b, 0.0, 0.0),
+                              lambda bs: _screening_slope(econ, bs, 0.0, 0.0),
                               [0.0, slope_cap(econ)], _SLOPE_POINTS)
     return v
 

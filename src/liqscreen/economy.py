@@ -67,8 +67,8 @@ def uniform(lo: float = 0.0, hi: float = 1.0) -> TypeDistribution:
 def truncated_exponential(rate: float, lo: float = 0.0,
                           hi: float = 1.0) -> TypeDistribution:
     """Exponential(rate) restricted to [lo, hi]."""
-    if rate <= 0:
-        raise DomainError("rate must be positive")
+    if not (math.isfinite(rate) and rate > 0):
+        raise DomainError("rate must be finite and positive")
     z = 1.0 - math.exp(-rate * (hi - lo))
     return TypeDistribution(
         lower=lo, upper=hi,
@@ -79,8 +79,8 @@ def truncated_exponential(rate: float, lo: float = 0.0,
 
 def power(exponent: float, lo: float = 0.0, hi: float = 1.0) -> TypeDistribution:
     """Power-law types: F((t - lo)/(hi - lo)) = x**exponent."""
-    if exponent <= 0:
-        raise DomainError("exponent must be positive")
+    if not (math.isfinite(exponent) and exponent > 0):
+        raise DomainError("exponent must be finite and positive")
     width = hi - lo
     return TypeDistribution(
         lower=lo, upper=hi,
@@ -266,8 +266,11 @@ def benchmark(v: float = 2.0, mu0: float = 0.0, K: float = 1.0, R: float = 1.0,
     c = theta, quadratic financing with tightness R, and signal
     mu = mu0 + signal_scale*theta (kind "affine") or mu identically 0
     (kind "flat", which requires mu0 = 0). A negative affine scale is
-    rejected: the signal would fall in the type.
+    rejected: the signal would fall in the type, and so is a v, mu0 or
+    signal_scale that is not finite.
     """
+    if not all(math.isfinite(x) for x in (v, mu0, signal_scale)):
+        raise DomainError("benchmark v, mu0 and signal scale must be finite")
     if signal_kind == "affine":
         if signal_scale < 0:
             raise DomainError("affine signal scale must be nonnegative")

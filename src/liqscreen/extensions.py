@@ -503,10 +503,10 @@ def solve_bid_function(econ: EconomyPrimitives, n: int,
     except OverflowError as exc:
         message, step = exc.args
         raise SingularityError(message, t=float(ts_half[2 * step])) from exc
-    grid = ts_half[::2][::-1]
-    bids = np.asarray(ys, float)[::-1]
-    fb = fb_half[::2][::-1]
-    return BidFunction(grid=grid, bids=bids, full_info=fb, n_bidders=n)
+    # copies, not views: a view would keep its whole half-step array alive
+    return BidFunction(grid=ts_half[::2][::-1].copy(),
+                       bids=np.asarray(ys, float)[::-1].copy(),
+                       full_info=fb_half[::2][::-1].copy(), n_bidders=n)
 
 
 def _rk4_affine(k_half, m_half, y0, h, steps):

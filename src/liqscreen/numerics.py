@@ -18,6 +18,7 @@ BACKEND = "pure"
 
 _NUDGE = 1e-9  # share of the span by which a piece's end slopes step inside it
 _TIE = 1e-12  # relative band within which maximize_on_pieces' candidates tie
+_ARANGES: dict[int, np.ndarray] = {}  # np.arange(n) of each grid size n, for grid
 
 
 @dataclass(frozen=True)
@@ -101,27 +102,35 @@ def find_root(f: Callable[[float], float], bracket: Bracket,
 
 
 def maximize_on_pieces(f: Callable[[float], float],
-                       slope: Callable[[float], float | None],
+                       slope: Callable[[list[float]], list[float | None]],
                        kinks: list[float], points: int) -> tuple[float, float]:
     """Maximum of f on [kinks[0], kinks[-1]], where f is smooth between kinks.
 
-    kinks is sorted. slope is f's derivative inside a piece, or None
-    where f rests at a floor it can only rise from, which counts as
-    rising. On each piece, slope is scanned at points points from end
-    to end, the ends stepped _NUDGE of the whole span inside the piece,
-    past the error of a kink's own root. Each fall from + to - between
-    neighbouring scan points brackets a local maximum, and find_root
-    lands on it, or by its forced bisection on a jump of the derivative.
-    The kinks, then those roots, are priced by f and compete through
-    best_candidate with _TIE, so a tie goes to the smaller x.
-    Returns (x, f(x)).
+    kinks is sorted. slope maps a list of points to the list of f's
+    derivatives there, inside a piece; None marks a point where f rests
+    at a floor it can only rise from, which counts as rising. On each
+    piece the scan reads points points from end to end, the ends
+    stepped _NUDGE of the whole span inside the piece, past the error
+    of a kink's own root. slope is called once with every scan point
+    but the last, and once more with the last only when the point
+    before it rises. Each fall from + to - between neighbouring scan
+    points brackets a local maximum, and find_root lands on it, or by
+    its forced bisection on a jump of the derivative; it calls slope
+    with one point at a time. The kinks, then those roots, are priced
+    by f and compete through best_candidate with _TIE, so a tie goes to
+    the smaller x. points >= 2. Returns (x, f(x)).
     """
     rises = {}
 
+    def scan(xs):
+        new = [x for x in dict.fromkeys(xs) if x not in rises]
+        if new:
+            for x, s in zip(new, slope(new)):
+                rises[x] = 1.0 if s is None else s
+
     def rise(x):
         if x not in rises:
-            s = slope(x)
-            rises[x] = 1.0 if s is None else s
+            scan([x])
         return rises[x]
 
     h = _NUDGE * (kinks[-1] - kinks[0])
@@ -130,7 +139,10 @@ def maximize_on_pieces(f: Callable[[float], float],
         lo, hi = lo + h, hi - h
         if not lo < hi:
             continue
-        xs = np.linspace(lo, hi, points).tolist()
+        xs = grid(lo, hi, points).tolist()
+        scan(xs[:-1])
+        if rises[xs[-2]] > 0.0:
+            scan(xs[-1:])
         for x0, x1 in zip(xs[:-1], xs[1:]):
             if rise(x0) > 0.0 and rise(x1) < 0.0:
                 roots.append(find_root(rise, Bracket(x0, x1)))
@@ -178,24 +190,71 @@ def fixed_point(g: Callable[[np.ndarray], np.ndarray], x0,
         last=x)
 
 
-def integrate(f: Callable, lo: float, hi: float, panels: int = 512) -> float:
+def integrate(f: Callable, lo, hi: float, panels: int = 512):
     """Composite Simpson integral of f over [lo, hi].
 
     panels must be even. f is called once with the full numpy grid and
     must return one value per grid point; any other shape raises
-    ValueError.
+    ValueError. lo may also be a 1-d numpy array of lower limits: the
+    grid then has one row per limit below hi, f is called once on it,
+    and the integrals come back as an array, 0 where a limit is hi. Each
+    row is summed on its own, as a 1-d row, so each integral is bit for
+    bit the one a call with that limit alone returns.
     """
-    if hi < lo:
+    if not isinstance(lo, np.ndarray):
+        if hi < lo:
+            raise ValueError("integrate needs lo <= hi")
+        if hi == lo:
+            return 0.0
+        _check_panels(panels)
+        return float(_simpson(_values(f, grid(lo, hi, panels + 1)), (hi - lo) / panels))
+    lows = lo.astype(float)
+    if np.any(hi < lows):
         raise ValueError("integrate needs lo <= hi")
-    if hi == lo:
-        return 0.0
+    out = np.zeros(lows.shape)
+    live = lows < hi
+    if live.any():
+        _check_panels(panels)
+        lows = lows[live]
+        rows = _values(f, grid(lows, hi, panels + 1))
+        out[live] = [_simpson(y, h) for y, h in zip(rows, ((hi - lows) / panels).tolist())]
+    return out
+
+
+def _check_panels(panels):
     if panels < 2 or panels % 2:
         raise ValueError("panels must be even and >= 2")
-    xs = np.linspace(lo, hi, panels + 1)
+
+
+def _values(f, xs):
+    """f on the grid xs, which must give one value per grid point."""
     ys = np.asarray(f(xs), dtype=float)
     if ys.shape != xs.shape:
         raise ValueError(f"integrand returned shape {ys.shape} "
                          f"on a grid of shape {xs.shape}")
-    h = (hi - lo) / panels
-    return float((ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum()
-                  + 2.0 * ys[2:-1:2].sum()) * (h / 3.0))
+    return ys
+
+
+def _simpson(y, h):
+    """Composite Simpson sum of the 1-d row y of values spaced h apart."""
+    return (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()) * (h / 3.0)
+
+
+def grid(lo, hi, n: int) -> np.ndarray:
+    """np.linspace(lo, hi, n), one row per lower end, on a cached np.arange(n).
+
+    lo is a float, or a 1-d numpy array of lower ends, one row each; hi
+    is a float, or an array of the same length. numpy's own arithmetic:
+    the arange times the step (hi - lo) / (n - 1), plus lo, with the
+    last point set to hi. Equal to np.linspace bit for bit unless the
+    step of a nonzero span underflows to 0. n >= 2.
+    """
+    steps = _ARANGES.get(n)
+    if steps is None:
+        steps = _ARANGES[n] = np.arange(n, dtype=float)
+        steps.flags.writeable = False  # shared by every caller
+    if isinstance(lo, np.ndarray):
+        lo, hi = lo[:, None], np.asarray(hi, dtype=float)[..., None]
+    xs = steps * ((hi - lo) / (n - 1)) + lo
+    xs[..., -1:] = hi
+    return xs

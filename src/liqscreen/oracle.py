@@ -165,32 +165,6 @@ def grid_search_optimal(econ: EconomyPrimitives, na: int = 200,
     return {"best_a": best[1], "best_b1": best[2], "best_W": best[0]}
 
 
-def second_difference_profile(values, h: float = 1.0) -> np.ndarray:
-    """Central second differences of a uniformly sampled profile."""
-    v = np.asarray(values, float)
-    if v.size < 3:
-        raise DomainError("need at least 3 samples")
-    return (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h)
-
-
-def concavity_probe(econ: EconomyPrimitives, b1_grid) -> dict:
-    """Difference profile of the screening value over a slope grid.
-
-    Computed from the oracle's own grid value, apart from the solvers;
-    reports the number of sign changes in the first differences, which
-    shows how many peaks the screening value has over the grid.
-    """
-    b1s = np.asarray(b1_grid, float)
-    w = np.array([manifold_value_grid(econ, float(b), 400) for b in b1s])
-    d1 = np.diff(w)
-    signs = np.sign(d1[np.abs(d1) > 1e-13])
-    changes = int(np.sum(signs[1:] != signs[:-1])) if signs.size > 1 else 0
-    h = float(b1s[1] - b1s[0]) if b1s.size > 1 else 1.0
-    return {"b1": b1s, "W": w, "first_diff": d1,
-            "second_diff": second_difference_profile(w, h),
-            "first_diff_sign_changes": changes}
-
-
 # ---------------------------------------------------------------------------
 # identity checks
 

@@ -13,6 +13,7 @@ from liqscreen.bilateral import (
     _advance_kinks,
     _best_advance,
     _directional_slope,
+    _envelope_slope,
     _fixed_advances,
     _manifold_slope,
     _mixed_kinks,
@@ -274,7 +275,7 @@ def test_support_end_psi_comes_from_the_cutoff_grid(monkeypatch):
     econ = benchmark(v=2.0, mu0=0.1)
     for b1 in (0.0, 0.5, 3.0, 9.0):
         bilateral.principal_value(econ, b1)
-        _screening_slope(econ, b1, 0.2, 0.5)
+        _screening_slope(econ, [b1], 0.2, 0.5)
         bilateral.contingent_value(econ, b1)
     assert at_ends == []
 
@@ -695,7 +696,7 @@ def test_log_concave_advance_scan_matches_the_full_scan(name):
 
         _, v_ref = numerics.maximize_on_pieces(
             lambda a: contract_value(econ, a, 0.0, b1, bilateral._MIXED_PANELS),
-            slope, sorted(kinks), bilateral._SLOPE_POINTS)
+            lambda xs: [slope(a) for a in xs], sorted(kinks), bilateral._SLOPE_POINTS)
         _, v, _ = _best_advance(econ, b1)
         assert abs(v - v_ref) <= 1e-12, (b1, v, v_ref)
 
@@ -798,10 +799,13 @@ def test_screening_slopes_match_a_central_difference(name):
     econ = MIXED_ECONOMIES[name]
     h = 1e-4
     cap = slope_cap(econ)
-    def contingent_slope(e, b):
-        return _screening_slope(e, b, 0.0, 0.0)
+    def manifold_slope(e, b):
+        return _manifold_slope(e, [b])[0]
 
-    searches = ((lambda b: bilateral.principal_value(econ, b)[0], _manifold_slope,
+    def contingent_slope(e, b):
+        return _screening_slope(e, [b], 0.0, 0.0)[0]
+
+    searches = ((lambda b: bilateral.principal_value(econ, b)[0], manifold_slope,
                  _slope_kinks(econ, cap, [econ.dist.lower]), 1e-9),
                 (lambda b: bilateral.contingent_value(econ, b), contingent_slope,
                  [0.0, cap], 1e-9),
@@ -856,13 +860,13 @@ def test_screening_search_roots_a_local_peak_that_the_zero_slope_beats(monkeypat
     kinks = _slope_kinks(econ, slope_cap(econ), [econ.dist.lower])
     h = numerics._NUDGE * (kinks[-1] - kinks[0])
     lo, hi = kinks[0] + h, kinks[1] - h
-    signs = [np.sign(_manifold_slope(econ, b)) for b in np.linspace(lo, hi, 33)]
+    signs = [np.sign(s) for s in _manifold_slope(econ, np.linspace(lo, hi, 33).tolist())]
     assert [s for s, _ in itertools.groupby(signs)] == [-1.0, 1.0, -1.0]
     roots = _recorded_roots(monkeypatch)
     sol = solve_optimal(econ)
     peaks = [r for r in roots if lo < r < hi]
     assert len(peaks) == 1
-    assert abs(_manifold_slope(econ, peaks[0])) < 1e-9
+    assert abs(_manifold_slope(econ, [peaks[0]])[0]) < 1e-9
     assert bilateral.principal_value(econ, peaks[0])[0] < sol.value
     assert sol.contract.slope == 0.0 and sol.boundary_flag == "corner_b1_zero"
 
@@ -909,7 +913,8 @@ def _counted(monkeypatch, name):
 def test_screening_searches_match_a_golden_reference(monkeypatch, name):
     # solve_optimal and pure_contingent_value against golden section in
     # value, boundary flag and evaluations: the derivative searches may
-    # not spend more value and slope calls than golden section's values
+    # not spend more value calls and slope lanes than golden section's
+    # values
     econ = SCREENING_ECONOMIES[name]
     cap = slope_cap(econ)
     principal = _counted(monkeypatch, "principal_value")
@@ -933,7 +938,10 @@ def test_screening_searches_match_a_golden_reference(monkeypatch, name):
         contingent.clear()
         contingent_slopes.clear()
         v = pure_contingent_value(econ)
-    assert len(principal) + len(slopes) <= n_ref
+    def lanes(calls):  # the slopes take one list of points per call
+        return sum(len(args[1]) for args in calls)
+
+    assert len(principal) + lanes(slopes) <= n_ref
     assert abs(sol.value - w_ref) <= 1e-12
     if empty_ref:
         # W rests at 0 on a plateau of empty service sets, where golden
@@ -945,7 +953,7 @@ def test_screening_searches_match_a_golden_reference(monkeypatch, name):
                                      "corner_a_zero" if a_ref <= 1e-9 else "interior")
     if name == "flat_signal":
         assert sol.contract.slope == 0.0  # verify's uninformative_corner check
-    assert len(contingent) + len(contingent_slopes) <= n_ref_c
+    assert len(contingent) + lanes(contingent_slopes) <= n_ref_c
     assert abs(v - v_ref) <= 1e-12
 
 
@@ -976,9 +984,9 @@ def test_sufficient_statistics_balance_at_stationary_points(name):
     econ, (lo, hi) = STATIONARY_POINTS[name]
     # the screening values divide by f(lower) = 0 on power types
     with np.errstate(divide="ignore", invalid="ignore"):
-        b1 = numerics.find_root(lambda b: _manifold_slope(econ, b),
+        b1 = numerics.find_root(lambda b: _manifold_slope(econ, [b])[0],
                                 numerics.Bracket(lo, hi))
-        assert abs(_manifold_slope(econ, b1)) <= 1e-9
+        assert abs(_manifold_slope(econ, [b1])[0]) <= 1e-9
         sol = _solution_at(econ, b1)
         stats = sufficient_statistics(econ, sol)
     assert 0.0 < sol.contract.advance < econ.working_capital
@@ -1025,3 +1033,72 @@ def test_sufficient_statistics_are_nan_without_a_pinned_slope_or_a_tail():
         assert math.isnan(stats["marginal_screening_cost"])
         assert math.isnan(stats["residual"])
         assert stats["corner"]
+
+
+def _lane_economies():
+    """MIXED_ECONOMIES and seeded draws on power (exponent 0.7) and
+    bimodal (sd 0.01) types."""
+    rng = np.random.default_rng(21)
+    out = dict(MIXED_ECONOMIES)
+    for i in range(3):
+        for name, dist in (("power", power(0.7)), ("bimodal_narrow", bimodal(sd=0.01))):
+            out[f"{name}-{i}"] = benchmark(
+                v=float(rng.uniform(1.3, 4.5)), mu0=float(rng.uniform(0.0, 0.7)),
+                K=float(rng.uniform(0.5, 2.0)), R=float(rng.uniform(0.05, 5.0)),
+                signal_scale=float(rng.uniform(0.3, 1.5)), dist=dist)
+    return out
+
+
+LANE_ECONOMIES = _lane_economies()
+
+
+def _bits(values):
+    """repr of each value: tells -0.0 from 0.0, and nan equals nan."""
+    return [repr(float(v)) if v is not None else "None" for v in values]
+
+
+def test_batched_lanes_equal_their_one_lane_calls():
+    # the slope scans price every scan point of a piece as one lane of a
+    # batch; each lane must be bit for bit the call with that point alone
+    kinds = set()
+    for name, econ in sorted(LANE_ECONOMIES.items()):
+        cap = slope_cap(econ)
+        b1s = sorted({*np.linspace(0.0, cap, 13).tolist(),
+                      *_slope_kinks(econ, cap, [econ.dist.lower])})
+        a = np.array([binding_ir_advance(econ, b) for b in b1s])
+        b = np.array(b1s)
+        rate = np.array([ir_slope(econ, x) if 0.0 < x < econ.working_capital else 0.0
+                         for x in a.tolist()])
+        # the screening values divide by f(lower) = 0 on power types
+        with np.errstate(divide="ignore", invalid="ignore"):
+            manifold = _manifold_slope(econ, b1s)
+            assert _bits(manifold) == _bits(_manifold_slope(econ, [x])[0]
+                                            for x in b1s), name
+            contingent = _screening_slope(econ, b1s, 0.0, 0.0)
+            assert _bits(contingent) == _bits(_screening_slope(econ, [x], 0.0, 0.0)[0]
+                                              for x in b1s), name
+            # one more lane at (K, 0), where psi(lower) = V - c = 0 serves all
+            a, b = np.append(a, econ.working_capital), np.append(b, 0.0)
+            rate = np.append(rate, 0.0)
+            lanes = cutoff(econ, a, b)
+            single = [cutoff(econ, x, y) for x, y in zip(a.tolist(), b.tolist())]
+            assert [_bits(col) for col in lanes] == [_bits(col) for col in zip(*single)]
+            # psi at the support ends is virtual surplus on np.linspace's grid
+            ts = np.linspace(econ.dist.lower, econ.dist.upper, 257)
+            for (_, psi_lo, psi_hi), x, y in zip(single, a.tolist(), b.tolist()):
+                psi = virtual_surplus(econ, ts, x, y)
+                assert _bits([psi_lo, psi_hi]) == _bits([psi[0], psi[-1]]), name
+            that = lanes[0]
+            assert _bits(rent_tail(econ, that)) == _bits(rent_tail(econ, t)
+                                                         for t in that.tolist())
+            envelope = _envelope_slope(econ, that, a, rate, 1.0)
+            assert _bits(envelope) == _bits(
+                _envelope_slope(econ, t, x, r, 1.0)
+                for t, x, r in zip(that.tolist(), a.tolist(), rate.tolist()))
+        for s, x in zip(manifold, a.tolist()):
+            kinds.add("empty" if s is None else
+                      "interior" if 0.0 < x < econ.working_capital else "clamp")
+        kinds.update("all_served" if t == econ.dist.lower else "top_cutoff"
+                     if t == econ.dist.upper else "rooted" for t in that.tolist())
+    assert kinds == {"empty", "interior", "clamp", "all_served", "top_cutoff", "rooted"}
+

@@ -165,6 +165,18 @@ def test_tabulated_nodes_must_be_finite(nodes):
         FinancingCost(tightness=0.0, kind="tabulated", nodes=nodes)
 
 
+@pytest.mark.parametrize("build", [
+    lambda x: benchmark(v=x), lambda x: benchmark(mu0=x),
+    lambda x: benchmark(signal_scale=x), lambda x: truncated_exponential(x),
+    lambda x: power(x)], ids=["v", "mu0", "signal_scale", "rate", "exponent"])
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_builders_reject_non_finite_parameters(build, x):
+    # a nan passed every range test: benchmark(v=nan) solved to -0.268
+    # and truncated_exponential(nan) to nan
+    with pytest.raises(DomainError, match="finite"):
+        build(x)
+
+
 def test_config_round_trip(tmp_path):
     cfg = {"dist": {"kind": "uniform", "params": {"lo": 0.0, "hi": 1.0}},
            "v": 3.0, "mu0": 0.1, "K": 1.0, "R": 2.0,

@@ -276,6 +276,14 @@ def test_bid_function_invariants_and_errors():
         solve_bid_function(econ, 2, eps=0.0)
 
 
+def test_bid_function_arrays_own_their_data():
+    # a view into the 2 * steps + 1 half-step arrays would keep them alive
+    bf = solve_bid_function(benchmark(v=2.0, mu0=0.0, K=1.0, R=1.0), 2)
+    for arr in (bf.grid, bf.bids, bf.full_info):
+        assert arr.base is None and arr.flags.owndata
+        assert arr.shape == (2001,)
+
+
 def test_bid_function_divergence_reports_the_failing_type():
     base = benchmark(v=2.0, mu0=0.0, K=1.0, R=1.0)
     # a huge density makes the hazard factor blow the first RK4 step up

@@ -13,6 +13,7 @@ from liqscreen.numerics import (
     best_candidate,
     find_root,
     fixed_point,
+    grid,
     integrate,
     maximize_on_pieces,
 )
@@ -100,7 +101,7 @@ def _counting(f):
 
 def test_maximize_on_pieces_roots_an_interior_smooth_peak():
     f, calls = _counting(lambda x: 2.0 - (x - 0.3) ** 2)
-    x, v = maximize_on_pieces(f, lambda x: -2.0 * (x - 0.3), [0.0, 1.0], 9)
+    x, v = maximize_on_pieces(f, lambda xs: [-2.0 * (x - 0.3) for x in xs], [0.0, 1.0], 9)
     assert abs(x - 0.3) < 1e-12 and v == f(x)
     assert len(calls) == 4  # the two kinks, the root, and v == f(x) above
 
@@ -109,7 +110,7 @@ def test_maximize_on_pieces_lands_on_a_jump_of_the_derivative():
     # the slope jumps from +1 to -1 at 0.37: find_root's forced bisection
     # closes in on the jump, not on a zero of the slope
     x, v = maximize_on_pieces(lambda x: -abs(x - 0.37),
-                              lambda x: 1.0 if x < 0.37 else -1.0,
+                              lambda xs: [1.0 if x < 0.37 else -1.0 for x in xs],
                               [0.0, 1.0], 9)
     assert abs(x - 0.37) <= 1e-10 and v == -abs(x - 0.37)
 
@@ -120,8 +121,8 @@ def test_maximize_on_pieces_counts_a_floor_as_rising():
     def f(x):
         return min(0.0, x - 0.3) if x < 0.6 else 0.6 - x
 
-    def slope(x):
-        return 1.0 if x < 0.3 else None if x < 0.6 else -1.0
+    def slope(xs):
+        return [1.0 if x < 0.3 else None if x < 0.6 else -1.0 for x in xs]
     x, v = maximize_on_pieces(f, slope, [0.0, 1.0], 9)
     assert abs(x - 0.6) <= 1e-10 and abs(v) <= 1e-10
 
@@ -136,7 +137,7 @@ def test_maximize_on_pieces_prices_the_kinks_first():
 
     def f(x):
         return values.get(x, 1.0 + 0.9 * band)
-    x, v = maximize_on_pieces(f, lambda x: 0.5 - x, [0.0, 1.0], 2)
+    x, v = maximize_on_pieces(f, lambda xs: [0.5 - x for x in xs], [0.0, 1.0], 2)
     assert abs(x - 0.5) < 1e-12 and v == 1.0 + 0.9 * band
 
 
@@ -144,9 +145,9 @@ def test_maximize_on_pieces_skips_a_piece_shorter_than_its_nudges():
     # the middle piece [0.5, 0.5 + 1e-12] has no room for a scan point
     seen = []
 
-    def slope(x):
-        seen.append(x)
-        return 1.0
+    def slope(xs):
+        seen.extend(xs)
+        return [1.0] * len(xs)
     x, v = maximize_on_pieces(lambda x: x, slope, [0.0, 0.5, 0.5 + 1e-12, 1.0], 3)
     assert (x, v) == (1.0, 1.0)
     assert len(seen) == 6 and not any(0.5 <= s <= 0.5 + 1e-12 for s in seen)
@@ -195,6 +196,64 @@ def test_integrate_rejects_an_integrand_of_the_wrong_shape():
         integrate(lambda x: 1.0, 0.0, 1.0, 128)
     with pytest.raises(ValueError, match=r"shape \(128,\).*shape \(129,\)"):
         integrate(lambda x: x[1:], 0.0, 1.0, 128)
+
+
+def test_integrate_rows_equal_their_one_limit_calls():
+    # one Simpson row per lower limit, each bit for bit the scalar call; a
+    # limit at hi gives 0 and is never priced
+    f = lambda x: np.exp(np.sin(3.0 * x)) * x ** 0.7
+    lows = np.array([0.0, 0.37, 1.9999, 2.0, 1e-9, 1.2345678901234567])
+    for panels in (128, 256, 512):
+        rows = integrate(f, lows, 2.0, panels)
+        assert rows.shape == lows.shape
+        assert [repr(float(r)) for r in rows] == [
+            repr(integrate(f, lo, 2.0, panels)) for lo in lows.tolist()]
+        assert rows[3] == 0.0
+    seen = []
+    integrate(lambda x: seen.append(x.shape) or x, np.array([2.0, 1.0, 2.0]), 2.0, 128)
+    assert seen == [(1, 129)]
+    with pytest.raises(ValueError, match="lo <= hi"):
+        integrate(f, np.array([0.0, 2.5]), 2.0)
+    with pytest.raises(ValueError, match=r"shape \(2, 128\).*shape \(2, 129\)"):
+        integrate(lambda x: x[:, 1:], np.array([0.0, 1.0]), 2.0, 128)
+
+
+@pytest.mark.parametrize("n", [2, 3, 9, 129, 257, 513])
+def test_grid_equals_linspace_bit_for_bit(n):
+    # every grid size the solvers use: maximize_on_pieces' 2 and 9 (3 in
+    # the tests above), integrate's 129, 257 and 513, cutoff's 257
+    rng = np.random.default_rng(n)
+    lo = np.concatenate([rng.uniform(-5.0, 5.0, 40), -rng.uniform(1.0, 3.0, 5),
+                         [0.0, 0.3, -1e-300, 1.0, 7.0]])
+    span = np.concatenate([rng.uniform(0.0, 4.0, 40), rng.uniform(0.0, 1e-3, 5),
+                           [1e-300, 1e-15, 2e-300, 0.0, 1e-9]])
+    hi = lo + span
+    for a, b in zip(lo.tolist(), hi.tolist()):
+        assert grid(a, b, n).tobytes() == np.linspace(a, b, n).tobytes(), (a, b)
+    assert grid(lo, hi, n).tobytes() == np.linspace(lo, hi, n, axis=1).tobytes()
+    assert grid(lo, 9.0, n).tobytes() == np.linspace(lo, 9.0, n, axis=1).tobytes()
+
+
+def test_maximize_on_pieces_scans_a_piece_in_one_call():
+    # all scan points but the last in one call, the last only when the
+    # point before it rises, then one point per call inside find_root
+    calls = []
+
+    def slope(rate):
+        def s(xs):
+            calls.append(list(xs))
+            return [rate(x) for x in xs]
+        return s
+    maximize_on_pieces(lambda x: -(x - 0.3) ** 2, slope(lambda x: 0.3 - x),
+                       [0.0, 1.0], 9)
+    last = 1.0 - 1e-9
+    # the scan falls past 0.3, so the last point is never read; the fall is
+    # rooted, the secant step landing on the linear slope's root at once
+    assert len(calls[0]) == 8 and last not in calls[0]
+    assert len(calls) == 2 and abs(calls[1][0] - 0.3) < 1e-15
+    calls.clear()
+    maximize_on_pieces(lambda x: x, slope(lambda x: 1.0), [0.0, 1.0], 9)
+    assert [len(c) for c in calls] == [8, 1] and calls[1] == [last]
 
 
 def test_integrate_lets_a_scalar_only_integrand_fail():

@@ -9,13 +9,11 @@ from liqscreen.errors import DomainError
 from liqscreen.oracle import (
     DiscreteMechanism,
     advance_irrelevance_gap,
-    concavity_probe,
     decreasing_slope_mechanism,
     grid_search_optimal,
     ic_verify,
     mechanism_from_contract,
     rent_identity_check,
-    second_difference_profile,
 )
 
 
@@ -98,27 +96,3 @@ def test_rent_identity_zero_slope_and_anchor():
     out = rent_identity_check(econ, 0.3, 1.5, theta_hat=0.3)
     assert abs(out["gap"]) < 1e-6
     assert out["direct"] != 0.0
-
-
-def test_second_difference_profile_quadratic():
-    xs = np.linspace(0.0, 1.0, 11)
-    prof = second_difference_profile(-3.0 * xs ** 2, h=0.1)
-    np.testing.assert_allclose(prof, -6.0, atol=1e-9)
-    with pytest.raises(DomainError):
-        second_difference_profile([1.0, 2.0])
-
-
-def test_concavity_probe_unimodal_when_informative():
-    econ = benchmark(v=2.0, mu0=0.1, K=1.0, R=1.0)
-    # the full slope range shows a dip where the service set empties,
-    # then one interior peak; past the service threshold it is unimodal
-    probe = concavity_probe(econ, np.linspace(0.0, 10.0, 100))
-    assert probe["first_diff_sign_changes"] <= 2, probe
-    probe = concavity_probe(econ, np.linspace(1.3, 10.0, 100))
-    assert probe["first_diff_sign_changes"] <= 1, probe
-
-
-def test_concavity_probe_monotone_when_uninformative():
-    econ = benchmark(v=2.0, mu0=0.0, K=1.0, R=1.0)
-    probe = concavity_probe(econ, np.linspace(0.0, 2.0, 50))
-    assert np.all(probe["first_diff"] <= 1e-12)

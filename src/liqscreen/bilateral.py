@@ -251,14 +251,19 @@ def screening_integral(econ: EconomyPrimitives, x: float, a: float, b1: float,
                      * np.asarray(d.pdf(t), float), x, d.upper, panels)
 
 
-def principal_value(econ: EconomyPrimitives, b1: float) -> tuple[float, dict]:
+def principal_value(econ: EconomyPrimitives,
+                    b1: float) -> tuple[float, dict, float, float]:
     """Screening-program value of slope b1 with the advance on the manifold.
 
-    Returns (W, decomposition); W is assembled from the decomposition so
-    the identity W = surplus - financing - rent - outlay holds exactly.
-    An empty service set yields W = 0 with decomposition["empty_set"] = 1.
+    Returns (W, decomposition, a, cutoff); W is assembled from the
+    decomposition so the identity W = surplus - financing - rent -
+    outlay holds exactly, a is the binding advance and cutoff the lowest
+    served type. An empty service set yields W = 0 with
+    decomposition["empty_set"] = 1.
     """
-    return _screening_value(econ, binding_ir_advance(econ, b1), b1)[:2]
+    a = binding_ir_advance(econ, b1)
+    w, decomp, that = _screening_value(econ, a, b1)
+    return w, decomp, a, that
 
 
 def _screening_value(econ: EconomyPrimitives, a: float,
@@ -409,15 +414,20 @@ def solve_optimal(econ: EconomyPrimitives) -> BilateralSolution:
     _manifold_slope falls from + to -. maximize_on_pieces scans that
     derivative at _SLOPE_POINTS points per piece, each scan one batch of
     lanes, roots each fall and prices the kinks and the roots by
-    principal_value; a tie goes to the smaller slope.
+    principal_value; a tie goes to the smaller slope. Each priced slope
+    keeps its principal_value, so the winner is priced once.
     """
     b1_hi = slope_cap(econ)
-    b1_star, _ = maximize_on_pieces(lambda b: principal_value(econ, b)[0],
-                                    lambda bs: _manifold_slope(econ, bs),
+    priced = {}
+
+    def value(b1):
+        priced[b1] = principal_value(econ, b1)
+        return priced[b1][0]
+
+    b1_star, _ = maximize_on_pieces(value, lambda bs: _manifold_slope(econ, bs),
                                     _slope_kinks(econ, b1_hi, [econ.dist.lower]),
                                     _SLOPE_POINTS)
-    a_star = binding_ir_advance(econ, b1_star)
-    w, decomp, that = _screening_value(econ, a_star, b1_star)
+    w, decomp, a_star, that = priced[b1_star]
     if b1_star <= 1e-9:
         flag = "corner_b1_zero"
     elif a_star <= 1e-9:

@@ -379,8 +379,27 @@ def economy_from_config(cfg: dict) -> EconomyPrimitives:
     if phi_kind == "tabulated":
         fin = FinancingCost(tightness=0.0, kind="tabulated",
                             nodes=(tuple(phi_params["ell"]), tuple(phi_params["phi"])))
+        _check_tabulated(fin, econ.working_capital)
         econ = replace(econ, financing=fin)
     return econ
+
+
+def _check_tabulated(fin: FinancingCost, K: float):
+    """Reject tabulated nodes that are not a convex cost of the gap on [0, K].
+
+    The first node must be ell = 0 with phi = 0, phi must not fall, the
+    segment slopes must not fall by more than 1e-12, and the last ell
+    must reach K, so that np.interp never extends Phi flat inside [0, K].
+    """
+    ells, phis = (np.asarray(x, float) for x in fin.nodes)
+    if ells.size == 0 or ells[0] != 0.0 or phis[0] != 0.0:
+        raise DomainError("tabulated phi must start at ell = 0 with phi = 0")
+    if np.any(np.diff(phis) < 0.0):
+        raise DomainError("tabulated phi must be nondecreasing")
+    if np.any(np.diff(np.diff(phis) / np.diff(ells)) < -1e-12):
+        raise DomainError("tabulated phi must be convex: segment slopes may not fall")
+    if ells[-1] < K:
+        raise DomainError(f"tabulated ell nodes must reach K = {K:.6g}")
 
 
 def load_config(path: str) -> dict:

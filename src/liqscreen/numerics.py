@@ -59,6 +59,13 @@ def find_root(f: Callable[[float], float], bracket: Bracket,
     (carrying .last) if the iteration budget runs out. ends is
     (f(lo), f(hi)) when the caller already holds them; f is then not
     called at either end, and the values are trusted as given.
+
+    The value roots (participation, cutoff, served set, crossing,
+    monitoring and book cutoffs) stay on this step, though
+    _false_position needs fewer evaluations: their last digits are
+    pinned by the closed_form_advance gap in both reference copies of
+    verify_report.json and by the menu check's pins, so they move over
+    once those references can be regenerated with them.
     """
     lo, hi = bracket.lo, bracket.hi
     flo, fhi = (f(lo), f(hi)) if ends is None else ends
@@ -101,6 +108,49 @@ def find_root(f: Callable[[float], float], bracket: Bracket,
     raise ConvergenceError(f"root iteration exhausted {tol.max_iter} steps", last=x)
 
 
+def _false_position(f: Callable[[float], float], bracket: Bracket,
+                    ends: tuple[float, float], tol: Tolerance = DEFAULT_TOL) -> float:
+    """Root of f on bracket by false position with the Illinois step.
+
+    find_root's contract with the end values (f(lo), f(hi)) given: an
+    exact zero at an end is that end, no sign change raises
+    BracketError, and a spent budget ConvergenceError (carrying .last).
+    Each step is the false-position point, or the midpoint when that
+    point is not strictly inside; when the same end is kept twice in a
+    row its stored value is halved (Dowell and Jarratt 1971, BIT 11),
+    so that end cannot stall the bracket as plain false position does.
+    It returns once |f| <= abs_f, or once the bracket it stepped in was
+    no wider than abs_x; on a jump of f the bracket closes in on it.
+    """
+    lo, hi = bracket.lo, bracket.hi
+    flo, fhi = ends
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if flo * fhi > 0.0:
+        raise BracketError(f"no sign change on [{lo}, {hi}]: f={flo:.3g},{fhi:.3g}")
+    kept = None  # the end the last step kept: "lo", "hi" or None
+    for _ in range(tol.max_iter):
+        x = hi - fhi * (hi - lo) / (fhi - flo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        fx = f(x)
+        if abs(fx) <= tol.abs_f or (hi - lo) <= tol.abs_x:
+            return x
+        if flo * fx < 0.0:
+            hi, fhi = x, fx
+            if kept == "lo":
+                flo *= 0.5
+            kept = "lo"
+        else:
+            lo, flo = x, fx
+            if kept == "hi":
+                fhi *= 0.5
+            kept = "hi"
+    raise ConvergenceError(f"root iteration exhausted {tol.max_iter} steps", last=x)
+
+
 def maximize_on_pieces(f: Callable[[float], float],
                        slope: Callable[[list[float]], list[float | None]],
                        kinks: list[float], points: int) -> tuple[float, float]:
@@ -114,11 +164,11 @@ def maximize_on_pieces(f: Callable[[float], float],
     of a kink's own root. slope is called once with every scan point
     but the last, and once more with the last only when the point
     before it rises. Each fall from + to - between neighbouring scan
-    points brackets a local maximum, and find_root lands on it, or by
-    its forced bisection on a jump of the derivative; it calls slope
-    with one point at a time. The kinks, then those roots, are priced
-    by f and compete through best_candidate with _TIE, so a tie goes to
-    the smaller x. points >= 2. Returns (x, f(x)).
+    points brackets a local maximum, and _false_position lands on it,
+    or on a jump of the derivative, from the two scan values it holds;
+    it calls slope with one point at a time. The kinks, then those
+    roots, are priced by f and compete through best_candidate with
+    _TIE, so a tie goes to the smaller x. points >= 2. Returns (x, f(x)).
     """
     rises = {}
 
@@ -145,7 +195,8 @@ def maximize_on_pieces(f: Callable[[float], float],
             scan(xs[-1:])
         for x0, x1 in zip(xs[:-1], xs[1:]):
             if rise(x0) > 0.0 and rise(x1) < 0.0:
-                roots.append(find_root(rise, Bracket(x0, x1)))
+                ends = rises[x0], rises[x1]
+                roots.append(_false_position(rise, Bracket(x0, x1), ends))
     return best_candidate([(x, f(x)) for x in kinks + roots], _TIE)
 
 

@@ -483,12 +483,12 @@ def test_advance_slope_matches_a_central_difference(name):
 def _recorded_roots(monkeypatch):
     """Record each root that numerics.maximize_on_pieces finds."""
     roots = []
-    root = numerics.find_root
+    root = numerics._false_position
 
     def recorded(*args):
         roots.append(root(*args))
         return roots[-1]
-    monkeypatch.setattr(numerics, "find_root", recorded)
+    monkeypatch.setattr(numerics, "_false_position", recorded)
     return roots
 
 
@@ -516,6 +516,19 @@ def test_stationary_advances_zero_the_slope_and_win_only_when_interior(
             assert contract_value(econ, a_s, 0.0, b1) <= v + 1e-12 * max(1.0, v)
             wins += a == a_s and v > v_kink + 1e-3
     assert (wins > 0) is reached
+
+
+def test_stationary_advances_root_in_few_slope_calls(monkeypatch):
+    # on the steep economy W(a) peaks inside the sweep at these slopes: the
+    # 2-point scan costs 2 dW/da calls, and the Illinois step roots the
+    # peak from the scan's two end values; find_root's secant step, which
+    # pays for a forced bisection whenever one end stays fixed, needs 19-20
+    econ = MIXED_ECONOMIES["steep"]
+    calls = _counted(monkeypatch, "_directional_slope")
+    for b1 in (0.2, 0.5, 0.8):
+        calls.clear()
+        _best_advance(econ, b1)
+        assert len(calls) <= 15, (b1, len(calls))
 
 
 def test_rent_tail_closed_form_with_and_without_signal_slope(curved_signal_pair):

@@ -203,6 +203,33 @@ def test_config_tabulated_financing():
     assert abs(financing_cost(econ.financing, 0.25) - 0.5) < 1e-12
 
 
+def _tabulated_config(ell, phi, K=1.0):
+    return {"K": K, "phi": {"kind": "tabulated", "params": {"ell": ell, "phi": phi}}}
+
+
+@pytest.mark.parametrize("ell, phi, message", [
+    ([0.1, 1.0], [0.0, 2.0], "start at ell = 0 with phi = 0"),
+    ([0.0, 1.0], [0.5, 2.0], "start at ell = 0 with phi = 0"),
+    ([], [], "start at ell = 0 with phi = 0"),
+    ([0.0, 0.5, 1.0], [0.0, 1.0, 0.8], "nondecreasing"),
+    ([0.0, 0.5, 1.0], [0.0, 1.0, 1.2], "convex"),
+    ([0.0, 0.5, 0.9], [0.0, 0.1, 0.4], "reach K"),
+], ids=["first_ell", "first_phi", "empty", "falling", "concave", "short"])
+def test_config_rejects_tabulated_phi_off_its_rules(ell, phi, message):
+    with pytest.raises(DomainError, match=message):
+        economy_from_config(_tabulated_config(ell, phi))
+
+
+def test_config_tabulated_phi_rules_admit_their_edges():
+    # flat segments, slopes equal within rounding, and a last node at K
+    ell = np.linspace(0.0, 1.5, 7).tolist()
+    for phi in ([0.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5],
+                (0.5 * 1.7 * np.asarray(ell) ** 2).tolist(),
+                (0.1 * np.asarray(ell)).tolist()):
+        econ = economy_from_config(_tabulated_config(ell, phi, K=1.5))
+        assert econ.financing.nodes == (tuple(ell), tuple(phi))
+
+
 def test_config_rejects_negative_affine_signal_scale():
     with pytest.raises(DomainError, match="signal scale"):
         economy_from_config({"signal": {"kind": "affine", "scale": -1.0},

@@ -80,6 +80,40 @@ def test_find_root_given_ends_checks_their_signs():
     assert calls == []
 
 
+def test_false_position_keeps_find_roots_contract():
+    f, calls = _counting(math.cos)
+    ends = (math.cos(1.0), math.cos(2.0))
+    assert abs(numerics._false_position(f, Bracket(1.0, 2.0), ends) - math.pi / 2) < 1e-12
+    assert calls and 1.0 not in calls and 2.0 not in calls
+    calls.clear()
+    with pytest.raises(BracketError):
+        numerics._false_position(f, Bracket(1.0, 2.0), (-1.0, -0.5))
+    assert numerics._false_position(f, Bracket(1.0, 2.0), (0.0, -0.5)) == 1.0
+    assert numerics._false_position(f, Bracket(1.0, 2.0), (0.5, 0.0)) == 2.0
+    assert calls == []
+    with pytest.raises(ConvergenceError) as err:
+        numerics._false_position(math.cos, Bracket(1.0, 2.0), ends,
+                                 Tolerance(abs_x=1e-300, abs_f=1e-300, max_iter=5))
+    assert abs(err.value.last - math.pi / 2) < 0.5
+    # on a jump the bracket collapses onto it
+    x = numerics._false_position(_step, Bracket(0.0, 1.0), (-1.0, 1.0), _STEP_TOL)
+    assert abs(x - 0.3) < 1e-9
+
+
+def test_false_position_halves_the_end_it_keeps():
+    # exp(x) - 2 is convex: every false-position point falls left of the
+    # root, so the upper end is kept, and its halved value pulls the
+    # next point across; the secant step with forced bisection needs more
+    f = lambda x: math.exp(x) - 2.0
+    ends = (f(0.0), f(3.0))
+    g, illinois = _counting(f)
+    x = numerics._false_position(g, Bracket(0.0, 3.0), ends)
+    h, secant = _counting(f)
+    find_root(h, Bracket(0.0, 3.0), ends=ends)
+    assert abs(x - math.log(2.0)) < 1e-12
+    assert len(illinois) <= 10 < len(secant)
+
+
 def test_bracket_validation():
     with pytest.raises(ValueError):
         Bracket(2.0, 1.0)
@@ -107,8 +141,8 @@ def test_maximize_on_pieces_roots_an_interior_smooth_peak():
 
 
 def test_maximize_on_pieces_lands_on_a_jump_of_the_derivative():
-    # the slope jumps from +1 to -1 at 0.37: find_root's forced bisection
-    # closes in on the jump, not on a zero of the slope
+    # the slope jumps from +1 to -1 at 0.37: the root's bracket closes in
+    # on the jump, not on a zero of the slope
     x, v = maximize_on_pieces(lambda x: -abs(x - 0.37),
                               lambda xs: [1.0 if x < 0.37 else -1.0 for x in xs],
                               [0.0, 1.0], 9)
@@ -236,7 +270,7 @@ def test_grid_equals_linspace_bit_for_bit(n):
 
 def test_maximize_on_pieces_scans_a_piece_in_one_call():
     # all scan points but the last in one call, the last only when the
-    # point before it rises, then one point per call inside find_root
+    # point before it rises, then one point per call in the root search
     calls = []
 
     def slope(rate):
@@ -248,7 +282,8 @@ def test_maximize_on_pieces_scans_a_piece_in_one_call():
                        [0.0, 1.0], 9)
     last = 1.0 - 1e-9
     # the scan falls past 0.3, so the last point is never read; the fall is
-    # rooted, the secant step landing on the linear slope's root at once
+    # rooted, the false-position step landing on the linear slope's root
+    # at once
     assert len(calls[0]) == 8 and last not in calls[0]
     assert len(calls) == 2 and abs(calls[1][0] - 0.3) < 1e-15
     calls.clear()

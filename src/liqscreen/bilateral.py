@@ -185,16 +185,17 @@ def virtual_surplus(econ: EconomyPrimitives, theta, a: float, b1: float):
     return float(out) if np.isscalar(theta) else out
 
 
-def cutoff(econ: EconomyPrimitives, a, b1):
+def cutoff(econ: EconomyPrimitives, a, b1, load: float = 0.0):
     """(Lowest served type, psi(lower), psi(upper)) from one grid of virtual surplus.
 
-    The type is the first sign change of psi: the support's lower end
-    when psi is nonnegative everywhere, its upper end when negative
-    everywhere. The service set is empty when psi(upper) < 0. a and b1
-    are floats, or equal-length 1-d arrays with one lane per (a, b1)
-    pair; each of the three then comes back as an array, lane by lane
-    bit for bit the scalar call's. All lanes price psi on one 257-point
-    type grid, and each lane roots its own sign change.
+    psi here includes load, a book's complementarity mass on the
+    relationship (0 outside a book). The type is the first sign change
+    of psi: the support's lower end when psi is nonnegative everywhere,
+    its upper end when negative everywhere. The service set is empty
+    when psi(upper) < 0. a and b1 are floats, or equal-length 1-d arrays
+    with one lane per (a, b1) pair; each of the three then comes back as
+    an array, lane by lane bit for bit the scalar call's. All lanes price
+    psi on one 257-point type grid, and each lane roots its own sign change.
     """
     d = econ.dist
     ts = grid(d.lower, d.upper, 257)
@@ -202,8 +203,8 @@ def cutoff(econ: EconomyPrimitives, a, b1):
     a_s, b1_s = _lanes(a), _lanes(b1)
     phi = [financing_cost(econ.financing, econ.working_capital - x) for x in a_s]
     # one row per lane; a scalar call keeps its one row 1-d, which is cheaper
-    rows = (_psi(econ, ts, np.array(phi)[:, None], b1[:, None]) if lanes
-            else [_psi(econ, ts, phi[0], b1)])
+    rows = (_psi(econ, ts, np.array(phi)[:, None], b1[:, None]) + load if lanes
+            else [_psi(econ, ts, phi[0], b1) + load])
 
     def lane(vals, a_k, b1_k):
         ends = float(vals[0]), float(vals[-1])
@@ -213,7 +214,7 @@ def cutoff(econ: EconomyPrimitives, a, b1):
         if idx.size == 0:
             return d.upper, *ends
         i = int(idx[0])
-        return find_root(lambda t: virtual_surplus(econ, t, a_k, b1_k),
+        return find_root(lambda t: virtual_surplus(econ, t, a_k, b1_k) + load,
                          Bracket(float(ts[i - 1]), float(ts[i])),
                          ends=(float(vals[i - 1]), float(vals[i]))), *ends
 
@@ -779,6 +780,7 @@ def crossing_threshold(econ: EconomyPrimitives) -> float:
         raise BracketError("pure contingent already dominated at R = 0")
     g_hi = gap(hi)
     while g_hi > 0.0:
+        lo, g_lo = hi, g_hi  # the gap is still positive there
         hi *= 2.0
         if hi > 64.0:
             raise BracketError("no crossing found for tightness up to 64")

@@ -33,6 +33,8 @@ class TypeDistribution:
     name: str = "custom"
 
     def __post_init__(self):
+        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+            raise DomainError("type support ends must be finite")
         if not (self.lower < self.upper):
             raise DomainError("type support needs lower < upper")
 

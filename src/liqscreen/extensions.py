@@ -487,8 +487,8 @@ def solve_bid_function(econ: EconomyPrimitives, n: int,
     span = d.upper - d.lower
     if eps is None:
         eps = span * max(1e-3, (n - 1) / steps)
-    if eps <= 0:
-        raise DomainError("boundary offset must be positive")
+    if not 0 < eps < span:
+        raise DomainError(f"boundary offset eps = {eps!r} must lie in (0, span = {span!r})")
     b1 = solve_optimal(econ).contract.slope
     t_hi = d.upper - eps
     ts_half = np.linspace(t_hi, d.lower, 2 * steps + 1)
@@ -547,7 +547,7 @@ def reduce_2d(alpha, theta, econ: EconomyPrimitives, v_scale: float = 2.0,
     density over 200 bins becomes the reduced type distribution, and the
     one-dimensional screening program runs on surplus v_scale * xi, unit
     cost, and signal mean xi. Samples with nonpositive cost are rejected
-    and counted.
+    and counted; DomainError when every sample is.
     """
     alpha = np.asarray(alpha, float)
     theta = np.asarray(theta, float)
@@ -556,6 +556,8 @@ def reduce_2d(alpha, theta, econ: EconomyPrimitives, v_scale: float = 2.0,
     c = np.asarray(econ.cost(theta), float)
     keep = c > 1e-12
     rejected = int(np.sum(~keep))
+    if not keep.any():
+        raise DomainError(f"no sample has positive cost ({rejected} rejected)")
     xi = alpha[keep] * np.asarray(econ.signal_mean(theta[keep]), float) / c[keep]
     lo, hi = float(np.min(xi)), float(np.max(xi))
     if hi - lo < 1e-9:

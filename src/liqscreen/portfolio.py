@@ -19,13 +19,15 @@ from .bilateral import (Contract, _envelope_slope, binding_ir_advance, cutoff,
 from .economy import (EconomyPrimitives, marginal_ell, marginal_r,
                       with_tightness)
 from .errors import DegeneracyError, DomainError
-from .numerics import Bracket, Tolerance, find_root, fixed_point
+from .numerics import Tolerance, fixed_point
 
 FP_TOL = Tolerance(abs_x=1e-10, abs_f=1e-12, max_iter=20000)
 _FD_R = 1e-4  # tightness step of the finite-difference contagion responses
 _NEWTON_STEPS = 50  # projected Newton steps before the damped map takes over
 _NEWTON_STOP = 1e-13  # Newton has converged once no cutoff moves further
 _NEWTON_RISE = 1e-10  # a larger rise of a free cutoff hands over to the damped map
+# _project's flags: solutions share these strings, not one per relationship
+_FLAGS = np.array(["none", "all_served", "empty"], dtype=object)
 
 
 # ---------------------------------------------------------------------------
@@ -180,33 +182,19 @@ def symmetric_cutoff_iterative(a: float, b1: float, delta: float,
     return float(x[0]), residual, iters
 
 
-def _clamps(psi_lo, psi_hi, load):
-    """Clamp rule at a complementarity load, elementwise.
+def _project(x, load, ends):
+    """Clamp rule at a complementarity load; returns (cutoffs, flags).
 
-    A relationship serves every type when psi(lower) + load >= 0 and no
-    type when psi(upper) + load < 0; psi at the support ends does not
-    depend on the load.
+    ends holds psi(lower), psi(upper), lower and upper per relationship;
+    psi at the support ends does not move with the load. psi(lower) +
+    load >= 0 serves every type (all_served), psi(upper) + load < 0 none
+    (empty), and such a cutoff moves to that support end; the others
+    keep their entry of x and the flag none.
     """
-    return psi_lo + load >= 0.0, psi_hi + load < 0.0
-
-
-def _cutoff_given_coupling(econ, contract, load, psi_lo, psi_hi):
-    """Cutoff solving psi(theta) = -load, clamped to the support.
-
-    load is the complementarity mass from the other relationships, so
-    the effective implementation threshold weakly falls as load rises.
-    psi_lo and psi_hi are psi at the support ends.
-    """
-    d = econ.dist
-    all_served, empty = _clamps(psi_lo, psi_hi, load)
-    if all_served:
-        return d.lower, "all_served"
-    if empty:
-        return d.upper, "empty"
-    a, b1 = contract.advance, contract.slope
-    return find_root(lambda t: float(virtual_surplus(econ, t, a, b1)) + load,
-                     Bracket(d.lower, d.upper),
-                     ends=(float(psi_lo) + load, float(psi_hi) + load)), "none"
+    psi_lo, psi_hi, lower, upper = ends
+    all_served, empty = psi_lo + load >= 0.0, psi_hi + load < 0.0
+    return (np.where(all_served, lower, np.where(empty, upper, x)),
+            _FLAGS[np.where(all_served, 1, 2 * empty)])
 
 
 def solve_cutoffs(port: PortfolioEconomy) -> PortfolioSolution:
@@ -223,17 +211,21 @@ def solve_cutoffs(port: PortfolioEconomy) -> PortfolioSolution:
     flags come from the pass that produced the returned cutoffs.
     """
     pairs = tuple(zip(port.economies, port.contracts))
-    x0, psi_lo, psi_hi = np.array([cutoff(e, c.advance, c.slope) for e, c in pairs]).T
+    # per relationship: the uncoupled cutoff, then _project's four ends
+    x0, *ends = np.array([(*cutoff(e, c.advance, c.slope), e.dist.lower, e.dist.upper)
+                          for e, c in pairs]).T
     flags = []
 
     def responses(x):
         load = port.coupling @ _tails(port, x)
-        out = [_cutoff_given_coupling(e, c, float(l), lo, hi)
-               for (e, c), l, lo, hi in zip(pairs, load, psi_lo, psi_hi)]
-        flags[:] = [flag for _, flag in out]
-        return np.array([t for t, _ in out])
+        out, pattern = _project(x, load, ends)
+        for i in np.flatnonzero(pattern == "none"):
+            e, c = pairs[i]
+            out[i] = cutoff(e, c.advance, c.slope, float(load[i]))[0]
+        flags[:] = pattern.tolist()
+        return out
 
-    x, steps = _newton_cutoffs(port, x0, psi_lo, psi_hi)
+    x, steps = _newton_cutoffs(port, x0, ends)
     x, residual, iters = fixed_point(responses, x, FP_TOL)
     clamped = tuple(flags)
     total, per = portfolio_value(port, x)
@@ -243,7 +235,7 @@ def solve_cutoffs(port: PortfolioEconomy) -> PortfolioSolution:
                              residual=residual, iterations=steps + iters)
 
 
-def _newton_cutoffs(port, x, psi_lo, psi_hi):
+def _newton_cutoffs(port, x, ends):
     """Projected Newton on psi_i(x_i) + load_i(x) = 0; returns (x, steps).
 
     Each step jumps the clamped cutoffs to their support end and moves
@@ -253,15 +245,13 @@ def _newton_cutoffs(port, x, psi_lo, psi_hi):
     a singular Jacobian (or a non-finite step), and before a step that
     would raise a free cutoff by more than _NEWTON_RISE: the damped map
     approaches its fixed point from above, so a rise points at another
-    fixed point or at an overshoot.
+    fixed point or at an overshoot. ends are _project's.
     """
-    lower = np.array([e.dist.lower for e in port.economies])
-    upper = np.array([e.dist.upper for e in port.economies])
+    lower, upper = ends[2:]
     for step in range(_NEWTON_STEPS):
         load = port.coupling @ _tails(port, x)
-        all_served, empty = _clamps(psi_lo, psi_hi, load)
-        new = np.where(all_served, lower, np.where(empty, upper, x))
-        free = np.flatnonzero(~(all_served | empty))
+        new, flags = _project(x, load, ends)
+        free = np.flatnonzero(flags == "none")
         if free.size:
             resid = np.array([float(virtual_surplus(port.economies[i], float(x[i]),
                                                     port.contracts[i].advance,

@@ -188,6 +188,26 @@ def test_crossing_threshold_doubles_its_bracket_up_to_64():
         crossing_threshold(benchmark(K=0.15))  # crosses near R = 79
 
 
+@pytest.mark.parametrize("K, solves", [(0.5, 20), (0.3, 21), (0.2, 25)])
+def test_crossing_threshold_roots_only_the_last_doubling(monkeypatch, K,
+                                                         solves):
+    # each doubling moves the bracket's low end up to the last positive
+    # gap, so the root runs on [2^(k-1), 2^k] rather than [0, 2^k]
+    calls = []
+    real = bilateral.pure_contingent_value
+
+    def counted(econ):
+        calls.append(econ.financing.tightness)
+        return real(econ)
+
+    monkeypatch.setattr(bilateral, "pure_contingent_value", counted)
+    r_star = crossing_threshold(benchmark(K=K))
+    top = 2.0 ** math.ceil(math.log2(r_star))
+    assert all(R <= top for R in calls)
+    assert all(R >= top / 2.0 for R in calls[2 + int(math.log2(top)):])
+    assert len(calls) == solves
+
+
 @pytest.mark.parametrize("econ, terms, expected", [
     # U falls in the type (b1 < c'/mu' = 1): the top is the acceptance
     # root 0.85, the bottom the profit root 0.55/1.5
@@ -218,14 +238,14 @@ def test_served_flags_acceptance_roots(econ, terms, expected):
 
 
 def _guarded_roots(monkeypatch):
-    """Record each root that bilateral, portfolio and extensions open.
+    """Record each root that bilateral and extensions open.
 
     A record is (the function that built f, whether its caller gave the
     end values, the evaluations of f). A call of f at a bracket end whose
     value the caller gave fails.
     """
     roots = []
-    for mod in (bilateral, portfolio, extensions):
+    for mod in (bilateral, extensions):
         def guarded(f, bracket, *args, ends=None, root=mod.find_root):
             evals = []
 
@@ -253,10 +273,11 @@ def test_no_root_prices_a_bracket_end_twice(monkeypatch):
         solve_renegotiation(econ, 0.5)
     crossing_threshold(benchmark(v=2.0, mu0=0.0))
     solve_cutoffs(symmetric_portfolio(1.0, 0.6))
-    # each of the six callers holds both end values and gives them
+    # each of the five callers holds both end values and gives them; the
+    # book's responses root psi + load inside cutoff
     assert {caller for caller, _, _ in roots} == {
         "_served", "binding_ir_advance", "cutoff", "crossing_threshold",
-        "_cutoff_given_coupling", "solve_renegotiation"}
+        "solve_renegotiation"}
     assert all(given for _, given, _ in roots)
 
 

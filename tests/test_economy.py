@@ -177,6 +177,36 @@ def test_builders_reject_non_finite_parameters(build, x):
         build(x)
 
 
+@pytest.mark.parametrize("build", [
+    uniform, lambda lo, hi: truncated_exponential(2.0, lo, hi),
+    lambda lo, hi: power(2.0, lo, hi),
+    lambda lo, hi: bimodal(lo=lo, hi=hi)],
+    ids=["uniform", "truncated_exponential", "power", "bimodal"])
+@pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 1.0),
+                                    (-math.inf, math.inf)],
+                         ids=["upper", "lower", "both"])
+def test_distributions_reject_non_finite_supports(build, lo, hi):
+    with pytest.raises(DomainError, match="finite"):
+        build(lo, hi)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("uniform", {}), ("truncated_exponential", {"rate": 2.0}),
+    ("power", {"exponent": 2.0})], ids=["uniform", "truncated_exponential",
+                                        "power"])
+@pytest.mark.parametrize("end", ['"hi": Infinity', '"lo": -Infinity'],
+                         ids=["hi", "lo"])
+def test_config_rejects_an_infinite_support_at_load(tmp_path, kind, params,
+                                                    end):
+    # json reads Infinity; such a support used to load and exhaust a root
+    # budget in verify after hundreds of RuntimeWarnings
+    extra = ", ".join([json.dumps(params)[1:-1], end]).lstrip(", ")
+    path = tmp_path / "econ.json"
+    path.write_text(f'{{"dist": {{"kind": "{kind}", "params": {{{extra}}}}}}}')
+    with pytest.raises(DomainError, match="finite"):
+        economy_from_config(load_config(str(path)))
+
+
 def test_config_round_trip(tmp_path):
     cfg = {"dist": {"kind": "uniform", "params": {"lo": 0.0, "hi": 1.0}},
            "v": 3.0, "mu0": 0.1, "K": 1.0, "R": 2.0,

@@ -272,8 +272,10 @@ def test_bid_function_invariants_and_errors():
     assert bf.bids[-1] - bf.full_info[-1] < 1e-6
     with pytest.raises(DomainError):
         solve_bid_function(econ, 1)
-    with pytest.raises(DomainError):
-        solve_bid_function(econ, 2, eps=0.0)
+    for eps in (0.0, 1.0, 2.0, math.nan):
+        # an offset at or past the span left no types to integrate over
+        with pytest.raises(DomainError, match="eps"):
+            solve_bid_function(econ, 2, eps=eps)
 
 
 def test_bid_function_arrays_own_their_data():
@@ -306,6 +308,10 @@ def test_reduce_2d_rejects_and_degenerates():
     assert out["degenerate"]
     with pytest.raises(DomainError):
         reduce_2d(np.ones(3), np.zeros(4), econ)
+    # theta = 0 has zero cost on the benchmark, so every sample is rejected
+    for n in (0, 1, 4):
+        with pytest.raises(DomainError, match="no sample has positive cost"):
+            reduce_2d(np.ones(n), np.zeros(n), econ)
 
 
 def test_reduce_2d_mixture_distribution_matches_analytic_cdf():

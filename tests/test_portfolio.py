@@ -130,6 +130,30 @@ def test_zero_coupling_reduces_to_bilateral_cutoffs():
         assert abs(sol.cutoffs[i] - solo) < 1e-8
 
 
+@pytest.mark.parametrize("dist", [None, truncated_exponential(2.0)],
+                         ids=["uniform", "truncated_exponential"])
+def test_cutoff_at_a_load_roots_psi_plus_load_over_the_support(dist):
+    # a book's response is cutoff's grid-cell root of psi + load; it must
+    # be the whole-support root, and the support ends at the clamp loads
+    econ = benchmark(v=1.5, mu0=0.1, R=1.0, dist=dist)
+    c = calibrated_contract(econ)
+    d = econ.dist
+    _, psi_lo, psi_hi = cutoff(econ, c.advance, c.slope)
+    assert psi_lo < 0.0 < psi_hi
+    for load in np.linspace(-psi_hi, -psi_lo, 9)[1:-1]:
+        def g(t):
+            return float(virtual_surplus(econ, t, c.advance, c.slope)) + load
+
+        that, lo, hi = cutoff(econ, c.advance, c.slope, float(load))
+        assert (lo, hi) == (psi_lo + load, psi_hi + load)
+        assert d.lower < that < d.upper
+        assert abs(that - find_root(g, Bracket(d.lower, d.upper))) <= 1e-10
+    assert cutoff(econ, c.advance, c.slope, -psi_lo)[0] == d.lower
+    assert cutoff(econ, c.advance, c.slope, 5.0)[0] == d.lower
+    assert cutoff(econ, c.advance, c.slope, -psi_hi - 1e-9)[0] == d.upper
+    assert cutoff(econ, c.advance, c.slope, -5.0)[0] == d.upper
+
+
 def test_portfolio_value_consistent_with_solution():
     port = symmetric_portfolio(1.0, 0.8)
     sol = solve_cutoffs(port)
@@ -311,21 +335,23 @@ def test_damped_fallback_budget_exhaustion_raises(monkeypatch):
 def test_book_solve_makes_at_most_two_response_passes(monkeypatch, v_odd,
                                                       delta, state):
     calls = []
-    real = portfolio._cutoff_given_coupling
+    real = portfolio.cutoff
 
     def counted(*args):
-        calls.append(args)
+        if len(args) > 3:  # a response at a book load, not an uncoupled start
+            calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(portfolio, "_cutoff_given_coupling", counted)
+    monkeypatch.setattr(portfolio, "cutoff", counted)
     n = 10
     port = make_portfolio([benchmark(v=v_odd if i % 2 else 2.0, R=float(R))
                            for i, R in enumerate(np.linspace(0.5, 3.0, n))],
                           delta=delta)
     sol = solve_cutoffs(port)
     assert sol.clamped == (state,) * n
-    # the damped map alone makes 38 to 42 passes of n calls on such books
-    assert len(calls) <= 2 * n
+    # the damped map alone makes 38 to 42 passes of n calls on such books;
+    # clamped relationships skip the root
+    assert len(calls) <= (0 if state == "all_served" else 2 * n)
 
 
 def test_contagion_derivative_sign_flips_with_coupling():

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .economy import (EconomyPrimitives, cost_slope, financing_cost,
-                      marginal_ell, signal_slope, with_tightness)
+                      marginal_ell, signal_slope, wedge, with_tightness)
 from .errors import BracketError, DomainError
 from .numerics import Bracket, find_root, grid, integrate, maximize_on_pieces
 
@@ -153,12 +153,6 @@ def slope_cap(econ: EconomyPrimitives) -> float:
 # virtual surplus and the screening program
 
 
-def _wedge(econ, t):
-    """(1 - F)/f elementwise."""
-    t = np.asarray(t, dtype=float)
-    return (1.0 - np.asarray(econ.dist.cdf(t), float)) / np.asarray(econ.dist.pdf(t), float)
-
-
 def _lanes(x) -> list:
     """x, a float or a 1-d numpy array of lanes, as a list of floats."""
     return x.tolist() if isinstance(x, np.ndarray) else [x]
@@ -172,7 +166,7 @@ def _psi(econ, t, phi, b1):
     for every shape, so each lane's row is bit for bit the scalar one.
     """
     return (np.asarray(econ.surplus(t), float) - np.asarray(econ.cost(t), float)
-            - phi - b1 * signal_slope(econ, t) * _wedge(econ, t))
+            - phi - b1 * signal_slope(econ, t) * wedge(econ.dist, t))
 
 
 def virtual_surplus(econ: EconomyPrimitives, theta, a: float, b1: float):

@@ -20,8 +20,9 @@ from .bilateral import (_acceptance, advance_share, binding_slope,
                         closed_form_ell_star, pure_advance_value,
                         pure_contingent_value, solve_mixed, solve_optimal,
                         sweep_R)
-from .economy import (benchmark, economy_from_config, financing_cost,
-                      load_config, with_tightness)
+from .economy import (_config_number, _config_object, benchmark,
+                      economy_from_config, financing_cost, load_config,
+                      with_tightness)
 from .errors import LiqscreenError
 from .portfolio import (contagion_derivative, contagion_threshold,
                         independent_cutoff_value, hump_scan,
@@ -66,10 +67,13 @@ def _config_economy(cfg: RunConfig):
     return economy_from_config(econ_block)
 
 
-def _config_block(cfg: RunConfig, name: str) -> dict:
-    if cfg.config_path is None:
-        return {}
-    return load_config(cfg.config_path).get(name, {})
+def _config_delta(cfg: RunConfig) -> float:
+    """The config's portfolio.delta, 1.2 when absent."""
+    block = {}
+    if cfg.config_path is not None:
+        block = _config_object(load_config(cfg.config_path).get("portfolio", {}),
+                               "config.portfolio")
+    return _config_number(block, "delta", "config.portfolio", 1.2)
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +110,7 @@ def _table_menu(cfg: RunConfig) -> list[str]:
 
 def _table_contagion(cfg: RunConfig) -> list[str]:
     header = ["R", "delta_star", "value_reduction", "contagion_share"]
-    block = _config_block(cfg, "portfolio")
-    delta_ref = float(block.get("delta", 1.2))
+    delta_ref = _config_delta(cfg)
     delta_grid = np.linspace(0.0, 2.5, 26)
     rows = []
     for R in R_TABLE:
@@ -184,8 +187,7 @@ def _figure_contagion_region(cfg: RunConfig) -> list[str]:
 
 
 def _figure_hump(cfg: RunConfig) -> list[str]:
-    block = _config_block(cfg, "portfolio")
-    delta = float(block.get("delta", 1.2))
+    delta = _config_delta(cfg)
     grid = np.round(np.arange(0.5, 3.01, 0.1), 10)
     coupled = hump_scan(grid, delta)
     alone = hump_scan(grid, 0.0)

@@ -113,6 +113,10 @@ def bimodal(modes: tuple[float, float] = (0.25, 0.75), sd: float = 0.05,
     condition; used to exercise the regularity check.
     """
     m1, m2 = modes
+    if not (math.isfinite(m1) and math.isfinite(m2)):
+        raise DomainError("bimodal modes must be finite")
+    if not (math.isfinite(sd) and sd > 0):
+        raise DomainError("bimodal sd must be finite and positive")
     mass = 0.5 * (_norm_cdf(hi, m1, sd) - _norm_cdf(lo, m1, sd)) \
         + 0.5 * (_norm_cdf(hi, m2, sd) - _norm_cdf(lo, m2, sd))
 
@@ -127,28 +131,35 @@ def bimodal(modes: tuple[float, float] = (0.25, 0.75), sd: float = 0.05,
     return TypeDistribution(lower=lo, upper=hi, cdf=cdf, pdf=pdf, name="bimodal")
 
 
-def hazard(dist: TypeDistribution, theta: float) -> float:
-    """Screening wedge (1 - F(theta)) / f(theta); zero at the top type."""
-    if theta < dist.lower - 1e-12 or theta > dist.upper + 1e-12:
+def wedge(dist: TypeDistribution, t):
+    """Screening wedge (1 - F)/f elementwise, unchecked: inf where f = 0."""
+    t = np.asarray(t, dtype=float)
+    return (1.0 - np.asarray(dist.cdf(t), float)) / np.asarray(dist.pdf(t), float)
+
+
+def hazard(dist: TypeDistribution, theta):
+    """The wedge elementwise, 0 at the top type; DomainError off the support or where f <= 0."""
+    t = np.asarray(theta, dtype=float)
+    if np.any((t < dist.lower - 1e-12) | (t > dist.upper + 1e-12)):
         raise DomainError(f"theta={theta} outside support [{dist.lower}, {dist.upper}]")
-    if theta >= dist.upper:
-        return 0.0
-    f = float(dist.pdf(theta))
-    if f <= 0.0:
-        raise DomainError(f"density vanishes at theta={theta}")
-    return float((1.0 - dist.cdf(theta)) / f)
+    inner = t < dist.upper
+    vanish = t[inner & (np.asarray(dist.pdf(t), float) <= 0.0)]
+    if vanish.size:
+        raise DomainError(f"density vanishes at theta={vanish[0]}")
+    out = np.zeros_like(t)
+    out[inner] = wedge(dist, t[inner])
+    return float(out) if t.ndim == 0 else out
 
 
-def virtual_type(dist: TypeDistribution, theta: float) -> float:
-    """Virtual type theta - (1 - F)/f."""
+def virtual_type(dist: TypeDistribution, theta):
+    """Virtual type theta - (1 - F)/f, elementwise."""
     return theta - hazard(dist, theta)
 
 
-def regularity_ok(dist: TypeDistribution, n: int = 1000) -> bool:
-    """True when the virtual type is strictly increasing on an n-point grid."""
-    ts = np.linspace(dist.lower, dist.upper, n)
-    vals = np.array([virtual_type(dist, float(t)) for t in ts])
-    return bool(np.all(np.diff(vals) > 0.0))
+def regularity_ok(dist: TypeDistribution) -> bool:
+    """True when the virtual type is strictly increasing on a 400-point grid."""
+    ts = np.linspace(dist.lower, dist.upper, 400)
+    return bool(np.all(np.diff(virtual_type(dist, ts)) > 0.0))
 
 
 @dataclass(frozen=True)
@@ -156,7 +167,8 @@ class FinancingCost:
     """Convex cost Phi(ell) of an uncovered liquidity gap ell >= 0.
 
     kind="quadratic" gives Phi = (tightness/2) * ell**2; kind="tabulated"
-    interpolates user-supplied (ell, phi) nodes linearly.
+    interpolates user-supplied (ell, phi) nodes linearly: a convex cost
+    from (0, 0), whose last node must reach K (EconomyPrimitives).
     """
 
     tightness: float = 1.0  # R >= 0, quadratic coefficient
@@ -172,18 +184,29 @@ class FinancingCost:
                 raise DomainError("tabulated cost needs matching (ell, phi) nodes")
             if not np.all(np.isfinite(np.asarray(self.nodes, float))):
                 raise DomainError("tabulated cost nodes must be finite")
-            ells = np.asarray(self.nodes[0])
+            ells, phis = (np.asarray(x, float) for x in self.nodes)
             if np.any(np.diff(ells) <= 0):
                 raise DomainError("tabulated ell nodes must be strictly increasing")
+            if ells.size == 0 or ells[0] != 0.0 or phis[0] != 0.0:
+                raise DomainError("tabulated phi must start at ell = 0 with phi = 0")
+            if np.any(np.diff(phis) < 0.0):
+                raise DomainError("tabulated phi must be nondecreasing")
+            if np.any(np.diff(np.diff(phis) / np.diff(ells)) < -1e-12):
+                raise DomainError("tabulated phi must be convex: segment slopes may not fall")
         else:
             raise DomainError(f"unknown financing kind {self.kind!r}")
 
 
-def financing_cost(fin: FinancingCost, ell: float) -> float:
-    """Phi(ell); the gap must be nonnegative."""
+def _gap(ell: float) -> float:
+    """A liquidity gap clamped at 0; one below -1e-12 is a DomainError."""
     if ell < -1e-12:
         raise DomainError(f"liquidity gap must be nonnegative, got {ell}")
-    ell = max(ell, 0.0)
+    return max(ell, 0.0)
+
+
+def financing_cost(fin: FinancingCost, ell: float) -> float:
+    """Phi(ell); the gap must be nonnegative."""
+    ell = _gap(ell)
     if fin.kind == "quadratic":
         return 0.5 * fin.tightness * ell * ell
     return float(np.interp(ell, fin.nodes[0], fin.nodes[1]))
@@ -196,9 +219,7 @@ def marginal_ell(fin: FinancingCost, ell: float) -> float:
     slope of the segment just right of ell, the right derivative at a
     node. Beyond the outer nodes Phi is flat, as np.interp extends it.
     """
-    if ell < -1e-12:
-        raise DomainError(f"liquidity gap must be nonnegative, got {ell}")
-    ell = max(ell, 0.0)
+    ell = _gap(ell)
     if fin.kind == "quadratic":
         return fin.tightness * ell
     ells, phis = fin.nodes
@@ -212,9 +233,7 @@ def marginal_r(fin: FinancingCost, ell: float) -> float:
     """d Phi / d tightness; defined for the quadratic family only."""
     if fin.kind != "quadratic":
         raise DomainError("tightness derivative needs the quadratic family")
-    if ell < -1e-12:
-        raise DomainError(f"liquidity gap must be nonnegative, got {ell}")
-    ell = max(ell, 0.0)
+    ell = _gap(ell)
     return 0.5 * ell * ell
 
 
@@ -233,8 +252,11 @@ class EconomyPrimitives:
     label: str = "custom"
 
     def __post_init__(self):
-        if not (math.isfinite(self.working_capital) and self.working_capital > 0):
+        K = self.working_capital
+        if not (math.isfinite(K) and K > 0):
             raise DomainError("working capital must be finite and positive")
+        if self.financing.kind == "tabulated" and self.financing.nodes[0][-1] < K:
+            raise DomainError(f"tabulated ell nodes must reach K = {K:.6g}")
 
 
 def signal_slope(econ: EconomyPrimitives, t):
@@ -325,86 +347,99 @@ def validate_economy(econ: EconomyPrimitives) -> list[str]:
         notes.append("signal carries no type information (mu' = 0)")
     elif np.any(mu_p < 0):
         notes.append("signal mean is decreasing somewhere")
-    if not regularity_ok(d, n=400):
+    if not regularity_ok(d):
         notes.append("virtual type is not strictly increasing (regularity fails)")
     return notes
 
 
-_DIST_BUILDERS = {
-    "uniform": (uniform, {"lo", "hi"}),
-    "truncated_exponential": (truncated_exponential, {"rate", "lo", "hi"}),
-    "power": (power, {"exponent", "lo", "hi"}),
+_DIST_BUILDERS = {  # builder and its required parameters; lo and hi are optional
+    "uniform": (uniform, set()),
+    "truncated_exponential": (truncated_exponential, {"rate"}),
+    "power": (power, {"exponent"}),
 }
 
 
-def _check_keys(obj: dict, allowed: set[str], where: str):
-    unknown = set(obj) - allowed
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _config_object(obj, where: str, allowed: set[str] | None = None) -> dict:
+    """obj, which must be a JSON object; with allowed, holding only those fields."""
+    if not isinstance(obj, dict):
+        raise DomainError(f"{where} must be a JSON object, got {obj!r}")
+    unknown = set(obj) - allowed if allowed is not None else set()
     if unknown:
         raise DomainError(f"unknown field(s) in {where}: {sorted(unknown)}")
+    return obj
+
+
+def _config_number(obj: dict, key: str, where: str, default=None) -> float:
+    """obj[key] (default when absent), which must be a JSON number."""
+    x = obj.get(key, default)
+    if not _is_number(x):
+        raise DomainError(f"{where}.{key} must be a number, got {x!r}")
+    return float(x)
+
+
+def _config_kind(obj: dict, where: str, default: str) -> str:
+    """obj["kind"] (default when absent), which must be a string."""
+    kind = obj.get("kind", default)
+    if not isinstance(kind, str):
+        raise DomainError(f"{where}.kind must be a string, got {kind!r}")
+    return kind
+
+
+def _config_numbers(obj: dict, key: str, where: str) -> tuple[float, ...]:
+    """obj[key], which must be a list of JSON numbers."""
+    xs = obj.get(key)
+    if not (isinstance(xs, list) and all(_is_number(x) for x in xs)):
+        raise DomainError(f"{where}.{key} must be a list of numbers, got {xs!r}")
+    return tuple(float(x) for x in xs)
 
 
 def economy_from_config(cfg: dict) -> EconomyPrimitives:
-    """Build an economy from a plain-dict config; unknown fields are rejected."""
-    _check_keys(cfg, {"dist", "v", "mu0", "K", "R", "phi", "signal"}, "config")
-    dist_cfg = cfg.get("dist", {"kind": "uniform", "params": {}})
-    _check_keys(dist_cfg, {"kind", "params"}, "config.dist")
-    kind = dist_cfg.get("kind", "uniform")
+    """Build an economy from a plain-dict config.
+
+    Unknown fields are rejected, and so is a block that is not an
+    object, a kind that is not a string, or a numeric field that is
+    not a JSON number (a list of them for tabulated ell and phi).
+    """
+    _config_object(cfg, "config", {"dist", "v", "mu0", "K", "R", "phi", "signal"})
+    dist_cfg = _config_object(cfg.get("dist", {}), "config.dist", {"kind", "params"})
+    kind = _config_kind(dist_cfg, "config.dist", "uniform")
     if kind not in _DIST_BUILDERS:
         raise DomainError(f"unknown distribution kind {kind!r}")
-    builder, allowed = _DIST_BUILDERS[kind]
-    params = dist_cfg.get("params", {})
-    _check_keys(params, allowed, f"config.dist.params({kind})")
-    dist = builder(**params)
+    builder, required = _DIST_BUILDERS[kind]
+    where = f"config.dist.params({kind})"
+    params = _config_object(dist_cfg.get("params", {}), where, required | {"lo", "hi"})
+    dist = builder(**{k: _config_number(params, k, where) for k in required | set(params)})
 
-    phi_cfg = cfg.get("phi", {"kind": "quadratic", "params": {}})
-    _check_keys(phi_cfg, {"kind", "params"}, "config.phi")
-    phi_kind = phi_cfg.get("kind", "quadratic")
-    phi_params = phi_cfg.get("params", {})
-    R = float(cfg.get("R", 1.0))
-    if phi_kind == "quadratic":
-        _check_keys(phi_params, set(), "config.phi.params(quadratic)")
-    elif phi_kind == "tabulated":
-        _check_keys(phi_params, {"ell", "phi"}, "config.phi.params(tabulated)")
-    else:
+    phi_cfg = _config_object(cfg.get("phi", {}), "config.phi", {"kind", "params"})
+    phi_kind = _config_kind(phi_cfg, "config.phi", "quadratic")
+    if phi_kind not in ("quadratic", "tabulated"):
         raise DomainError(f"unknown financing kind {phi_kind!r}")
+    where = f"config.phi.params({phi_kind})"
+    phi_params = _config_object(phi_cfg.get("params", {}), where,
+                                {"ell", "phi"} if phi_kind == "tabulated" else set())
 
-    signal_cfg = cfg.get("signal", {"kind": "affine", "scale": 1.0})
-    _check_keys(signal_cfg, {"kind", "scale"}, "config.signal")
+    signal_cfg = _config_object(cfg.get("signal", {}), "config.signal", {"kind", "scale"})
     econ = benchmark(
-        v=float(cfg.get("v", 2.0)),
-        mu0=float(cfg.get("mu0", 0.0)),
-        K=float(cfg.get("K", 1.0)),
-        R=R,
-        signal_kind=signal_cfg.get("kind", "affine"),
-        signal_scale=float(signal_cfg.get("scale", 1.0)),
+        v=_config_number(cfg, "v", "config", 2.0),
+        mu0=_config_number(cfg, "mu0", "config", 0.0),
+        K=_config_number(cfg, "K", "config", 1.0),
+        R=_config_number(cfg, "R", "config", 1.0),
+        signal_kind=_config_kind(signal_cfg, "config.signal", "affine"),
+        signal_scale=_config_number(signal_cfg, "scale", "config.signal", 1.0),
         dist=dist)
     if phi_kind == "tabulated":
         fin = FinancingCost(tightness=0.0, kind="tabulated",
-                            nodes=(tuple(phi_params["ell"]), tuple(phi_params["phi"])))
-        _check_tabulated(fin, econ.working_capital)
+                            nodes=(_config_numbers(phi_params, "ell", where),
+                                   _config_numbers(phi_params, "phi", where)))
         econ = replace(econ, financing=fin)
     return econ
 
 
-def _check_tabulated(fin: FinancingCost, K: float):
-    """Reject tabulated nodes that are not a convex cost of the gap on [0, K].
-
-    The first node must be ell = 0 with phi = 0, phi must not fall, the
-    segment slopes must not fall by more than 1e-12, and the last ell
-    must reach K, so that np.interp never extends Phi flat inside [0, K].
-    """
-    ells, phis = (np.asarray(x, float) for x in fin.nodes)
-    if ells.size == 0 or ells[0] != 0.0 or phis[0] != 0.0:
-        raise DomainError("tabulated phi must start at ell = 0 with phi = 0")
-    if np.any(np.diff(phis) < 0.0):
-        raise DomainError("tabulated phi must be nondecreasing")
-    if np.any(np.diff(np.diff(phis) / np.diff(ells)) < -1e-12):
-        raise DomainError("tabulated phi must be convex: segment slopes may not fall")
-    if ells[-1] < K:
-        raise DomainError(f"tabulated ell nodes must reach K = {K:.6g}")
-
-
 def load_config(path: str) -> dict:
-    """Read a JSON config file."""
+    """Read a JSON config file, which must hold an object."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        return _config_object(json.load(fh), "config file")

@@ -53,7 +53,8 @@ class PosteriorState:
         steps = np.diff(g)
         if np.max(np.abs(steps - steps[0])) > 1e-9 * steps[0]:
             raise DomainError("grid must be uniformly spaced")
-        if np.any(w < -1e-15) or abs(float(np.sum(w)) - 1.0) > 1e-12:
+        if (not np.all(np.isfinite(w)) or np.any(w < -1e-15)
+                or abs(float(np.sum(w)) - 1.0) > 1e-12):
             raise DomainError("weights must be a probability vector")
 
 
@@ -207,9 +208,11 @@ class MonitoringConfig:
     sigma_max: float = 3.0
 
     def __post_init__(self):
-        if self.kappa0 <= 0 or self.sigma_max <= _SIGMA_MIN:
-            raise DomainError("monitoring cost scale must be positive and its "
-                              f"range must exceed {_SIGMA_MIN:g}")
+        # written so that a nan fails each test
+        if not (math.isfinite(self.kappa0) and self.kappa0 > 0
+                and self.sigma_max > _SIGMA_MIN):
+            raise DomainError("monitoring cost scale must be finite and positive "
+                              f"and its range must exceed {_SIGMA_MIN:g}")
 
 
 def scale_signal(econ: EconomyPrimitives, factor: float) -> EconomyPrimitives:

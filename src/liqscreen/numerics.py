@@ -17,7 +17,7 @@ from .errors import BracketError, ConvergenceError
 BACKEND = "pure"
 
 _NUDGE = 1e-9  # share of the span by which a piece's end slopes step inside it
-_TIE = 1e-12  # relative band within which maximize_on_pieces' candidates tie
+_TIE = 1e-12  # relative band within which best_candidate's candidates tie
 _ARANGES: dict[int, np.ndarray] = {}  # np.arange(n) of each grid size n, for grid
 
 
@@ -167,8 +167,8 @@ def maximize_on_pieces(f: Callable[[float], float],
     points brackets a local maximum, and _false_position lands on it,
     or on a jump of the derivative, from the two scan values it holds;
     it calls slope with one point at a time. The kinks, then those
-    roots, are priced by f and compete through best_candidate with
-    _TIE, so a tie goes to the smaller x. points >= 2. Returns (x, f(x)).
+    roots, are priced by f and compete through best_candidate, so a tie
+    goes to the smaller x. points >= 2. Returns (x, f(x)).
     """
     rises = {}
 
@@ -197,20 +197,20 @@ def maximize_on_pieces(f: Callable[[float], float],
             if rise(x0) > 0.0 and rise(x1) < 0.0:
                 ends = rises[x0], rises[x1]
                 roots.append(_false_position(rise, Bracket(x0, x1), ends))
-    return best_candidate([(x, f(x)) for x in kinks + roots], _TIE)
+    return best_candidate([(x, f(x)) for x in kinks + roots])
 
 
-def best_candidate(candidates, rel_tol: float) -> tuple[float, float]:
+def best_candidate(candidates) -> tuple[float, float]:
     """Best (x, f) pair of a list whose first entry is the incumbent.
 
     A later pair replaces the running best when its f is higher by more
-    than rel_tol * max(1, |best f|), or when it lies within that band
+    than _TIE * max(1, |best f|), or when it lies within that band
     and has a smaller x. Ties within tolerance are not transitive, so
     the result depends on the order of the list.
     """
     best_x, best_f = candidates[0]
     for x, fx in candidates[1:]:
-        band = rel_tol * max(1.0, abs(best_f))
+        band = _TIE * max(1.0, abs(best_f))
         if fx > best_f + band:
             best_x, best_f = x, fx
         elif abs(fx - best_f) <= band and x < best_x:

@@ -118,6 +118,16 @@ def test_virtual_surplus_and_cutoff():
     assert float(virtual_surplus(econ, min(that + 0.1, 1.0), a, 0.0)) > 0.0
 
 
+def test_cutoff_keeps_numpy_inf_where_the_density_vanishes():
+    # f(lower) = 0 for power(2.0) types: psi reads -inf at the bottom type
+    # under numpy's divide warning, where economy.hazard would raise
+    econ = benchmark(v=2.0, mu0=0.1, dist=power(2.0))
+    with pytest.warns(RuntimeWarning, match="divide by zero"):
+        that, psi_lo, psi_hi = cutoff(econ, 0.3, 0.5)
+    assert psi_lo == -math.inf and psi_hi > 0.0
+    assert econ.dist.lower < that < econ.dist.upper
+
+
 def test_rent_schedule_zero_slope_is_pure_cost():
     econ = benchmark(v=2.0, mu0=0.0, K=1.0, R=1.0)
     # pre-participation-offset rent integrates -c' when b1 = 0
@@ -404,9 +414,9 @@ def _golden_max(f, a, b, abs_x):
 
 def _golden_scan_max(f, lo, hi, abs_x, points):
     """Reference scalar maximizer: a uniform scan, golden section on the
-    cells either side of its best point, then the best of both ends, that
-    point and golden's point. Scan values within 1e-13 relative tie, and
-    the smallest x wins a tie."""
+    cells either side of its best point, then best_candidate's pick of
+    both ends, that point and golden's point. Scan values within 1e-13
+    relative tie, and the smallest x wins a tie."""
     if lo == hi:
         return lo, f(lo)
     xs = np.linspace(lo, hi, points).tolist()
@@ -414,8 +424,7 @@ def _golden_scan_max(f, lo, hi, abs_x, points):
     top = max(fs)
     i = min(k for k, fx in enumerate(fs) if fx >= top - 1e-13 * max(1.0, abs(top)))
     best = _golden_max(f, xs[max(i - 1, 0)], xs[min(i + 1, points - 1)], abs_x)
-    return best_candidate([(xs[0], fs[0]), (xs[-1], fs[-1]), (xs[i], fs[i]), best],
-                          1e-13)
+    return best_candidate([(xs[0], fs[0]), (xs[-1], fs[-1]), (xs[i], fs[i]), best])
 
 
 def _golden_best_advance(econ, b1, points=17, panels=128):
@@ -433,7 +442,7 @@ def _golden_best_advance(econ, b1, points=17, panels=128):
                             float(xs[min(i + 1, points - 1)]), 1e-11, 9)
     cands = sorted({0.0, K, binding_ir_advance(econ, b1, d.lower),
                     binding_ir_advance(econ, b1, d.upper)})
-    return best_candidate([best] + [(c, val(c)) for c in cands], 1e-12)
+    return best_candidate([best] + [(c, val(c)) for c in cands])
 
 
 @pytest.mark.parametrize("name", sorted(BATCH_ECONOMIES))

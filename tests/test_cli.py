@@ -5,6 +5,8 @@ import filecmp
 import json
 from pathlib import Path
 
+import pytest
+
 from liqscreen.cli import main
 
 # default-config (seed 42) artifacts; every command must keep writing these bytes
@@ -156,3 +158,43 @@ def test_negative_signal_scale_config_is_rejected_at_load(tmp_path, capsys):
     assert main(["--config", str(cfg), "--out", str(tmp_path), "verify"]) == 2
     assert "affine signal scale must be nonnegative" in capsys.readouterr().err
     assert not (tmp_path / "verify_report.json").exists()
+
+
+# malformed values used to end in a TypeError or AttributeError traceback
+# (exit 1, verify's code for a failed check); each now names its field
+MALFORMED = {
+    "rate_string": ('{"dist": {"kind": "truncated_exponential", "params": {"rate": "fast"}}}',
+                    "verify", "config.dist.params(truncated_exponential).rate"),
+    "exponent_string": ('{"dist": {"kind": "power", "params": {"exponent": "2"}}}',
+                        "verify", "config.dist.params(power).exponent"),
+    "hi_null": ('{"dist": {"kind": "uniform", "params": {"hi": null}}}',
+                "verify", "config.dist.params(uniform).hi"),
+    "rate_missing": ('{"dist": {"kind": "truncated_exponential"}}',
+                     "verify", "config.dist.params(truncated_exponential).rate"),
+    "kind_list": ('{"dist": {"kind": []}}', "verify", "config.dist.kind"),
+    "dist_string": ('{"dist": "uniform"}', "verify", "config.dist must be a JSON object"),
+    "v_list": ('{"v": [2]}', "verify", "config.v"),
+    "K_bool": ('{"K": true}', "verify", "config.K"),
+    "signal_scale_string": ('{"signal": {"scale": "1"}}', "verify", "config.signal.scale"),
+    "ell_scalar": ('{"phi": {"kind": "tabulated", "params": {"ell": 1.0, "phi": [0, 1]}}}',
+                   "verify", "config.phi.params(tabulated).ell"),
+    "phi_strings": ('{"phi": {"kind": "tabulated", "params": {"ell": [0, 1], "phi": ["0", "1"]}}}',
+                    "verify", "config.phi.params(tabulated).phi"),
+    "economy_list": ('{"economy": [1]}', "verify", "config must be a JSON object"),
+    "top_level_array": ('[1, 2]', "verify", "config file must be a JSON object"),
+    "top_level_array_table": ('[1, 2]', "table contagion", "config file must be a JSON object"),
+    "delta_list": ('{"portfolio": {"delta": [1]}}', "table contagion", "config.portfolio.delta"),
+    "portfolio_string": ('{"portfolio": "wide"}', "figure hump",
+                         "config.portfolio must be a JSON object"),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED))
+def test_malformed_config_values_exit_2_naming_the_field(tmp_path, capsys, name):
+    text, command, field = MALFORMED[name]
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    code = main(["--config", str(path), "--out", str(tmp_path)] + command.split())
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: ") and field in err, err

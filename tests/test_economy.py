@@ -9,6 +9,7 @@ import pytest
 
 from liqscreen.economy import (
     FinancingCost,
+    TypeDistribution,
     benchmark,
     bimodal,
     cost_slope,
@@ -67,6 +68,49 @@ def test_regularity_split():
     assert not regularity_ok(bimodal())
 
 
+def _regularity_per_point(dist, n=400):
+    """Reference: the virtual type priced one scalar type at a time."""
+    ts = np.linspace(dist.lower, dist.upper, n)
+    vals = np.array([float(t) - (0.0 if t >= dist.upper else float(
+        (1.0 - dist.cdf(float(t))) / dist.pdf(float(t)))) for t in ts])
+    return bool(np.all(np.diff(vals) > 0.0))
+
+
+@pytest.mark.parametrize("dist", [uniform(), uniform(-1.0, 3.0),
+                                  truncated_exponential(2.0),
+                                  truncated_exponential(9.0), bimodal(),
+                                  bimodal(sd=0.01)],
+                         ids=["uniform", "uniform(-1, 3)", "texp(2)", "texp(9)",
+                              "bimodal()", "bimodal(sd=0.01)"])
+def test_regularity_equals_a_per_point_reference(dist):
+    assert regularity_ok(dist) is _regularity_per_point(dist)
+
+
+def test_regularity_raises_where_the_density_vanishes():
+    # power(2.5) has f(lower) = 0, below the top type
+    with pytest.raises(DomainError, match="density vanishes"):
+        regularity_ok(power(2.5))
+
+
+def test_hazard_is_elementwise_and_keeps_its_checks():
+    d = truncated_exponential(2.0)
+    ts = np.linspace(0.0, 1.0, 9)
+    got = hazard(d, ts)
+    assert got.shape == ts.shape and got[-1] == 0.0
+    assert np.array_equal(got, [hazard(d, float(t)) for t in ts])
+    assert np.array_equal(virtual_type(d, ts), ts - got)
+    assert type(hazard(d, 0.5)) is float
+    with pytest.raises(DomainError, match="outside support"):
+        hazard(d, np.array([0.5, 1.5]))
+    with pytest.raises(DomainError, match="density vanishes"):
+        hazard(power(2.0), np.array([0.0, 0.5]))
+    # the top type's wedge is 0 even where the density vanishes there
+    falling = TypeDistribution(0.0, 1.0, cdf=lambda t: 1.0 - (1.0 - np.asarray(t, float)) ** 2,
+                               pdf=lambda t: 2.0 * (1.0 - np.asarray(t, float)))
+    assert hazard(falling, 1.0) == 0.0
+    assert hazard(falling, np.array([0.5, 1.0])).tolist() == [0.25, 0.0]
+
+
 # power(1) is uniform; above 1 the density vanishes at the lower end, which
 # the certificate's grid leaves out. Below 1 log f is convex: bilateral_sweep's
 # power class draws exponents 0.5-0.95
@@ -97,6 +141,15 @@ def test_quadratic_financing_cost_and_derivatives():
     assert abs(marginal_r(fin, 0.5) - 0.125) < 1e-12
     with pytest.raises(DomainError):
         financing_cost(fin, -0.5)
+
+
+@pytest.mark.parametrize("rule", [financing_cost, marginal_ell, marginal_r])
+def test_every_financing_rule_checks_and_clamps_the_gap(rule):
+    fin = FinancingCost(tightness=2.0)
+    with pytest.raises(DomainError, match="liquidity gap must be nonnegative"):
+        rule(fin, -1e-9)
+    # a gap within 1e-12 below zero is rounding: it is priced at 0
+    assert rule(fin, -1e-13) == rule(fin, 0.0) == 0.0
 
 
 def test_tabulated_financing_interpolates():
@@ -237,17 +290,29 @@ def _tabulated_config(ell, phi, K=1.0):
     return {"K": K, "phi": {"kind": "tabulated", "params": {"ell": ell, "phi": phi}}}
 
 
-@pytest.mark.parametrize("ell, phi, message", [
+TABULATED_OFF_RULES = pytest.mark.parametrize("ell, phi, message", [
     ([0.1, 1.0], [0.0, 2.0], "start at ell = 0 with phi = 0"),
     ([0.0, 1.0], [0.5, 2.0], "start at ell = 0 with phi = 0"),
+    ([0.1, 0.5], [1.0, 2.0], "start at ell = 0 with phi = 0"),
     ([], [], "start at ell = 0 with phi = 0"),
     ([0.0, 0.5, 1.0], [0.0, 1.0, 0.8], "nondecreasing"),
     ([0.0, 0.5, 1.0], [0.0, 1.0, 1.2], "convex"),
     ([0.0, 0.5, 0.9], [0.0, 0.1, 0.4], "reach K"),
-], ids=["first_ell", "first_phi", "empty", "falling", "concave", "short"])
+], ids=["first_ell", "first_phi", "off_zero", "empty", "falling", "concave", "short"])
+
+
+@TABULATED_OFF_RULES
 def test_config_rejects_tabulated_phi_off_its_rules(ell, phi, message):
     with pytest.raises(DomainError, match=message):
         economy_from_config(_tabulated_config(ell, phi))
+
+
+@TABULATED_OFF_RULES
+def test_api_rejects_tabulated_phi_off_its_rules(ell, phi, message):
+    # the rules hold where the cost and the economy are built, not only at load
+    with pytest.raises(DomainError, match=message):
+        fin = FinancingCost(tightness=0.0, kind="tabulated", nodes=(tuple(ell), tuple(phi)))
+        replace(benchmark(K=1.0), financing=fin)
 
 
 def test_config_tabulated_phi_rules_admit_their_edges():
@@ -302,3 +367,13 @@ def test_slopes_use_supplied_closures():
     ts = np.linspace(0.0, 1.0, 5)
     np.testing.assert_array_equal(signal_slope(econ, ts), np.full(5, 0.5))
     np.testing.assert_array_equal(cost_slope(econ, ts), np.ones(5))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"sd": 0.0}, {"sd": -0.05}, {"sd": math.nan}, {"sd": math.inf},
+    {"modes": (math.nan, 0.75)}, {"modes": (0.25, math.inf)}],
+    ids=["sd0", "sd_negative", "sd_nan", "sd_inf", "mode_nan", "mode_inf"])
+def test_bimodal_rejects_a_degenerate_or_non_finite_mixture(kwargs):
+    # sd = 0 used to build a density that reads nan everywhere
+    with pytest.raises(DomainError, match="bimodal"):
+        bimodal(**kwargs)

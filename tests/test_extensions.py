@@ -51,6 +51,21 @@ def test_posterior_validation():
         PosteriorState(np.array([0.5]), np.array([1.0]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_posterior_rejects_a_non_finite_weight(bad):
+    # a nan weight made the sum nan, which passed the tolerance test
+    with pytest.raises(DomainError, match="probability vector"):
+        PosteriorState(np.linspace(0.0, 1.0, 3), np.array([0.5, bad, 0.5]))
+
+
+@pytest.mark.parametrize("kwargs", [{"kappa0": math.nan}, {"kappa0": math.inf},
+                                    {"kappa0": 0.05, "sigma_max": math.nan}],
+                         ids=["kappa0_nan", "kappa0_inf", "sigma_max_nan"])
+def test_monitoring_config_rejects_non_finite_terms(kwargs):
+    with pytest.raises(DomainError, match="monitoring cost scale"):
+        MonitoringConfig(**kwargs)
+
+
 def test_uniform_posterior_normalized():
     post = uniform_posterior(0.0, 1.0, 50)
     assert abs(float(np.sum(post.weights)) - 1.0) < 1e-12

@@ -187,18 +187,16 @@ def test_maximize_on_pieces_skips_a_piece_shorter_than_its_nudges():
     assert len(seen) == 6 and not any(0.5 <= s <= 0.5 + 1e-12 for s in seen)
 
 
-@pytest.mark.parametrize("rel_tol", [1e-13, 1e-12])
-def test_best_candidate_tie_goes_to_smaller_x(rel_tol):
-    near = 1.0 + 0.5 * rel_tol
-    assert best_candidate([(0.7, 1.0), (0.2, near)], rel_tol) == (0.2, near)
-    assert best_candidate([(0.2, near), (0.7, 1.0)], rel_tol) == (0.2, near)
+def test_best_candidate_tie_goes_to_smaller_x():
+    near = 1.0 + 0.5 * numerics._TIE
+    assert best_candidate([(0.7, 1.0), (0.2, near)]) == (0.2, near)
+    assert best_candidate([(0.2, near), (0.7, 1.0)]) == (0.2, near)
 
 
-@pytest.mark.parametrize("rel_tol", [1e-13, 1e-12])
-def test_best_candidate_strict_improvement_wins(rel_tol):
-    better = 1.0 + 3.0 * rel_tol
-    assert best_candidate([(0.2, 1.0), (0.7, better)], rel_tol) == (0.7, better)
-    assert best_candidate([(0.7, better), (0.2, 1.0)], rel_tol) == (0.7, better)
+def test_best_candidate_strict_improvement_wins():
+    better = 1.0 + 3.0 * numerics._TIE
+    assert best_candidate([(0.2, 1.0), (0.7, better)]) == (0.7, better)
+    assert best_candidate([(0.7, better), (0.2, 1.0)]) == (0.7, better)
 
 
 def test_integrate_polynomial():

@@ -52,6 +52,7 @@ from .portfolio import (
     PortfolioEconomy,
     PortfolioSolution,
     contagion_derivative,
+    contagion_share,
     contagion_threshold,
     hump_scan,
     make_portfolio,
@@ -99,6 +100,7 @@ __all__ = [
     "binding_ir_advance",
     "closed_form_ell_star",
     "contagion_derivative",
+    "contagion_share",
     "contagion_threshold",
     "crossing_threshold",
     "dynamic_path",

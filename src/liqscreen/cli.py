@@ -24,7 +24,7 @@ from .economy import (_config_number, _config_object, benchmark,
                       economy_from_config, financing_cost, load_config,
                       with_tightness)
 from .errors import LiqscreenError
-from .portfolio import (contagion_derivative, contagion_threshold,
+from .portfolio import (contagion_share, contagion_threshold,
                         independent_cutoff_value, hump_scan,
                         symmetric_cutoff, symmetric_cutoff_iterative,
                         symmetric_portfolio)
@@ -60,11 +60,21 @@ def _write_csv(path, header, rows):
 
 
 def _config_economy(cfg: RunConfig):
+    """The config's economy block, else the file's fields but portfolio.
+
+    A file with neither an economy block nor any other field than
+    portfolio configures no economy: verify keeps its default one.
+    """
+    default = benchmark(v=2, mu0=0.1, K=1.0, R=1.0)
     if cfg.config_path is None:
-        return benchmark(v=2, mu0=0.1, K=1.0, R=1.0)
+        return default
     data = load_config(cfg.config_path)
-    econ_block = data.get("economy", data)
-    return economy_from_config(econ_block)
+    if "economy" in data:
+        return economy_from_config(data["economy"])
+    rest = {k: v for k, v in data.items() if k != "portfolio"}
+    if "portfolio" in data and not rest:
+        return default
+    return economy_from_config(rest)
 
 
 def _config_delta(cfg: RunConfig) -> float:
@@ -120,13 +130,7 @@ def _table_contagion(cfg: RunConfig) -> list[str]:
         ind = independent_cutoff_value(port)
         scale = max(abs(ind["coupled"]), abs(ind["at_independent"]), 1e-9)
         reduction = (ind["at_independent"] - ind["coupled"]) / scale
-        hits = 0
-        for dd in delta_grid:
-            der = contagion_derivative(symmetric_portfolio(R, float(dd)), 0,
-                                       analytic_only=True)
-            if der["analytic"] > 0.0:
-                hits += 1
-        share = hits / len(delta_grid)
+        share = contagion_share(econ, delta_grid)
         rows.append((f"{R:.1f}", float(thr), float(reduction), float(share)))
     path = os.path.join(cfg.out_dir, "table_contagion.csv")
     return [_write_csv(path, header, rows)]

@@ -373,12 +373,20 @@ def _config_object(obj, where: str, allowed: set[str] | None = None) -> dict:
     return obj
 
 
+def _config_float(x, field: str) -> float:
+    """The JSON number x as a float; an integer beyond float range is rejected."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise DomainError(f"{field} is too large for a float") from None
+
+
 def _config_number(obj: dict, key: str, where: str, default=None) -> float:
     """obj[key] (default when absent), which must be a JSON number."""
     x = obj.get(key, default)
     if not _is_number(x):
         raise DomainError(f"{where}.{key} must be a number, got {x!r}")
-    return float(x)
+    return _config_float(x, f"{where}.{key}")
 
 
 def _config_kind(obj: dict, where: str, default: str) -> str:
@@ -394,7 +402,7 @@ def _config_numbers(obj: dict, key: str, where: str) -> tuple[float, ...]:
     xs = obj.get(key)
     if not (isinstance(xs, list) and all(_is_number(x) for x in xs)):
         raise DomainError(f"{where}.{key} must be a list of numbers, got {xs!r}")
-    return tuple(float(x) for x in xs)
+    return tuple(_config_float(x, f"{where}.{key}[{i}]") for i, x in enumerate(xs))
 
 
 def economy_from_config(cfg: dict) -> EconomyPrimitives:

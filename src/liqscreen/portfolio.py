@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bilateral import (Contract, _envelope_slope, binding_ir_advance, cutoff,
-                        screening_integral, solve_mixed, virtual_surplus)
+                        screening_integral, virtual_surplus)
 from .economy import (EconomyPrimitives, marginal_ell, marginal_r,
                       with_tightness)
 from .errors import DegeneracyError, DomainError
@@ -197,7 +197,31 @@ def _project(x, load, ends):
             _FLAGS[np.where(all_served, 1, 2 * empty)])
 
 
+def _uncoupled(port: PortfolioEconomy) -> np.ndarray:
+    """A book solve's start: a read-only 5 x n array, one column per relationship.
+
+    Row 0 is the uncoupled cutoff, from the zero-load cutoff(e, a, b1)
+    of each relationship's contract; rows 1-4 are _project's ends:
+    psi(lower), psi(upper), lower and upper. One start serves every book
+    of the same relationships and contracts, whatever the coupling.
+    """
+    start = np.array([(*cutoff(e, c.advance, c.slope), e.dist.lower, e.dist.upper)
+                      for e, c in zip(port.economies, port.contracts)]).T
+    start.setflags(write=False)
+    return start
+
+
 def solve_cutoffs(port: PortfolioEconomy) -> PortfolioSolution:
+    """Coupled cutoffs from the uncoupled start, with value split and centralities."""
+    x, clamped, residual, iterations = _coupled_cutoffs(port, _uncoupled(port))
+    total, per = portfolio_value(port, x)
+    return PortfolioSolution(cutoffs=x, clamped=clamped, total_value=total,
+                             per_value=per,
+                             centralities=_all_centralities(port, x, clamped),
+                             residual=residual, iterations=iterations)
+
+
+def _coupled_cutoffs(port: PortfolioEconomy, start: np.ndarray):
     """Coupled cutoffs by projected Newton, certified by the damped map.
 
     Under complementarities the response map T (every relationship's
@@ -207,13 +231,13 @@ def solve_cutoffs(port: PortfolioEconomy) -> PortfolioSolution:
     point and keeps to that selection (see _newton_cutoffs); the damped
     map then runs from Newton's point, so a converged Newton point costs
     one certifying pass and any other point is finished by the map.
-    iterations counts Newton steps plus damped-map passes; the clamp
-    flags come from the pass that produced the returned cutoffs.
+    start is _uncoupled(port), or that of a book with the same
+    relationships and contracts. Returns (cutoffs, clamp flags, residual,
+    iterations): iterations counts Newton steps plus damped-map passes,
+    and the clamp flags come from the pass that produced the cutoffs.
     """
     pairs = tuple(zip(port.economies, port.contracts))
-    # per relationship: the uncoupled cutoff, then _project's four ends
-    x0, *ends = np.array([(*cutoff(e, c.advance, c.slope), e.dist.lower, e.dist.upper)
-                          for e, c in pairs]).T
+    x0, ends = start[0], start[1:]
     flags = []
 
     def responses(x):
@@ -227,12 +251,7 @@ def solve_cutoffs(port: PortfolioEconomy) -> PortfolioSolution:
 
     x, steps = _newton_cutoffs(port, x0, ends)
     x, residual, iters = fixed_point(responses, x, FP_TOL)
-    clamped = tuple(flags)
-    total, per = portfolio_value(port, x)
-    cents = _all_centralities(port, x, clamped)
-    return PortfolioSolution(cutoffs=x, clamped=clamped, total_value=total,
-                             per_value=per, centralities=cents,
-                             residual=residual, iterations=steps + iters)
+    return x, tuple(flags), residual, steps + iters
 
 
 def _newton_cutoffs(port, x, ends):
@@ -299,25 +318,13 @@ def portfolio_value(port: PortfolioEconomy, cutoffs) -> tuple[float, np.ndarray]
 # contagion derivatives and thresholds
 
 
-def _rebuild(port: PortfolioEconomy, j: int, R_j: float,
-             resolve_contracts: bool) -> PortfolioEconomy:
+def _rebuild(port: PortfolioEconomy, j: int, R_j: float) -> PortfolioEconomy:
+    """port with relationship j at tightness R_j and its contract re-calibrated."""
     econs = list(port.economies)
     econs[j] = with_tightness(econs[j], R_j)
     contracts = list(port.contracts)
-    if resolve_contracts:
-        contracts[j] = calibrated_contract(econs[j])
+    contracts[j] = calibrated_contract(econs[j])
     return PortfolioEconomy(tuple(econs), port.coupling, tuple(contracts))
-
-
-def fd_cutoff_sensitivity(port: PortfolioEconomy, j: int) -> np.ndarray:
-    """Finite-difference response of all cutoffs to relationship j's tightness.
-
-    Contracts stay fixed; central difference with step _FD_R.
-    """
-    R_j = port.economies[j].financing.tightness
-    up = solve_cutoffs(_rebuild(port, j, R_j + _FD_R, False)).cutoffs
-    dn = solve_cutoffs(_rebuild(port, j, R_j - _FD_R, False)).cutoffs
-    return (up - dn) / (2.0 * _FD_R)
 
 
 def _cutoff_jacobian(port, cutoffs, free):
@@ -363,44 +370,72 @@ def _all_centralities(port, cutoffs, clamped):
     return out
 
 
-def contagion_derivative(port: PortfolioEconomy, j: int,
-                         analytic_only: bool = False) -> dict:
+def _contagion_terms(econ: EconomyPrimitives, contract: Contract):
+    """The analytic response of book value to econ's tightness, per cutoff.
+
+    Returns terms(that) -> (direct_financing, screening_spillover) at
+    the relationship's coupled cutoff that. direct_financing is the
+    mechanical financing-cost effect at the fixed contract;
+    screening_spillover is the contract-response term:
+    bilateral._envelope_slope in the direction (a'(R), b1'(R)) at that,
+    where psi + load = 0, so the cutoff's move adds no term. The
+    schedule rates and Phi_R are computed once, here.
+    """
+    b1p = slope_calibration_prime(econ.financing.tightness)
+    ap = advance_response(econ, contract.slope, b1p)
+    phi_r = marginal_r(econ.financing, econ.working_capital - contract.advance)
+
+    def terms(that: float) -> tuple[float, float]:
+        tail = 1.0 - float(econ.dist.cdf(that))
+        return -phi_r * tail, _envelope_slope(econ, that, contract.advance, ap, b1p)
+    return terms
+
+
+def contagion_derivative(port: PortfolioEconomy, j: int) -> dict:
     """Total and decomposed response of portfolio value to R_j.
 
     total is a central finite difference (step _FD_R) with contracts
-    re-calibrated at the shifted tightness (nan when analytic_only skips
-    it). The analytic decomposition uses the envelope property of the
-    coupled cutoffs: direct_financing is the mechanical financing-cost
-    effect at fixed contracts, screening_spillover the contract-response
-    terms: bilateral._envelope_slope in the direction (a'(R), b1'(R)) at
-    the coupled cutoff, where psi + load = 0, so the cutoff's move adds
-    no term. flagged marks corner contracts, where the schedule
-    derivative is one-sided.
+    re-calibrated at the shifted tightness. The analytic decomposition
+    (direct_financing + screening_spillover, see _contagion_terms) uses
+    the envelope property of the coupled cutoffs, so the base book
+    solves its cutoffs only. flagged marks corner contracts, where the
+    schedule derivative is one-sided.
     """
-    base = solve_cutoffs(port)
-    e_j = port.economies[j]
-    c_j = port.contracts[j]
+    e_j, c_j = port.economies[j], port.contracts[j]
     R_j = e_j.financing.tightness
-    if analytic_only:
-        total = math.nan
-    else:
-        up = solve_cutoffs(_rebuild(port, j, R_j + _FD_R, True)).total_value
-        dn = solve_cutoffs(_rebuild(port, j, R_j - _FD_R, True)).total_value
-        total = (up - dn) / (2.0 * _FD_R)
-
-    that = float(base.cutoffs[j])
-    tail = 1.0 - float(e_j.dist.cdf(that))
-    ell = e_j.working_capital - c_j.advance
-    b1p = slope_calibration_prime(R_j)
-    ap = advance_response(e_j, c_j.slope, b1p)
-    direct = -marginal_r(e_j.financing, ell) * tail
-    spillover = _envelope_slope(e_j, that, c_j.advance, ap, b1p)
+    up = solve_cutoffs(_rebuild(port, j, R_j + _FD_R)).total_value
+    dn = solve_cutoffs(_rebuild(port, j, R_j - _FD_R)).total_value
+    that = float(_coupled_cutoffs(port, _uncoupled(port))[0][j])
+    direct, spillover = _contagion_terms(e_j, c_j)(that)
     K = e_j.working_capital
     flagged = (c_j.advance <= 1e-9 or c_j.advance >= K - 1e-9
                or c_j.slope <= 1e-9)
-    return {"total": total, "direct_financing": direct,
+    return {"total": (up - dn) / (2.0 * _FD_R), "direct_financing": direct,
             "screening_spillover": spillover,
             "analytic": direct + spillover, "flagged": flagged}
+
+
+def contagion_share(econ: EconomyPrimitives, delta_grid) -> float:
+    """Share of couplings at which tighter credit raises a two-copy book's value.
+
+    Each coupling in delta_grid counts when the analytic response of
+    contagion_derivative is positive on the book of two copies of econ
+    under its calibrated contract. The contract, the book's uncoupled
+    start and the terms of the response are computed once; each
+    coupling then solves the book's coupled cutoffs only.
+    """
+    deltas = [float(d) for d in delta_grid]
+    if not deltas:
+        raise DomainError("contagion_share needs at least one coupling")
+    c = calibrated_contract(econ)
+    terms = _contagion_terms(econ, c)
+    start = _uncoupled(make_portfolio([econ, econ], delta=0.0, contracts=(c, c)))
+    hits = 0
+    for dlt in deltas:
+        port = make_portfolio([econ, econ], delta=dlt, contracts=(c, c))
+        direct, spillover = terms(float(_coupled_cutoffs(port, start)[0][0]))
+        hits += direct + spillover > 0.0
+    return hits / len(deltas)
 
 
 EMPIRICAL_DELTA_GRID = np.arange(0.0, 2.5 + 1e-9, 0.05)
@@ -471,30 +506,6 @@ def hump_scan(R_grid, delta: float) -> dict:
             "positive_intervals": positive, "peak": peak}
 
 
-def breadth_comparison(port: PortfolioEconomy,
-                       single: str = "reoptimized") -> dict:
-    """Two coupled relationships against independent bilateral ones.
-
-    Prefers narrow sourcing when twice the single-relationship value
-    exceeds the coupled book value. single="reoptimized" lets the stand-
-    alone relationship use its unconstrained mixed-program optimum (the
-    relevant comparison when dropping a counterparty frees the contract);
-    single="matched" keeps the portfolio's own contract, which makes the
-    zero-coupling case an exact tie.
-    """
-    dual = solve_cutoffs(port).total_value
-    if single == "reoptimized":
-        w1 = solve_mixed(port.economies[0]).value
-    elif single == "matched":
-        e, c = port.economies[0], port.contracts[0]
-        w1 = screening_integral(e, cutoff(e, c.advance, c.slope)[0],
-                                c.advance, c.slope, 256) - c.advance
-    else:
-        raise DomainError(f"unknown single-value convention {single!r}")
-    return {"dual_value": dual, "single_value": w1,
-            "prefer_single": 2.0 * w1 > dual}
-
-
 def uniform_subsidy_effect(R: float, delta: float) -> dict:
     """Per-relationship value change when every tightness falls by 0.05."""
     base = solve_cutoffs(symmetric_portfolio(R, delta))
@@ -509,14 +520,14 @@ def uniform_subsidy_effect(R: float, delta: float) -> dict:
 def independent_cutoff_value(port: PortfolioEconomy) -> dict:
     """Value lost by running book cutoffs at their uncoupled positions.
 
-    Evaluates the coupled objective at the bilateral cutoffs and
-    reports the relative shortfall against the coupled optimum.
+    Evaluates the coupled objective at the bilateral cutoffs, which are
+    the coupled solve's start, and reports the relative shortfall
+    against the coupled optimum.
     """
-    sol = solve_cutoffs(port)
-    x_ind = np.array([cutoff(e, c.advance, c.slope)[0]
-                      for e, c in zip(port.economies, port.contracts)])
-    v_ind, _ = portfolio_value(port, x_ind)
-    if abs(sol.total_value) < 1e-12:
+    start = _uncoupled(port)
+    coupled, _ = portfolio_value(port, _coupled_cutoffs(port, start)[0])
+    v_ind, _ = portfolio_value(port, start[0])
+    if abs(coupled) < 1e-12:
         raise DegeneracyError("coupled value is zero; relative loss undefined")
-    return {"coupled": sol.total_value, "at_independent": v_ind,
-            "relative_loss": (v_ind - sol.total_value) / abs(sol.total_value)}
+    return {"coupled": coupled, "at_independent": v_ind,
+            "relative_loss": (v_ind - coupled) / abs(coupled)}

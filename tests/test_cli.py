@@ -151,6 +151,15 @@ def test_verify_flat_signal_config_passes(tmp_path):
     assert corner and corner[0]["status"] == "pass"
 
 
+def test_portfolio_only_config_leaves_verify_on_its_default_economy(tmp_path):
+    # a file that configures only the book used to exit 2 on an unknown
+    # field 'portfolio'; it now reads as no economy config at all
+    cfg = tmp_path / "portfolio.json"
+    cfg.write_text(json.dumps({"portfolio": {"delta": 1.2}}))
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "verify"]) == 0
+    _assert_reference_bytes(tmp_path / "verify_report.json")
+
+
 def test_negative_signal_scale_config_is_rejected_at_load(tmp_path, capsys):
     cfg = tmp_path / "negative.json"
     cfg.write_text(json.dumps(
@@ -186,6 +195,16 @@ MALFORMED = {
     "delta_list": ('{"portfolio": {"delta": [1]}}', "table contagion", "config.portfolio.delta"),
     "portfolio_string": ('{"portfolio": "wide"}', "figure hump",
                          "config.portfolio must be a JSON object"),
+    # JSON integers beyond float range used to end in an OverflowError
+    # traceback (exit 1)
+    "v_huge": ('{"v": 1%s}' % ("0" * 400), "verify", "config.v"),
+    "ell_huge": ('{"phi": {"kind": "tabulated", "params": {"ell": [0, 1%s], '
+                 '"phi": [0, 1]}}}' % ("0" * 400), "verify",
+                 "config.phi.params(tabulated).ell[1]"),
+    "delta_huge": ('{"portfolio": {"delta": -1%s}}' % ("0" * 400), "table contagion",
+                   "config.portfolio.delta"),
+    "portfolio_beside_a_flat_field": ('{"portfolio": {"delta": 1.2}, "nonsense": 1}',
+                                      "verify", "['nonsense']"),
 }
 
 

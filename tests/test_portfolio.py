@@ -6,18 +6,21 @@ import numpy as np
 import pytest
 
 from liqscreen import portfolio
-from liqscreen.bilateral import cutoff, virtual_surplus
-from liqscreen.economy import benchmark, marginal_r, truncated_exponential
+from liqscreen.bilateral import (cutoff, screening_integral, solve_mixed,
+                                 virtual_surplus)
+from liqscreen.cli import R_TABLE
+from liqscreen.economy import (benchmark, marginal_r, truncated_exponential,
+                               with_tightness)
 from liqscreen.errors import ConvergenceError, DegeneracyError, DomainError
 from liqscreen.numerics import Bracket, Tolerance, find_root
 from liqscreen.portfolio import (
     EMPIRICAL_DELTA_GRID,
+    PortfolioEconomy,
     advance_response,
-    breadth_comparison,
     calibrated_contract,
     contagion_derivative,
+    contagion_share,
     contagion_threshold,
-    fd_cutoff_sensitivity,
     hump_scan,
     independent_cutoff_value,
     make_portfolio,
@@ -169,6 +172,19 @@ def test_centrality_symmetric_book():
     assert abs(sol.centralities[0] - sol.centralities[1]) < 1e-9
 
 
+def _fd_cutoff_sensitivity(port, j, h=1e-4):
+    """Reference: central-difference response of every cutoff to R_j, with
+    the contracts held fixed."""
+    def shifted(R_j):
+        econs = list(port.economies)
+        econs[j] = with_tightness(econs[j], R_j)
+        return solve_cutoffs(PortfolioEconomy(tuple(econs), port.coupling,
+                                              port.contracts)).cutoffs
+
+    R_j = port.economies[j].financing.tightness
+    return (shifted(R_j + h) - shifted(R_j - h)) / (2.0 * h)
+
+
 @pytest.mark.parametrize("Rs, coupling, clamped", [
     ((0.8, 1.0, 1.4), [[0.0, 0.1, 0.25], [0.1, 0.0, 0.3], [0.25, 0.3, 0.0]],
      ("none",) * 3),
@@ -184,7 +200,7 @@ def test_centralities_match_finite_difference_cutoff_responses(Rs, coupling,
     assert sol.clamped == clamped
     n = len(Rs)
     for j in range(n):
-        sens = fd_cutoff_sensitivity(port, j)
+        sens = _fd_cutoff_sensitivity(port, j)
         fd = sum(coupling[i, j] * sens[i] for i in range(n) if i != j)
         assert abs(sol.centralities[j] - fd) < 1e-6, (j, sol.centralities[j], fd)
         if clamped[j] != "none":
@@ -359,18 +375,80 @@ def test_contagion_derivative_sign_flips_with_coupling():
     dn = contagion_derivative(symmetric_portfolio(1.0, 0.1), 0)
     assert up["total"] > 0.0
     assert dn["total"] < 0.0
-    analytic_only = contagion_derivative(symmetric_portfolio(1.0, 1.2), 0,
-                                         analytic_only=True)
-    assert math.isnan(analytic_only["total"])
-    assert np.isfinite(analytic_only["analytic"])
+    assert np.isfinite(up["analytic"])
 
 
 def test_contagion_spillover_uses_pointwise_signal_slope(curved_signal_pair):
     # without a mu' closure the rent tail must still weight mu' pointwise
-    spill = [contagion_derivative(make_portfolio([e, e], delta=0.5), 0,
-                                  analytic_only=True)["screening_spillover"]
+    spill = [contagion_derivative(make_portfolio([e, e], delta=0.5),
+                                  0)["screening_spillover"]
              for e in curved_signal_pair]
     assert abs(spill[0] - spill[1]) < 1e-5, spill
+
+
+_TABLE_DELTAS = np.linspace(0.0, 2.5, 26)  # table contagion's coupling grid
+
+
+def _book_of(econ, delta, contract):
+    return make_portfolio([econ, econ], delta=delta, contracts=(contract,) * 2)
+
+
+@pytest.mark.parametrize("R", R_TABLE)
+def test_coupled_cutoffs_from_one_shared_start_equal_full_solves(R):
+    # the table's books share relationships and contracts, so one uncoupled
+    # start serves every coupling, bit for bit, and no solve writes into it
+    econ = benchmark(v=2.0, mu0=0.0, K=1.0, R=R)
+    c = calibrated_contract(econ)
+    start = portfolio._uncoupled(_book_of(econ, 0.0, c))
+    before = start.tobytes()
+    for delta in _TABLE_DELTAS:
+        x, flags, residual, iterations = portfolio._coupled_cutoffs(
+            _book_of(econ, float(delta), c), start)
+        sol = solve_cutoffs(symmetric_portfolio(R, float(delta)))
+        assert x.tobytes() == sol.cutoffs.tobytes(), delta
+        assert (flags, residual, iterations) \
+            == (sol.clamped, sol.residual, sol.iterations), delta
+    assert start.tobytes() == before
+
+
+def test_a_solve_start_is_read_only():
+    start = portfolio._uncoupled(symmetric_portfolio(1.0, 0.5))
+    assert start.shape == (5, 2)
+    for row in (start, start[0], start[1:]):
+        assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[..., 0] = 0.5
+
+
+@pytest.mark.parametrize("R", R_TABLE)
+def test_contagion_share_counts_the_analytic_derivatives_of_each_book(R,
+                                                                      monkeypatch):
+    # reference: one contagion_derivative per coupling on a freshly built
+    # symmetric book, as table contagion computed the share before
+    reference = [contagion_derivative(symmetric_portfolio(R, float(delta)),
+                                      0)["analytic"]
+                 for delta in _TABLE_DELTAS]
+    seen = []
+    real = portfolio._contagion_terms
+
+    def recorded(econ, contract):
+        terms = real(econ, contract)
+
+        def record(that):
+            direct, spillover = terms(that)
+            seen.append(direct + spillover)
+            return direct, spillover
+        return record
+
+    monkeypatch.setattr(portfolio, "_contagion_terms", recorded)
+    share = contagion_share(benchmark(v=2.0, mu0=0.0, K=1.0, R=R), _TABLE_DELTAS)
+    assert share == sum(a > 0.0 for a in reference) / len(_TABLE_DELTAS)
+    assert np.array(seen).tobytes() == np.array(reference).tobytes()
+
+
+def test_contagion_share_needs_a_coupling():
+    with pytest.raises(DomainError):
+        contagion_share(benchmark(), [])
 
 
 @pytest.fixture(scope="module")
@@ -411,19 +489,23 @@ def test_contagion_threshold_without_grid_skips_the_scan(scanned_threshold,
 def test_contagion_threshold_scans_books_of_the_economy_it_names(monkeypatch):
     # every book of the empirical scan, the two tightness-shifted ones
     # included, holds econ: its value, signal and types, not v = 2,
-    # mu0 = 0 and uniform types
-    books = []
-    real = portfolio.solve_cutoffs
+    # mu0 = 0 and uniform types. The base book solves its cutoffs only,
+    # and a full solve runs _coupled_cutoffs too, so books are told apart
+    # by identity
+    books = {}
 
-    def recorded(port):
-        books.append(port)
-        return real(port)
+    def recording(real):
+        def recorded(port, *rest):
+            books[id(port)] = port
+            return real(port, *rest)
+        return recorded
 
-    monkeypatch.setattr(portfolio, "solve_cutoffs", recorded)
+    for name in ("solve_cutoffs", "_coupled_cutoffs"):
+        monkeypatch.setattr(portfolio, name, recording(getattr(portfolio, name)))
     econ = benchmark(v=3.0, mu0=0.2, K=1.0, R=1.0)
     contagion_threshold(econ, [0.5, 1.0])
     assert len(books) == 6
-    for port in books:
+    for port in books.values():
         assert port.economies[1] is econ
         assert all(e.surplus is econ.surplus and e.signal_mean is econ.signal_mean
                    and e.dist is econ.dist for e in port.economies)
@@ -439,15 +521,36 @@ def test_hump_scan_peak_only_when_coupled():
     assert independent["peak"] is None
 
 
+def _breadth_comparison(port, single="reoptimized"):
+    """Reference: two coupled relationships against independent bilateral ones.
+
+    single="reoptimized" lets the stand-alone relationship use its
+    unconstrained mixed-program optimum; single="matched" keeps the
+    portfolio's own contract, which makes the zero-coupling case an
+    exact tie.
+    """
+    dual = solve_cutoffs(port).total_value
+    if single == "reoptimized":
+        w1 = solve_mixed(port.economies[0]).value
+    elif single == "matched":
+        e, c = port.economies[0], port.contracts[0]
+        w1 = screening_integral(e, cutoff(e, c.advance, c.slope)[0],
+                                c.advance, c.slope, 256) - c.advance
+    else:
+        raise DomainError(f"unknown single-value convention {single!r}")
+    return {"dual_value": dual, "single_value": w1,
+            "prefer_single": 2.0 * w1 > dual}
+
+
 def test_breadth_conventions():
     port = symmetric_portfolio(1.0, 0.0)
-    matched = breadth_comparison(port, single="matched")
+    matched = _breadth_comparison(port, single="matched")
     # zero coupling with the same contract is an exact tie
     assert abs(2.0 * matched["single_value"] - matched["dual_value"]) < 1e-9
-    reopt = breadth_comparison(port, single="reoptimized")
+    reopt = _breadth_comparison(port, single="reoptimized")
     assert reopt["single_value"] >= matched["single_value"] - 1e-12
     with pytest.raises(DomainError):
-        breadth_comparison(port, single="nonsense")
+        _breadth_comparison(port, single="nonsense")
 
 
 def test_subsidy_directions():

@@ -30,14 +30,13 @@ _ACCEPT_STEPS = 8  # steps that lift the all-accept kink to its accepting side
 
 @dataclass(frozen=True)
 class Contract:
-    """Advance a paid up front, completion payment b0 + b1 * signal."""
+    """Advance a paid up front, completion payment b1 * signal."""
 
     advance: float
-    intercept: float = 0.0
     slope: float = 0.0
 
     def __post_init__(self):
-        terms = (self.advance, self.intercept, self.slope)
+        terms = (self.advance, self.slope)
         if not all(math.isfinite(x) and x >= -1e-12 for x in terms):
             raise DomainError("contract terms must be finite and nonnegative")
 
@@ -429,7 +428,7 @@ def solve_optimal(econ: EconomyPrimitives) -> BilateralSolution:
         flag = "corner_a_zero"
     else:
         flag = "interior"
-    return BilateralSolution(contract=Contract(a_star, 0.0, b1_star),
+    return BilateralSolution(contract=Contract(a_star, b1_star),
                              cutoff=that, value=w, decomposition=decomp,
                              boundary_flag=flag)
 
@@ -438,27 +437,27 @@ def solve_optimal(econ: EconomyPrimitives) -> BilateralSolution:
 # mixed program at actual flows
 
 
-def _acceptance(econ, t, a, b0, b1, phi):
-    """Acceptance payoff U = a + b0 + b1*mu - c - Phi of type t; elementwise."""
-    return a + b0 + b1 * np.asarray(econ.signal_mean(t), float) \
+def _acceptance(econ, t, a, b1, phi):
+    """Acceptance payoff U = a + b1*mu - c - Phi of type t; elementwise."""
+    return a + b1 * np.asarray(econ.signal_mean(t), float) \
         - np.asarray(econ.cost(t), float) - phi
 
 
-def _profit(econ, t, a, b0, b1):
-    """Principal's profit pi = V - a - b0 - b1*mu from type t; elementwise."""
-    return np.asarray(econ.surplus(t), float) - a - b0 \
+def _profit(econ, t, a, b1):
+    """Principal's profit pi = V - a - b1*mu from type t; elementwise."""
+    return np.asarray(econ.surplus(t), float) - a \
         - b1 * np.asarray(econ.signal_mean(t), float)
 
 
-def _profit_flow(econ, t, a, b0, b1):
+def _profit_flow(econ, t, a, b1):
     """Density-weighted profit, the integrand of the contract value."""
-    return _profit(econ, t, a, b0, b1) * np.asarray(econ.dist.pdf(t), float)
+    return _profit(econ, t, a, b1) * np.asarray(econ.dist.pdf(t), float)
 
 
-def _served(econ, a, b0, b1):
+def _served(econ, a, b1):
     """Types that accept (U >= 0) and are worth serving (pi >= 0).
 
-    U = a + b0 + b1*mu - c - Phi(K - a) and pi = V - a - b0 - b1*mu are
+    U = a + b1*mu - c - Phi(K - a) and pi = V - a - b1*mu are
     assumed monotone in theta (true for the affine benchmark family), so
     each set is an interval whose ends are support ends or roots, and so
     is their intersection [lo, hi]. Returns (lo, hi, lo_is_acceptance_root,
@@ -481,10 +480,10 @@ def _served(econ, a, b0, b1):
                       ends=(f_lo, f_hi))
         return (r, d.upper) if f_lo < 0.0 else (d.lower, r)
 
-    span_u = region(_acceptance, a, b0, b1, phi)
+    span_u = region(_acceptance, a, b1, phi)
     if span_u is None:
         return None
-    span_p = region(_profit, a, b0, b1)
+    span_p = region(_profit, a, b1)
     if span_p is None:
         return None
     (u_lo, u_hi), (p_lo, p_hi) = span_u, span_p
@@ -492,32 +491,32 @@ def _served(econ, a, b0, b1):
     return (lo, hi, u_lo > p_lo, u_hi < p_hi) if lo < hi else None
 
 
-def served_interval(econ: EconomyPrimitives, a: float, b0: float,
+def served_interval(econ: EconomyPrimitives, a: float,
                     b1: float) -> tuple[float, float] | None:
     """Types that accept (U >= 0) and are worth serving (pi >= 0).
 
     The interval of _served, or None when it is empty.
     """
-    served = _served(econ, a, b0, b1)
+    served = _served(econ, a, b1)
     return None if served is None else served[:2]
 
 
-def contract_value(econ: EconomyPrimitives, a: float, b0: float = 0.0,
-                   b1: float = 0.0, panels: int = 128) -> float:
+def contract_value(econ: EconomyPrimitives, a: float, b1: float = 0.0, *,
+                   panels: int = 128) -> float:
     """Expected profit of an arbitrary contract at actual payment flows.
 
-    Integrates V - a - b0 - b1*mu over the served interval; nothing is
+    Integrates V - a - b1*mu over the served interval; nothing is
     paid to types that walk away.
     """
-    span = served_interval(econ, a, b0, b1)
+    span = served_interval(econ, a, b1)
     if span is None:
         return 0.0
-    return integrate(lambda t: _profit_flow(econ, t, a, b0, b1),
+    return integrate(lambda t: _profit_flow(econ, t, a, b1),
                      span[0], span[1], panels)
 
 
 def _directional_slope(econ, b1, a, da, db):
-    """Derivative of W = contract_value(a, 0, b1) at actual flows along (da, db).
+    """Derivative of W = contract_value(a, b1) at actual flows along (da, db).
 
     W integrates pi*f over the served interval [lo, hi]. Along (da, db)
     pi = V - a - b1*mu moves at -(da + db*mu), and the payoff U moves at
@@ -531,7 +530,7 @@ def _directional_slope(econ, b1, a, da, db):
     value along a regime a(b1). Holds where W is smooth. None where
     nobody is served: W rests at 0 there.
     """
-    served = _served(econ, a, 0.0, b1)
+    served = _served(econ, a, b1)
     if served is None:
         return None
     lo, hi, lo_root, hi_root = served
@@ -545,7 +544,7 @@ def _directional_slope(econ, b1, a, da, db):
         if root:
             u_t = b1 * signal_slope(econ, t) - cost_slope(econ, t)
             u_rate = da * relief + db * float(econ.signal_mean(t))
-            slope += sign * float(_profit_flow(econ, t, a, 0.0, b1)) * u_rate / u_t
+            slope += sign * float(_profit_flow(econ, t, a, b1)) * u_rate / u_t
     return slope
 
 
@@ -562,7 +561,7 @@ def _accepting(econ, b1, a):
     K = econ.working_capital
     for _ in range(_ACCEPT_STEPS):
         phi = financing_cost(econ.financing, K - a)
-        short = min(float(_acceptance(econ, t, a, 0.0, b1, phi))
+        short = min(float(_acceptance(econ, t, a, b1, phi))
                     for t in (d.lower, d.upper))
         if short >= 0.0 or a >= K:
             break
@@ -637,31 +636,11 @@ def _best_advance(econ, b1):
             return _directional_slope(econ, b1, a, 1.0, 0.0)
         return None
 
-    a, v = maximize_on_pieces(lambda a: contract_value(econ, a, 0.0, b1, _MIXED_PANELS),
+    a, v = maximize_on_pieces(lambda a: contract_value(econ, a, b1, panels=_MIXED_PANELS),
                               lambda xs: [slope(a) for a in xs], sorted(kinks),
                               2 if econ.dist.log_concave else _SLOPE_POINTS)
     theta = kinks.get(a)
     return a, v, 0.0 if theta is None else ir_slope(econ, a, theta)
-
-
-def _mixed_kinks(econ, b1_flat):
-    """Slopes in [0, b1_flat] where the mixed value V(b1) may kink.
-
-    Those of _slope_kinks for the lowest and the highest type: where a
-    binding advance of either reaches 0, K or a node advance.
-    """
-    d = econ.dist
-    return _slope_kinks(econ, b1_flat, [d.lower, d.upper])
-
-
-def _mixed_slope(econ, b1, best):
-    """dV/db1 of the mixed value at b1, given best = _best_advance(econ, b1).
-
-    W's slope along the regime that wins at b1, in the direction
-    (a_k'(b1), 1), where a_k' is the rate best reports.
-    """
-    a, _, rate = best
-    return _directional_slope(econ, b1, a, rate, 1.0)
 
 
 def solve_mixed(econ: EconomyPrimitives) -> MixedSolution:
@@ -674,9 +653,10 @@ def solve_mixed(econ: EconomyPrimitives) -> MixedSolution:
     (_best_advance). A switch between regimes is a convex kink of V,
     so no maximum sits there. A regime kinks where a binding advance of
     the lowest or the highest type reaches 0, K or a node advance
-    (_mixed_kinks). Between them V's slope is W's along the winner, in
-    the direction (a_k'(b1), 1) (_mixed_slope). This needs every peak
-    of W(a) found, or V drops where the inner search misses one.
+    (_slope_kinks of the two support ends). Between them V's slope is
+    W's along the winner, in the direction (a_k'(b1), 1), where a_k' is
+    the rate _best_advance reports. This needs every peak of W(a)
+    found, or V drops where the inner search misses one.
     maximize_on_pieces scans V's slope at _SLOPE_POINTS points per piece,
     roots each fall from + to - and prices the kinks and the roots, one
     inner search per slope; a tie goes to the smaller slope. An
@@ -691,21 +671,26 @@ def solve_mixed(econ: EconomyPrimitives) -> MixedSolution:
                           "the mixed program needs it nonnegative")
 
     found = {}
+    d = econ.dist
 
     def best(b1):
         if b1 not in found:
             found[b1] = _best_advance(econ, b1)
         return found[b1]
 
+    def slope(b1):
+        a, _, rate = best(b1)
+        return _directional_slope(econ, b1, a, rate, 1.0)
+
     b1_star, _ = maximize_on_pieces(lambda b1: best(b1)[1],
-                                    lambda b1s: [_mixed_slope(econ, b1, best(b1))
-                                                 for b1 in b1s],
-                                    _mixed_kinks(econ, b1_hi), _SLOPE_POINTS)
+                                    lambda b1s: [slope(b1) for b1 in b1s],
+                                    _slope_kinks(econ, b1_hi, [d.lower, d.upper]),
+                                    _SLOPE_POINTS)
     a_star, v_star, _ = best(b1_star)
-    span = served_interval(econ, a_star, 0.0, b1_star)
+    span = served_interval(econ, a_star, b1_star)
     branch = ("uninformative" if b1_flat is None
               else "flat" if abs(b1_star - b1_flat) <= 1e-9 else "decreasing")
-    return MixedSolution(Contract(a_star, 0.0, b1_star), span, v_star, branch)
+    return MixedSolution(Contract(a_star, b1_star), span, v_star, branch)
 
 
 # ---------------------------------------------------------------------------
@@ -727,7 +712,7 @@ def closed_form_ell_star(R: float) -> float:
 
 def pure_advance_value(econ: EconomyPrimitives) -> float:
     """Value of the best pure-advance contract (a = K, no contingent pay)."""
-    return contract_value(econ, econ.working_capital, 0.0, 0.0, panels=512)
+    return contract_value(econ, econ.working_capital, panels=512)
 
 
 def contingent_value(econ: EconomyPrimitives, b1: float) -> float:

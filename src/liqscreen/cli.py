@@ -150,9 +150,9 @@ def _figure_payoff(cfg: RunConfig) -> list[str]:
     # twice the zero-advance slope that makes the top type's participation bind
     b_cont = 2.0 * binding_slope(econ, 0.0, econ.dist.upper)
     ts = np.linspace(econ.dist.lower, econ.dist.upper, 101)
-    columns = (ts, _acceptance(econ, ts, K, 0.0, 0.0, 0.0),  # a = K: no gap
-               _acceptance(econ, ts, 0.0, 0.0, b_cont, phi_full),
-               _acceptance(econ, ts, a_o, 0.0, b_o, phi_o))
+    columns = (ts, _acceptance(econ, ts, K, 0.0, 0.0),  # a = K: no gap
+               _acceptance(econ, ts, 0.0, b_cont, phi_full),
+               _acceptance(econ, ts, a_o, b_o, phi_o))
     rows = [tuple(float(x) for x in row) for row in zip(*columns)]
     path = os.path.join(cfg.out_dir, "figure_payoff.csv")
     return [_write_csv(path, ["theta", "U_advance", "U_contingent",

@@ -151,9 +151,9 @@ def _rule_contract(econ: EconomyPrimitives,
     lo = float(sup[0])
     b1 = (max(0.0, binding_slope(econ, a, lo))
           if float(econ.signal_mean(lo)) > 1e-12 else 0.0)
-    paid = np.flatnonzero(_profit(econ, sup, a, 0.0, b1) >= 0.0)
+    paid = np.flatnonzero(_profit(econ, sup, a, b1) >= 0.0)
     pay_cut = sup[paid[0]] if paid.size else sup[-1]
-    return Contract(a, 0.0, b1), float(pay_cut), d_stat_val
+    return Contract(a, b1), float(pay_cut), d_stat_val
 
 
 def dynamic_path(econ: EconomyPrimitives, true_theta: float, horizon: int,
@@ -326,7 +326,7 @@ def solve_renegotiation(econ: EconomyPrimitives, lam: float) -> BilateralSolutio
         b1 = 0.0
     value, decomp, that = _screening_value(econ, a_lam, survive * b1)
     flag = "corner_b1_zero" if b1 <= 1e-9 else "interior"
-    return BilateralSolution(contract=Contract(a_lam, 0.0, b1), cutoff=that,
+    return BilateralSolution(contract=Contract(a_lam, b1), cutoff=that,
                              value=value, decomposition=decomp,
                              boundary_flag=flag)
 
@@ -381,8 +381,8 @@ def menu_equivalence_check(econ: EconomyPrimitives) -> dict:
     m = len(instr)
     phi = np.array([financing_cost(econ.financing, K - a) for a in instr[:, 0]])
     t_col, a_row, b_row = types[:, None], instr[None, :, 0], instr[None, :, 1]
-    U = _acceptance(econ, t_col, a_row, 0.0, b_row, phi[None, :])
-    PI = _profit(econ, t_col, a_row, 0.0, b_row)
+    U = _acceptance(econ, t_col, a_row, b_row, phi[None, :])
+    PI = _profit(econ, t_col, a_row, b_row)
     takes = U >= -_IC_SLACK  # participation holds
     quiet = U <= _IC_SLACK  # the type would not take the offer
     # indifferent types can be turned away; strictly willing ones cannot

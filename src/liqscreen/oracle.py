@@ -81,15 +81,14 @@ def mechanism_from_contract(econ: EconomyPrimitives,
     d = econ.dist
     m = 50
     types = np.linspace(d.lower, d.upper, m)
-    span = served_interval(econ, contract.advance, contract.intercept,
-                           contract.slope)
+    span = served_interval(econ, contract.advance, contract.slope)
     if span is None:
         q = np.zeros(m)
     else:
         q = ((types >= span[0] - 1e-12) & (types <= span[1] + 1e-12)).astype(float)
     K = econ.working_capital
     phi = financing_cost(econ.financing, K - contract.advance)
-    u = (contract.advance + contract.intercept + contract.slope * _mu(econ, types)
+    u = (contract.advance + contract.slope * _mu(econ, types)
          - np.asarray(econ.cost(types), float) - phi)
     return DiscreteMechanism(types=types, allocation=q,
                              advances=np.full(m, contract.advance),
@@ -212,24 +211,6 @@ def rent_identity_check(econ: EconomyPrimitives, a: float, b1: float,
     hazard_form = u_hat * tail + float(np.trapezoid(integrand * (1.0 - F), ts))
     return {"direct": direct, "hazard_form": hazard_form,
             "gap": direct - hazard_form}
-
-
-def advance_irrelevance_gap(econ: EconomyPrimitives, b1: float) -> float:
-    """Value spread across advance/intercept splits of fixed total pay.
-
-    Holds the lowest type's total compensation at the binding level and
-    re-divides it between the advance and the completion intercept at 9
-    evenly spaced splits; the spread is zero exactly when financing is
-    free.
-    """
-    from .bilateral import contract_value
-
-    total = _project_advance(econ, b1)
-    if total <= 0.0:
-        return 0.0
-    vals = [contract_value(econ, s, total - s, b1, panels=256)
-            for s in np.linspace(0.0, total, 9)]
-    return float(max(vals) - min(vals))
 
 
 def decreasing_slope_mechanism(econ: EconomyPrimitives) -> DiscreteMechanism:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bilateral import (Contract, _envelope_slope, binding_ir_advance, cutoff,
                         screening_integral, virtual_surplus)
-from .economy import (EconomyPrimitives, marginal_ell, marginal_r,
+from .economy import (EconomyPrimitives, benchmark, marginal_ell, marginal_r,
                       with_tightness)
 from .errors import DegeneracyError, DomainError
 from .numerics import Tolerance, fixed_point
@@ -57,18 +57,24 @@ def slope_calibration_prime(R: float) -> float:
 def calibrated_contract(econ: EconomyPrimitives) -> Contract:
     """Calibrated slope at the economy's tightness, advance on the manifold."""
     b1 = slope_calibration(econ.financing.tightness)
-    return Contract(binding_ir_advance(econ, b1), 0.0, b1)
+    return Contract(binding_ir_advance(econ, b1), b1)
 
 
-def advance_response(econ: EconomyPrimitives, b1: float,
+def advance_response(econ: EconomyPrimitives, contract: Contract,
                      b1_prime: float) -> float:
-    """d a / d R along the binding-participation manifold.
+    """d a / d R along the binding-participation manifold at contract.
 
-    Differentiates a + b1*mu(lo) = c(lo) + Phi(K - a; R) in R, letting
-    the slope follow its schedule: a' = (Phi_R - b1'*mu(lo)) / (1 + Phi_ell).
+    contract's advance is the manifold's, binding_ir_advance at its
+    slope. Differentiates a + b1*mu(lo) = c(lo) + Phi(K - a; R) in R,
+    letting the slope follow its schedule: a' = (Phi_R - b1'*mu(lo)) /
+    (1 + Phi_ell). 0 where the advance is clamped at 0 or K, as in
+    bilateral._manifold_slope.
     """
-    a = binding_ir_advance(econ, b1)
-    ell = econ.working_capital - a
+    a = contract.advance
+    K = econ.working_capital
+    if not 0.0 < a < K:
+        return 0.0
+    ell = K - a
     mu_lo = float(econ.signal_mean(econ.dist.lower))
     return (marginal_r(econ.financing, ell) - b1_prime * mu_lo) \
         / (1.0 + marginal_ell(econ.financing, ell))
@@ -134,11 +140,10 @@ def make_portfolio(economies, delta=None, coupling=None,
 
 def symmetric_portfolio(R: float, delta: float,
                         mu0: float = 0.0) -> PortfolioEconomy:
-    """Two identical benchmark relationships (v = 2) with common coupling."""
-    from .economy import benchmark
-
-    econs = [benchmark(v=2.0, mu0=mu0, R=R) for _ in range(2)]
-    return make_portfolio(econs, delta=delta)
+    """Two copies of one benchmark relationship (v = 2) with common coupling."""
+    econ = benchmark(v=2.0, mu0=mu0, R=R)
+    c = calibrated_contract(econ)
+    return make_portfolio([econ, econ], delta=delta, contracts=(c, c))
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +387,7 @@ def _contagion_terms(econ: EconomyPrimitives, contract: Contract):
     schedule rates and Phi_R are computed once, here.
     """
     b1p = slope_calibration_prime(econ.financing.tightness)
-    ap = advance_response(econ, contract.slope, b1p)
+    ap = advance_response(econ, contract, b1p)
     phi_r = marginal_r(econ.financing, econ.working_capital - contract.advance)
 
     def terms(that: float) -> tuple[float, float]:

@@ -16,8 +16,6 @@ from liqscreen.bilateral import (
     _envelope_slope,
     _fixed_advances,
     _manifold_slope,
-    _mixed_kinks,
-    _mixed_slope,
     _screening_slope,
     _served,
     _slope_kinks,
@@ -57,9 +55,8 @@ def test_contract_rejects_negative_terms():
         Contract(advance=0.1, slope=-0.2)
 
 
-@pytest.mark.parametrize("terms", [{"advance": math.nan}, {"intercept": math.nan},
-                                   {"slope": math.inf}],
-                         ids=["advance", "intercept", "slope"])
+@pytest.mark.parametrize("terms", [{"advance": math.nan}, {"slope": math.inf}],
+                         ids=["advance", "slope"])
 def test_contract_rejects_non_finite_terms(terms):
     with pytest.raises(DomainError, match="finite"):
         Contract(**{"advance": 0.1, **terms})
@@ -221,18 +218,18 @@ def test_crossing_threshold_roots_only_the_last_doubling(monkeypatch, K,
 @pytest.mark.parametrize("econ, terms, expected", [
     # U falls in the type (b1 < c'/mu' = 1): the top is the acceptance
     # root 0.85, the bottom the profit root 0.55/1.5
-    (benchmark(v=2.0, mu0=0.1, R=1.0), (0.5, 0.0, 0.5), (0.55 / 1.5, 0.85, False, True)),
+    (benchmark(v=2.0, mu0=0.1, R=1.0), (0.5, 0.5), (0.55 / 1.5, 0.85, False, True)),
     # U rises in the type: the bottom is the acceptance root 0.31, above
     # the profit root 1/6, and the top is the support end
-    (benchmark(v=3.0, mu0=0.1, R=1.0), (0.1, 0.0, 1.5), (0.31, 1.0, True, False)),
+    (benchmark(v=3.0, mu0=0.1, R=1.0), (0.1, 1.5), (0.31, 1.0, True, False)),
     # U and pi are nonnegative on the whole support: two support ends
-    (benchmark(v=2.0, mu0=0.0, R=0.0), (0.0, 0.0, 1.5), (0.0, 1.0, False, False)),
+    (benchmark(v=2.0, mu0=0.0, R=0.0), (0.0, 1.5), (0.0, 1.0, False, False)),
     # nobody accepts
-    (benchmark(v=2.0, mu0=0.1, R=1.0), (0.0, 0.0, 0.0), None),
+    (benchmark(v=2.0, mu0=0.1, R=1.0), (0.0, 0.0), None),
     # nobody is worth serving
-    (benchmark(v=2.0, mu0=0.1, R=1.0), (1.0, 2.0, 0.0), None),
+    (benchmark(v=2.0, mu0=0.1, R=1.0), (0.5, 3.0), None),
     # the accepting types, below 0.85, all lie below the profit root 0.55/0.6
-    (benchmark(v=1.1, mu0=0.1, R=1.0), (0.5, 0.0, 0.5), None),
+    (benchmark(v=1.1, mu0=0.1, R=1.0), (0.5, 0.5), None),
 ], ids=["upper_acceptance_root", "lower_acceptance_root", "support_ends",
         "none_accept", "none_profitable", "disjoint"])
 def test_served_flags_acceptance_roots(econ, terms, expected):
@@ -312,8 +309,8 @@ def test_support_end_psi_comes_from_the_cutoff_grid(monkeypatch):
 
 
 @pytest.mark.parametrize("econ, terms", [
-    (benchmark(v=2.0, mu0=0.1, R=1.0), (0.5, 0.0, 0.5)),
-    (benchmark(v=3.0, mu0=0.1, R=1.0), (0.1, 0.0, 1.5)),
+    (benchmark(v=2.0, mu0=0.1, R=1.0), (0.5, 0.5)),
+    (benchmark(v=3.0, mu0=0.1, R=1.0), (0.1, 1.5)),
 ], ids=["upper_acceptance_root", "lower_acceptance_root"])
 def test_served_roots_cost_one_evaluation_on_affine_primitives(monkeypatch, econ,
                                                                terms):
@@ -326,7 +323,7 @@ def test_served_roots_cost_one_evaluation_on_affine_primitives(monkeypatch, econ
 
 def test_served_interval_full_advance():
     econ = benchmark(v=2.0, mu0=0.0, K=1.0, R=1.0)
-    span = served_interval(econ, 1.0, 0.0, 0.0)
+    span = served_interval(econ, 1.0, 0.0)
     assert span is not None
     lo, hi = span
     assert abs(lo - 0.5) < 1e-8  # profit turns positive at v*theta = a
@@ -336,7 +333,11 @@ def test_served_interval_full_advance():
 def test_contract_value_matches_closed_form():
     econ = benchmark(v=2.0, mu0=0.0, K=1.0, R=1.0)
     # full advance serves [1/2, 1]: integral of (2t - 1) dt = 1/4
-    assert abs(contract_value(econ, 1.0, 0.0, 0.0) - 0.25) < 1e-10
+    assert abs(contract_value(econ, 1.0) - 0.25) < 1e-10
+    # panels is keyword-only: a call that still passes an intercept
+    # before the slope raises instead of pricing the slope as panels
+    with pytest.raises(TypeError):
+        contract_value(econ, 1.0, 0.0, 2)
 
 
 def test_sweep_rows_have_stable_schema():
@@ -434,7 +435,7 @@ def _golden_best_advance(econ, b1, points=17, panels=128):
     d = econ.dist
 
     def val(a):
-        return contract_value(econ, a, 0.0, b1, panels)
+        return contract_value(econ, a, b1, panels=panels)
 
     xs = np.linspace(0.0, K, points)
     i = int(np.argmax([val(float(x)) for x in xs]))
@@ -452,16 +453,15 @@ def test_contract_values_match_contract_value(name):
     econ = BATCH_ECONOMIES[name]
     K = econ.working_capital
     panels = bilateral._MIXED_PANELS
-    assert contract_value(econ, 0.0, 0.0, 0.0, panels) == 0.0  # nobody accepts
+    assert contract_value(econ, 0.0, 0.0, panels=panels) == 0.0  # nobody accepts
     for b1 in np.linspace(0.0, flat_rent_slope(econ), 5).tolist():
         a, v, _ = _best_advance(econ, b1)
         assert 0.0 <= a <= K
-        assert v == contract_value(econ, a, 0.0, b1, panels), b1
+        assert v == contract_value(econ, a, b1, panels=panels), b1
     sol = bilateral.solve_mixed(econ)
     c = sol.contract
-    assert c.intercept == 0.0
-    assert sol.value == contract_value(econ, c.advance, 0.0, c.slope, panels)
-    assert sol.implemented == served_interval(econ, c.advance, 0.0, c.slope)
+    assert sol.value == contract_value(econ, c.advance, c.slope, panels=panels)
+    assert sol.implemented == served_interval(econ, c.advance, c.slope)
 
 
 @pytest.mark.parametrize("name", sorted({**INNER_ECONOMIES, **BIMODAL_SWEEPS}))
@@ -484,7 +484,7 @@ def test_best_advance_prices_the_accepting_side_at_the_flat_slope():
                         (TABULATED, 0.385047896709704)):
         a, v, _ = _best_advance(econ, 1.0)
         assert abs(v - value) < 1e-9, (econ.label, v)
-        assert served_interval(econ, a, 0.0, 1.0)[1] == econ.dist.upper
+        assert served_interval(econ, a, 1.0)[1] == econ.dist.upper
     # the node advance K - 0.5 is a kink of the tabulated W(a)
     assert 0.5 in _advance_kinks(TABULATED, 0.6)[0]
 
@@ -500,7 +500,7 @@ def test_advance_slope_matches_a_central_difference(name):
                 continue
             for a in np.linspace(lo, hi, 5)[1:-1]:
                 slope = _directional_slope(econ, b1, a, 1.0, 0.0)
-                w = [contract_value(econ, a + k * h, 0.0, b1, 512)
+                w = [contract_value(econ, a + k * h, b1, panels=512)
                      for k in (-2, -1, 1, 2)]
                 if slope is None:  # nobody is served: W rests at 0
                     assert w == [0.0] * 4
@@ -540,10 +540,10 @@ def test_stationary_advances_zero_the_slope_and_win_only_when_interior(
         a, v, _ = _best_advance(econ, b1)
         stationary = list(roots)
         assert abs(v - _golden_best_advance(econ, b1)[1]) <= 1e-10, b1
-        v_kink = max(contract_value(econ, k, 0.0, b1) for k in kinks)
+        v_kink = max(contract_value(econ, k, b1) for k in kinks)
         for a_s in stationary:
             assert abs(_directional_slope(econ, b1, a_s, 1.0, 0.0)) < 1e-9
-            assert contract_value(econ, a_s, 0.0, b1) <= v + 1e-12 * max(1.0, v)
+            assert contract_value(econ, a_s, b1) <= v + 1e-12 * max(1.0, v)
             wins += a == a_s and v > v_kink + 1e-3
     assert (wins > 0) is reached
 
@@ -632,10 +632,10 @@ def test_solve_mixed_rejects_a_negative_flat_rent_slope():
 
 @pytest.mark.parametrize("econ, expected", [
     (benchmark(signal_scale=0.0),
-     "MixedSolution(contract=Contract(advance=1.0, intercept=0.0, slope=0.0), "
+     "MixedSolution(contract=Contract(advance=1.0, slope=0.0), "
      "implemented=(0.5, 1.0), value=0.25, branch='uninformative')"),
     (benchmark(v=3.0, R=0.5, signal_kind="flat", dist=truncated_exponential(1.5)),
-     "MixedSolution(contract=Contract(advance=1.0, intercept=0.0, slope=0.0), "
+     "MixedSolution(contract=Contract(advance=1.0, slope=0.0), "
      "implemented=(0.33333333333333337, 1.0), value=0.4126053842377843, "
      "branch='uninformative')"),
 ], ids=["zero_scale", "flat_signal"])
@@ -692,7 +692,8 @@ def test_solve_mixed_searches_each_slope_once(monkeypatch, bench_informative):
         slopes.clear()
         sol = bilateral.solve_mixed(econ)
         b1_flat = flat_rent_slope(econ)
-        assert _mixed_kinks(econ, b1_flat) == [0.0, b1_flat]
+        assert _slope_kinks(econ, b1_flat, [econ.dist.lower, econ.dist.upper]) \
+            == [0.0, b1_flat]
         assert len(slopes) == len(set(slopes))
         assert len(slopes) <= budget
         assert b1_flat in slopes
@@ -700,7 +701,8 @@ def test_solve_mixed_searches_each_slope_once(monkeypatch, bench_informative):
         assert (sol.branch == "flat") is not interior
         if interior:
             b1 = sol.contract.slope
-            assert abs(_mixed_slope(econ, b1, search(econ, b1))) < 1e-9
+            a, _, rate = search(econ, b1)
+            assert abs(_directional_slope(econ, b1, a, rate, 1.0)) < 1e-9
         else:
             assert sol.contract.slope == b1_flat
 
@@ -738,7 +740,7 @@ def test_log_concave_advance_scan_matches_the_full_scan(name):
             return _directional_slope(econ, b1, a, 1.0, 0.0) if a_lo < a < a_hi else None
 
         _, v_ref = numerics.maximize_on_pieces(
-            lambda a: contract_value(econ, a, 0.0, b1, bilateral._MIXED_PANELS),
+            lambda a: contract_value(econ, a, b1, panels=bilateral._MIXED_PANELS),
             lambda xs: [slope(a) for a in xs], sorted(kinks), bilateral._SLOPE_POINTS)
         _, v, _ = _best_advance(econ, b1)
         assert abs(v - v_ref) <= 1e-12, (b1, v, v_ref)
@@ -848,13 +850,18 @@ def test_screening_slopes_match_a_central_difference(name):
     def contingent_slope(e, b):
         return _screening_slope(e, [b], 0.0, 0.0)[0]
 
+    def mixed_slope(e, b):
+        a, _, rate = _best_advance(e, b)
+        return _directional_slope(e, b, a, rate, 1.0)
+
     searches = ((lambda b: bilateral.principal_value(econ, b)[0], manifold_slope,
                  _slope_kinks(econ, cap, [econ.dist.lower]), 1e-9),
                 (lambda b: bilateral.contingent_value(econ, b), contingent_slope,
                  [0.0, cap], 1e-9),
                 (lambda b: _best_advance(econ, b)[1],
-                 lambda e, b: _mixed_slope(e, b, _best_advance(e, b)),
-                 _mixed_kinks(econ, flat_rent_slope(econ)), 5e-8))
+                 mixed_slope,
+                 _slope_kinks(econ, flat_rent_slope(econ),
+                              [econ.dist.lower, econ.dist.upper]), 5e-8))
     # the screening values divide by f(lower) = 0 on power types
     with np.errstate(divide="ignore", invalid="ignore"):
         for value, slope, kinks, tol in searches:
@@ -888,8 +895,8 @@ def test_screening_slope_kinks():
         [0.0, 0.5, 7.5, 10.0], abs=1e-14)
     # the mixed value's kinks on [0, c'/mu'] = [0, 1] add the highest
     # type's: its node slope is (c(1) + Phi(0.5) - 0.5) / mu(1) = 11/12
-    assert _mixed_kinks(TABULATED_KINKS, 1.0) == pytest.approx([0.0, 0.5, 11 / 12, 1.0],
-                                                          abs=1e-14)
+    assert _slope_kinks(TABULATED_KINKS, 1.0, [0.0, 1.0]) == pytest.approx(
+        [0.0, 0.5, 11 / 12, 1.0], abs=1e-14)
 
 
 BIMODAL = benchmark(v=4.351, mu0=0.6616, K=1.5748, R=1.2857, signal_scale=0.6979,
@@ -1016,7 +1023,7 @@ def _solution_at(econ, b1):
     """The screening program's solution object at slope b1, advance on the manifold."""
     a = binding_ir_advance(econ, b1)
     w, decomp, that = bilateral._screening_value(econ, a, b1)
-    return bilateral.BilateralSolution(Contract(a, 0.0, b1), that, w, decomp,
+    return bilateral.BilateralSolution(Contract(a, b1), that, w, decomp,
                                        "interior")
 
 

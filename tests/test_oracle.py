@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from liqscreen.bilateral import solve_mixed, solve_optimal
-from liqscreen.economy import benchmark, uniform
+from liqscreen.economy import benchmark
 from liqscreen.errors import DomainError
 from liqscreen.oracle import (
     DiscreteMechanism,
-    advance_irrelevance_gap,
     decreasing_slope_mechanism,
     grid_search_optimal,
     ic_verify,
@@ -77,16 +76,6 @@ def test_grid_search_uninformative_signal_picks_zero_slope():
     econ = benchmark(v=2.0, mu0=0.0, K=1.0, R=1.0, signal_kind="flat")
     best = grid_search_optimal(econ, 60, 60)
     assert best["best_b1"] == 0.0
-
-
-def test_advance_irrelevance_when_financing_free():
-    # lower-bounded cost keeps the binding advance positive at R ~ 0
-    econ = benchmark(v=2.0, mu0=0.1, K=1.0, R=1e-9,
-                     dist=uniform(0.2, 1.0))
-    assert advance_irrelevance_gap(econ, 0.5) < 1e-8
-    # with real tightness the advance/intercept split matters
-    tight = benchmark(v=2.0, mu0=0.1, K=1.0, R=1.0)
-    assert advance_irrelevance_gap(tight, 1.0) > 1e-4
 
 
 def test_rent_identity_zero_slope_and_anchor():

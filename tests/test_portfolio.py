@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from liqscreen import portfolio
-from liqscreen.bilateral import (cutoff, screening_integral, solve_mixed,
-                                 virtual_surplus)
+from liqscreen.bilateral import (binding_ir_advance, cutoff, screening_integral,
+                                 solve_mixed, virtual_surplus)
 from liqscreen.cli import R_TABLE
 from liqscreen.economy import (benchmark, marginal_r, truncated_exponential,
                                with_tightness)
@@ -52,19 +52,46 @@ def test_slope_calibration_prime_matches_finite_difference():
         assert abs(fd - slope_calibration_prime(R)) < 1e-6
 
 
+def _schedule_fd(econ, h=1e-5):
+    """Central difference of the calibrated advance along the slope schedule in R."""
+    R = econ.financing.tightness
+    a_hi, a_lo = (binding_ir_advance(with_tightness(econ, R + s), slope_calibration(R + s))
+                  for s in (h, -h))
+    return (a_hi - a_lo) / (2 * h)
+
+
 def test_advance_response_tracks_manifold():
-    econ = benchmark(v=2.0, mu0=0.1, K=1.0, R=1.0)
-    b1 = slope_calibration(1.0)
-    got = advance_response(econ, b1, slope_calibration_prime(1.0))
-    # finite difference along the schedule in R
-    h = 1e-5
-    from liqscreen.bilateral import binding_ir_advance
-    from liqscreen.economy import with_tightness
-    a_hi = binding_ir_advance(with_tightness(econ, 1.0 + h),
-                              slope_calibration(1.0 + h))
-    a_lo = binding_ir_advance(with_tightness(econ, 1.0 - h),
-                              slope_calibration(1.0 - h))
-    assert abs(got - (a_hi - a_lo) / (2 * h)) < 1e-5
+    # an interior advance, then one clamped at 0: there the lowest type's
+    # signal pays its cost at advance 0 all along the schedule near R, so
+    # the advance does not move
+    for mu0, R, clamped in ((0.1, 1.0, False), (0.5, 0.5, True)):
+        econ = benchmark(v=2.0, mu0=mu0, K=1.0, R=R)
+        c = calibrated_contract(econ)
+        got = advance_response(econ, c, slope_calibration_prime(R))
+        fd = _schedule_fd(econ)
+        assert (c.advance == 0.0) is clamped
+        assert abs(got - fd) < 1e-5, (mu0, R)
+        if clamped:
+            assert got == fd == 0.0
+
+
+@pytest.mark.parametrize("mu0, R", [(0.5, 0.5), (1.0, 0.5), (2.0, 1.0)])
+@pytest.mark.parametrize("delta", [0.1, 1.2])
+def test_analytic_contagion_matches_the_finite_difference_at_a_clamped_advance(
+        mu0, R, delta):
+    # the calibrated advance is 0 on these books, so a'(R) is 0 and only
+    # the slope's schedule moves the contract
+    econ = benchmark(v=2.0, mu0=mu0, R=R)
+    assert calibrated_contract(econ).advance == 0.0
+    out = contagion_derivative(make_portfolio([econ, econ], delta), 0)
+    assert out["flagged"]
+    assert abs(out["analytic"] - out["total"]) <= 1e-6, out
+
+
+def test_contagion_share_counts_clamped_advance_books_by_the_finite_difference_sign():
+    # total is -0.046 at delta = 0.1 and +0.449 at 1.2 on this book
+    econ = benchmark(v=2.0, mu0=0.5, R=0.5)
+    assert contagion_share(econ, [0.1, 1.2]) == 0.5
 
 
 def test_portfolio_requires_symmetric_coupling():

@@ -7,7 +7,9 @@ each module with ast and fails on any underscore-prefixed function,
 class or module constant that no code under src/liqscreen references
 outside its own definition, and on any module-level import that its
 module never references (the package's __init__.py, which imports to
-re-export, and __future__ imports aside).
+re-export, and __future__ imports aside). No function imports inside
+its body either: the modules form no import cycle that a deferred
+import would have to break, so every dependency is stated at the top.
 """
 
 import ast
@@ -74,3 +76,14 @@ def test_every_module_level_import_is_referenced():
         unused += [f"{path.name}:{name}" for name in _imported_names(tree)
                    if not refs[name]]
     assert not unused, f"imports with no reference: {unused}"
+
+
+def test_no_function_imports_inside_its_body():
+    nested = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested += [f"{path.name}:{node.lineno}" for node in ast.walk(func)
+                           if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not nested, f"imports inside a function body: {nested}"

@@ -2,7 +2,7 @@
 
 Every command writes deterministic 6-decimal CSV (or JSON for verify)
 so identical configs produce byte-identical artifacts. Exit codes:
-0 success, 1 verification failure, 2 usage or config errors.
+0 success, 1 verification failure, 2 usage, config or path errors.
 """
 
 from __future__ import annotations
@@ -124,13 +124,10 @@ def _table_contagion(cfg: RunConfig) -> list[str]:
     delta_grid = np.linspace(0.0, 2.5, 26)
     rows = []
     for R in R_TABLE:
-        econ = benchmark(v=2, mu0=0.0, K=1.0, R=R)
-        thr = contagion_threshold(econ)["analytic"]
         port = symmetric_portfolio(R, delta_ref)
-        ind = independent_cutoff_value(port)
-        scale = max(abs(ind["coupled"]), abs(ind["at_independent"]), 1e-9)
-        reduction = (ind["at_independent"] - ind["coupled"]) / scale
-        share = contagion_share(econ, delta_grid)
+        thr = contagion_threshold(port)["analytic"]
+        reduction = independent_cutoff_value(port)["relative_loss"]
+        share = contagion_share(port, delta_grid)
         rows.append((f"{R:.1f}", float(thr), float(reduction), float(share)))
     path = os.path.join(cfg.out_dir, "table_contagion.csv")
     return [_write_csv(path, header, rows)]
@@ -183,8 +180,7 @@ def _figure_dominance(cfg: RunConfig) -> list[str]:
 def _figure_contagion_region(cfg: RunConfig) -> list[str]:
     rows = []
     for R in np.arange(0.5, 3.01, 0.1):
-        econ = benchmark(v=2, mu0=0.0, K=1.0, R=float(R))
-        thr = contagion_threshold(econ)["analytic"]
+        thr = contagion_threshold(symmetric_portfolio(float(R), 0.0))["analytic"]
         rows.append((float(R), float(thr)))
     path = os.path.join(cfg.out_dir, "figure_contagion_region.csv")
     return [_write_csv(path, ["R", "delta_star"], rows)]
@@ -193,10 +189,9 @@ def _figure_contagion_region(cfg: RunConfig) -> list[str]:
 def _figure_hump(cfg: RunConfig) -> list[str]:
     delta = _config_delta(cfg)
     grid = np.round(np.arange(0.5, 3.01, 0.1), 10)
-    coupled = hump_scan(grid, delta)
-    alone = hump_scan(grid, 0.0)
+    scan = hump_scan(grid, delta)
     rows = [(float(r), float(vc), float(va))
-            for r, vc, va in zip(grid, coupled["value"], alone["value"])]
+            for r, vc, va in zip(grid, scan["value"], scan["value_independent"])]
     path = os.path.join(cfg.out_dir, "figure_hump.csv")
     return [_write_csv(path, ["R", "value_coupled", "value_independent"],
                        rows)]
@@ -286,7 +281,7 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
     prev = -np.inf
     worst = 0.0
     for R in R_TABLE:
-        thr = contagion_threshold(benchmark(v=2, mu0=0.0, R=R))["analytic"]
+        thr = contagion_threshold(symmetric_portfolio(R, 0.0))["analytic"]
         worst = max(worst, prev - thr)
         prev = thr
     checks.append(_check("threshold_monotone", max(worst, 0.0), 0.0,
@@ -365,7 +360,7 @@ def main(argv=None) -> int:
         for path in runner(cfg):
             print(path)
         return 0
-    except (LiqscreenError, FileNotFoundError, KeyError, ValueError) as exc:
+    except (LiqscreenError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -420,25 +420,24 @@ def contagion_derivative(port: PortfolioEconomy, j: int) -> dict:
             "analytic": direct + spillover, "flagged": flagged}
 
 
-def contagion_share(econ: EconomyPrimitives, delta_grid) -> float:
-    """Share of couplings at which tighter credit raises a two-copy book's value.
+def contagion_share(port: PortfolioEconomy, delta_grid) -> float:
+    """Share of couplings at which tighter credit raises port's value.
 
     Each coupling in delta_grid counts when the analytic response of
-    contagion_derivative is positive on the book of two copies of econ
-    under its calibrated contract. The contract, the book's uncoupled
+    contagion_derivative to relationship 0's tightness is positive on
+    port's relationships and contracts at that coupling. The uncoupled
     start and the terms of the response are computed once; each
     coupling then solves the book's coupled cutoffs only.
     """
     deltas = [float(d) for d in delta_grid]
     if not deltas:
         raise DomainError("contagion_share needs at least one coupling")
-    c = calibrated_contract(econ)
-    terms = _contagion_terms(econ, c)
-    start = _uncoupled(make_portfolio([econ, econ], delta=0.0, contracts=(c, c)))
+    terms = _contagion_terms(port.economies[0], port.contracts[0])
+    start = _uncoupled(port)
     hits = 0
     for dlt in deltas:
-        port = make_portfolio([econ, econ], delta=dlt, contracts=(c, c))
-        direct, spillover = terms(float(_coupled_cutoffs(port, start)[0][0]))
+        book = make_portfolio(port.economies, delta=dlt, contracts=port.contracts)
+        direct, spillover = terms(float(_coupled_cutoffs(book, start)[0][0]))
         hits += direct + spillover > 0.0
     return hits / len(deltas)
 
@@ -446,22 +445,21 @@ def contagion_share(econ: EconomyPrimitives, delta_grid) -> float:
 EMPIRICAL_DELTA_GRID = np.arange(0.0, 2.5 + 1e-9, 0.05)
 
 
-def contagion_threshold(econ: EconomyPrimitives,
-                        delta_grid=None) -> dict:
-    """Coupling strength at which tighter credit starts raising book value.
+def contagion_threshold(port: PortfolioEconomy, delta_grid=None) -> dict:
+    """Coupling strength at which tighter credit starts raising port's value.
 
-    analytic inverts the sign condition of the fixed-contract value
-    derivative at the uncoupled cutoff. empirical is the first coupling
-    in delta_grid at which the full finite-difference derivative
-    (contracts re-calibrated) of a book of two copies of econ turns
-    positive, nan when none does. The scan solves
-    three coupled books per grid point, so it runs only when a grid is
-    given (EMPIRICAL_DELTA_GRID is the customary one); without one,
-    empirical is nan.
+    Both routes read relationship 0 and its contract. analytic inverts
+    the sign condition of the fixed-contract value derivative at the
+    uncoupled cutoff. empirical is the first coupling in delta_grid at
+    which the full finite-difference derivative (contracts
+    re-calibrated) of port's book at that coupling turns positive, nan
+    when none does. The scan solves three coupled books per grid point,
+    so it runs only when a grid is given (EMPIRICAL_DELTA_GRID is the
+    customary one); without one, empirical is nan.
     """
-    c = calibrated_contract(econ)
+    econ, c = port.economies[0], port.contracts[0]
     if c.slope <= 1e-12:
-        raise DegeneracyError("calibrated slope is zero; threshold undefined")
+        raise DegeneracyError("contract slope is zero; threshold undefined")
     K = econ.working_capital
     ell = K - c.advance
     that = cutoff(econ, c.advance, c.slope)[0]
@@ -472,8 +470,9 @@ def contagion_threshold(econ: EconomyPrimitives,
         * marginal_r(econ.financing, ell) / (c.slope * tail)
     empirical = math.nan
     for dlt in (() if delta_grid is None else delta_grid):
-        port = make_portfolio([econ, econ], delta=float(dlt))
-        if contagion_derivative(port, 0)["total"] > 0.0:
+        book = make_portfolio(port.economies, delta=float(dlt),
+                              contracts=port.contracts)
+        if contagion_derivative(book, 0)["total"] > 0.0:
             empirical = float(dlt)
             break
     return {"analytic": float(analytic), "empirical": empirical}
@@ -486,12 +485,16 @@ def contagion_threshold(econ: EconomyPrimitives,
 def hump_scan(R_grid, delta: float) -> dict:
     """Symmetric-book value along a common-tightness path with fixed coupling.
 
-    Returns grid values, finite-difference slopes, the sub-intervals
-    where the slope is positive, and the interior peak if one exists.
+    Returns grid values, value_independent (each book at coupling 0),
+    finite-difference slopes, the sub-intervals where the slope is
+    positive, and the interior peak if one exists.
     """
     Rs = np.asarray(R_grid, float)
-    vals = np.array([solve_cutoffs(symmetric_portfolio(float(R), delta)).total_value
-                     for R in Rs])
+    books = [symmetric_portfolio(float(R), delta) for R in Rs]
+    vals = np.array([solve_cutoffs(p).total_value for p in books])
+    alone = np.array([solve_cutoffs(make_portfolio(p.economies, delta=0.0,
+                                                   contracts=p.contracts)).total_value
+                      for p in books])
     slopes = np.diff(vals) / np.diff(Rs)
     positive = []
     start = None
@@ -507,8 +510,8 @@ def hump_scan(R_grid, delta: float) -> dict:
     i_max = int(np.argmax(vals))
     if 0 < i_max < len(Rs) - 1:
         peak = float(Rs[i_max])
-    return {"R": Rs, "value": vals, "slope": slopes,
-            "positive_intervals": positive, "peak": peak}
+    return {"R": Rs, "value": vals, "value_independent": alone,
+            "slope": slopes, "positive_intervals": positive, "peak": peak}
 
 
 def uniform_subsidy_effect(R: float, delta: float) -> dict:
@@ -527,12 +530,11 @@ def independent_cutoff_value(port: PortfolioEconomy) -> dict:
 
     Evaluates the coupled objective at the bilateral cutoffs, which are
     the coupled solve's start, and reports the relative shortfall
-    against the coupled optimum.
+    against the larger of the two values' magnitudes (at least 1e-9).
     """
     start = _uncoupled(port)
     coupled, _ = portfolio_value(port, _coupled_cutoffs(port, start)[0])
     v_ind, _ = portfolio_value(port, start[0])
-    if abs(coupled) < 1e-12:
-        raise DegeneracyError("coupled value is zero; relative loss undefined")
+    scale = max(abs(coupled), abs(v_ind), 1e-9)
     return {"coupled": coupled, "at_independent": v_ind,
-            "relative_loss": (v_ind - coupled) / abs(coupled)}
+            "relative_loss": (v_ind - coupled) / scale}

@@ -144,8 +144,7 @@ def test_c07_symmetric_fixed_point_matches_closed_form():
 
 
 def test_c08_contagion_threshold_order_and_derivative_signs():
-    thresholds = [contagion_threshold(benchmark(v=2.0, mu0=0.0, K=1.0,
-                                                R=R))["analytic"]
+    thresholds = [contagion_threshold(symmetric_portfolio(R, 0.0))["analytic"]
                   for R in (0.5, 1.0, 2.0, 3.0, 5.0)]
     assert all(b > a for a, b in zip(thresholds, thresholds[1:])), thresholds
     up = contagion_derivative(symmetric_portfolio(1.0, 1.2), 0)["total"]

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from liqscreen.cli import main
+from liqscreen import portfolio
+from liqscreen.cli import R_TABLE, main
+from liqscreen.portfolio import independent_cutoff_value, symmetric_portfolio
 
 # default-config (seed 42) artifacts; every command must keep writing these bytes
 REFERENCE = Path(__file__).parent / "reference" / "cli"
@@ -83,6 +85,37 @@ def test_contagion_table_threshold_increases(tmp_path):
     thr = [float(r["delta_star"]) for r in rows]
     assert all(b > a for a, b in zip(thr, thr[1:])), thr
     _assert_reference_bytes(tmp_path / "table_contagion.csv")
+
+
+def test_contagion_table_value_reduction_is_the_books_relative_loss(tmp_path):
+    cfg = tmp_path / "portfolio.json"
+    cfg.write_text(json.dumps({"portfolio": {"delta": 0.6}}))
+    assert main(["--config", str(cfg), "--out", str(tmp_path),
+                 "table", "contagion"]) == 0
+    rows = _rows(tmp_path / "table_contagion.csv")
+    assert [r["R"] for r in rows] == [f"{R:.1f}" for R in R_TABLE]
+    for R, row in zip(R_TABLE, rows):
+        loss = independent_cutoff_value(symmetric_portfolio(R, 0.6))["relative_loss"]
+        assert row["value_reduction"] == f"{loss:.6f}", R
+
+
+@pytest.mark.parametrize("command, roots", [("table contagion", len(R_TABLE)),
+                                            ("figure hump", 26)])
+def test_book_commands_calibrate_one_contract_per_tightness(tmp_path, monkeypatch,
+                                                            command, roots):
+    # each tightness's two-copy book is calibrated once and every
+    # statistic reads it: 15 and 52 participation roots when each
+    # statistic calibrated its own
+    calls = []
+    real = portfolio.binding_ir_advance
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(portfolio, "binding_ir_advance", counted)
+    assert main(["--out", str(tmp_path)] + command.split()) == 0
+    assert len(calls) == roots
 
 
 def test_advance_figure_passes_through_anchor(tmp_path):
@@ -217,3 +250,23 @@ def test_malformed_config_values_exit_2_naming_the_field(tmp_path, capsys, name)
     err = capsys.readouterr().err
     assert code == 2
     assert err.count("\n") == 1 and err.startswith("error: ") and field in err, err
+
+
+# unusable paths used to end in an OSError traceback (exit 1, verify's
+# code for a failed check)
+UNUSABLE_PATHS = {
+    "out_is_a_file": ["--out", "{file}", "figure", "advance"],
+    "out_below_a_file": ["--out", "{file}/sub", "figure", "advance"],
+    "config_is_a_directory": ["--config", "{dir}", "--out", "{dir}", "verify"],
+}
+
+
+@pytest.mark.parametrize("name", list(UNUSABLE_PATHS))
+def test_unusable_paths_exit_2_with_one_error_line(tmp_path, capsys, name):
+    file = tmp_path / "taken"
+    file.write_text("not a directory\n")
+    argv = [a.format(file=file, dir=tmp_path) for a in UNUSABLE_PATHS[name]]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: "), err

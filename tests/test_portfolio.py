@@ -91,7 +91,7 @@ def test_analytic_contagion_matches_the_finite_difference_at_a_clamped_advance(
 def test_contagion_share_counts_clamped_advance_books_by_the_finite_difference_sign():
     # total is -0.046 at delta = 0.1 and +0.449 at 1.2 on this book
     econ = benchmark(v=2.0, mu0=0.5, R=0.5)
-    assert contagion_share(econ, [0.1, 1.2]) == 0.5
+    assert contagion_share(make_portfolio([econ, econ], 0.0), [0.1, 1.2]) == 0.5
 
 
 def test_portfolio_requires_symmetric_coupling():
@@ -468,21 +468,20 @@ def test_contagion_share_counts_the_analytic_derivatives_of_each_book(R,
         return record
 
     monkeypatch.setattr(portfolio, "_contagion_terms", recorded)
-    share = contagion_share(benchmark(v=2.0, mu0=0.0, K=1.0, R=R), _TABLE_DELTAS)
+    share = contagion_share(symmetric_portfolio(R, 0.0), _TABLE_DELTAS)
     assert share == sum(a > 0.0 for a in reference) / len(_TABLE_DELTAS)
     assert np.array(seen).tobytes() == np.array(reference).tobytes()
 
 
 def test_contagion_share_needs_a_coupling():
     with pytest.raises(DomainError):
-        contagion_share(benchmark(), [])
+        contagion_share(symmetric_portfolio(1.0, 0.0), [])
 
 
 @pytest.fixture(scope="module")
 def scanned_threshold():
     """Both threshold routes at the benchmark, empirical scan included."""
-    econ = benchmark(v=2.0, mu0=0.0, K=1.0, R=1.0)
-    return contagion_threshold(econ, EMPIRICAL_DELTA_GRID)
+    return contagion_threshold(symmetric_portfolio(1.0, 0.0), EMPIRICAL_DELTA_GRID)
 
 
 def test_contagion_threshold_reports_both_routes(scanned_threshold):
@@ -503,13 +502,13 @@ def test_contagion_threshold_without_grid_skips_the_scan(scanned_threshold,
         return real(*args, **kwargs)
 
     monkeypatch.setattr(portfolio, "contagion_derivative", counted)
-    econ = benchmark(v=2.0, mu0=0.0, K=1.0, R=1.0)
-    out = contagion_threshold(econ)
+    port = symmetric_portfolio(1.0, 0.0)
+    out = contagion_threshold(port)
     assert out["analytic"] == scanned_threshold["analytic"]
     assert math.isnan(out["empirical"])
     assert calls == []
     # the counter does see the scan when a grid is given
-    contagion_threshold(econ, [1.2])
+    contagion_threshold(port, [1.2])
     assert len(calls) == 1
 
 
@@ -530,7 +529,7 @@ def test_contagion_threshold_scans_books_of_the_economy_it_names(monkeypatch):
     for name in ("solve_cutoffs", "_coupled_cutoffs"):
         monkeypatch.setattr(portfolio, name, recording(getattr(portfolio, name)))
     econ = benchmark(v=3.0, mu0=0.2, K=1.0, R=1.0)
-    contagion_threshold(econ, [0.5, 1.0])
+    contagion_threshold(make_portfolio([econ, econ], 0.0), [0.5, 1.0])
     assert len(books) == 6
     for port in books.values():
         assert port.economies[1] is econ
@@ -546,6 +545,8 @@ def test_hump_scan_peak_only_when_coupled():
     independent = hump_scan(Rs, 0.0)
     assert independent["positive_intervals"] == []
     assert independent["peak"] is None
+    # the coupled scan's books solved at coupling 0 are the uncoupled scan
+    assert coupled["value_independent"].tobytes() == independent["value"].tobytes()
 
 
 def _breadth_comparison(port, single="reoptimized"):

@@ -185,21 +185,23 @@ def cutoff(econ: EconomyPrimitives, a, b1, load: float = 0.0):
     relationship (0 outside a book). The type is the first sign change
     of psi: the support's lower end when psi is nonnegative everywhere,
     its upper end when negative everywhere. The service set is empty
-    when psi(upper) < 0. a and b1 are floats, or equal-length 1-d arrays
-    with one lane per (a, b1) pair; each of the three then comes back as
-    an array, lane by lane bit for bit the scalar call's. All lanes price
-    psi on one 257-point type grid, and each lane roots its own sign change.
+    when psi(upper) < 0. a, b1 and load are floats, or equal-length 1-d
+    arrays with one lane each, a float then serving every lane (a and b1
+    are both floats or both arrays); each of the three then comes back
+    as an array, lane by lane bit for bit the scalar call's. All lanes
+    price psi on one 257-point type grid, and each lane roots its own
+    sign change.
     """
     d = econ.dist
     ts = grid(d.lower, d.upper, 257)
-    lanes = isinstance(a, np.ndarray)
-    a_s, b1_s = _lanes(a), _lanes(b1)
-    phi = [financing_cost(econ.financing, econ.working_capital - x) for x in a_s]
-    # one row per lane; a scalar call keeps its one row 1-d, which is cheaper
-    rows = (_psi(econ, ts, np.array(phi)[:, None], b1[:, None]) + load if lanes
-            else [_psi(econ, ts, phi[0], b1) + load])
+    fin, K = econ.financing, econ.working_capital
+    if isinstance(a, np.ndarray):
+        phi = np.array([financing_cost(fin, K - x) for x in a.tolist()])
+        psi = _psi(econ, ts, phi[:, None], b1[:, None])
+    else:  # one row for every lane, 1-d, which is cheaper
+        psi = _psi(econ, ts, financing_cost(fin, K - a), b1)
 
-    def lane(vals, a_k, b1_k):
+    def lane(vals, a_k, b1_k, load_k):
         ends = float(vals[0]), float(vals[-1])
         if vals[0] >= 0.0:
             return d.lower, *ends
@@ -207,12 +209,17 @@ def cutoff(econ: EconomyPrimitives, a, b1, load: float = 0.0):
         if idx.size == 0:
             return d.upper, *ends
         i = int(idx[0])
-        return find_root(lambda t: virtual_surplus(econ, t, a_k, b1_k) + load,
+        return find_root(lambda t: virtual_surplus(econ, t, a_k, b1_k) + load_k,
                          Bracket(float(ts[i - 1]), float(ts[i])),
                          ends=(float(vals[i - 1]), float(vals[i]))), *ends
 
-    out = [lane(*lane_args) for lane_args in zip(rows, a_s, b1_s)]
-    return tuple(np.array(out, dtype=float).reshape(-1, 3).T) if lanes else out[0]
+    if not (isinstance(a, np.ndarray) or isinstance(load, np.ndarray)):
+        return lane(psi + load, a, b1, load)
+    rows = psi + (load[:, None] if isinstance(load, np.ndarray) else load)
+    per_lane = [x.tolist() if isinstance(x, np.ndarray) else [x] * len(rows)
+                for x in (a, b1, load)]
+    out = [lane(*lane_args) for lane_args in zip(rows, *per_lane)]
+    return tuple(np.array(out, dtype=float).reshape(-1, 3).T)
 
 
 def rent_schedule(econ: EconomyPrimitives, b1: float, theta: float) -> float:

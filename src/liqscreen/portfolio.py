@@ -26,7 +26,8 @@ _FD_R = 1e-4  # tightness step of the finite-difference contagion responses
 _NEWTON_STEPS = 50  # projected Newton steps before the damped map takes over
 _NEWTON_STOP = 1e-13  # Newton has converged once no cutoff moves further
 _NEWTON_RISE = 1e-10  # a larger rise of a free cutoff hands over to the damped map
-# _project's flags: solutions share these strings, not one per relationship
+# the clamp flags of _project's codes 0, 1 and 2: solutions share these
+# strings, not one per relationship
 _FLAGS = np.array(["none", "all_served", "empty"], dtype=object)
 
 
@@ -86,7 +87,11 @@ def advance_response(econ: EconomyPrimitives, contract: Contract,
 
 @dataclass(frozen=True, eq=False)
 class PortfolioEconomy:
-    """Relationships, their contracts, and the complementarity matrix."""
+    """Relationships, their contracts, and the complementarity matrix.
+
+    coupling is kept as the validated float64 array, whatever array-like
+    was given (the same object when it is one already).
+    """
 
     economies: tuple[EconomyPrimitives, ...]
     coupling: np.ndarray
@@ -95,6 +100,7 @@ class PortfolioEconomy:
     def __post_init__(self):
         n = len(self.economies)
         c = np.asarray(self.coupling, float)
+        object.__setattr__(self, "coupling", c)
         if n == 0:
             raise DomainError("a portfolio needs at least one relationship")
         if c.shape != (n, n):
@@ -188,18 +194,18 @@ def symmetric_cutoff_iterative(a: float, b1: float, delta: float,
 
 
 def _project(x, load, ends):
-    """Clamp rule at a complementarity load; returns (cutoffs, flags).
+    """Clamp rule at a complementarity load; returns (cutoffs, flag codes).
 
     ends holds psi(lower), psi(upper), lower and upper per relationship;
     psi at the support ends does not move with the load. psi(lower) +
     load >= 0 serves every type (all_served), psi(upper) + load < 0 none
     (empty), and such a cutoff moves to that support end; the others
-    keep their entry of x and the flag none.
+    keep their entry of x and the flag none. The codes index _FLAGS.
     """
     psi_lo, psi_hi, lower, upper = ends
     all_served, empty = psi_lo + load >= 0.0, psi_hi + load < 0.0
     return (np.where(all_served, lower, np.where(empty, upper, x)),
-            _FLAGS[np.where(all_served, 1, 2 * empty)])
+            np.where(all_served, 1, 2 * empty))
 
 
 def _uncoupled(port: PortfolioEconomy) -> np.ndarray:
@@ -218,17 +224,22 @@ def _uncoupled(port: PortfolioEconomy) -> np.ndarray:
 
 def solve_cutoffs(port: PortfolioEconomy) -> PortfolioSolution:
     """Coupled cutoffs from the uncoupled start, with value split and centralities."""
-    x, clamped, residual, iterations = _coupled_cutoffs(port, _uncoupled(port))
+    x, clamped, residual, iterations = _coupled_cutoffs(port, _uncoupled(port),
+                                                        port.coupling[None])
+    x, clamped = x[0].copy(), clamped[0]  # a 1-d array, not a view of the stack
     total, per = portfolio_value(port, x)
     return PortfolioSolution(cutoffs=x, clamped=clamped, total_value=total,
                              per_value=per,
                              centralities=_all_centralities(port, x, clamped),
-                             residual=residual, iterations=iterations)
+                             residual=float(residual[0]),
+                             iterations=int(iterations[0]))
 
 
-def _coupled_cutoffs(port: PortfolioEconomy, start: np.ndarray):
+def _coupled_cutoffs(port: PortfolioEconomy, start: np.ndarray, couplings):
     """Coupled cutoffs by projected Newton, certified by the damped map.
 
+    couplings is an L x n x n stack of coupling matrices, the lanes, on
+    port's relationships and contracts; port's own coupling is not read.
     Under complementarities the response map T (every relationship's
     threshold re-solved at the current load) is monotone, and the damped
     map x <- x + (T(x) - x)/2 from the uncoupled cutoffs descends to the
@@ -237,69 +248,140 @@ def _coupled_cutoffs(port: PortfolioEconomy, start: np.ndarray):
     map then runs from Newton's point, so a converged Newton point costs
     one certifying pass and any other point is finished by the map.
     start is _uncoupled(port), or that of a book with the same
-    relationships and contracts. Returns (cutoffs, clamp flags, residual,
-    iterations): iterations counts Newton steps plus damped-map passes,
-    and the clamp flags come from the pass that produced the cutoffs.
+    relationships and contracts. Every lane starts from it and stops on
+    its own rules, so its iterates are bit for bit those of a solve of
+    that lane alone. Returns (cutoffs, clamp flags, residuals,
+    iterations), one row or entry per lane: an L x n array, a list of
+    tuples and two arrays. iterations counts Newton steps plus
+    damped-map passes, and the clamp flags come from the pass that
+    produced the cutoffs.
     """
-    pairs = tuple(zip(port.economies, port.contracts))
     x0, ends = start[0], start[1:]
-    flags = []
+    codes = np.zeros((len(couplings), len(x0)), dtype=int)
 
-    def responses(x):
-        load = port.coupling @ _tails(port, x)
+    def responses(x, lanes):
+        load = _loads(couplings[lanes], _tails(port, x))
         out, pattern = _project(x, load, ends)
-        for i in np.flatnonzero(pattern == "none"):
-            e, c = pairs[i]
-            out[i] = cutoff(e, c.advance, c.slope, float(load[i]))[0]
-        flags[:] = pattern.tolist()
+        for i, on in _free_columns(pattern == 0):
+            c = port.contracts[i]
+            out[on, i] = cutoff(port.economies[i], c.advance, c.slope, load[on, i])[0]
+        codes[lanes] = pattern
         return out
 
-    x, steps = _newton_cutoffs(port, x0, ends)
+    x, steps = _newton_cutoffs(port, couplings, np.tile(x0, (len(couplings), 1)), ends)
     x, residual, iters = fixed_point(responses, x, FP_TOL)
-    return x, tuple(flags), residual, steps + iters
+    return x, [tuple(row) for row in _FLAGS[codes].tolist()], residual, steps + iters
 
 
-def _newton_cutoffs(port, x, ends):
-    """Projected Newton on psi_i(x_i) + load_i(x) = 0; returns (x, steps).
+def _newton_cutoffs(port, couplings, x, ends):
+    """Projected Newton on psi_i(x_i) + load_i(x) = 0, lane by lane; returns (x, steps).
 
-    Each step jumps the clamped cutoffs to their support end and moves
-    the free ones by a Newton step with _cutoff_jacobian, clipped to the
-    support. Stops once no cutoff moves by more than _NEWTON_STOP. It
-    also stops, leaving the rest to the damped map, at _NEWTON_STEPS, at
-    a singular Jacobian (or a non-finite step), and before a step that
-    would raise a free cutoff by more than _NEWTON_RISE: the damped map
-    approaches its fixed point from above, so a rise points at another
-    fixed point or at an overshoot. ends are _project's.
+    x holds one row of cutoffs per lane of couplings and is written in
+    place; steps holds one count per lane. Each step jumps the clamped
+    cutoffs to their support end and moves the free ones by a Newton
+    step with _jacobians, clipped to the support. A lane stops once no
+    cutoff moves by more
+    than _NEWTON_STOP. It also stops, leaving the rest to the damped
+    map, at _NEWTON_STEPS, at a singular Jacobian (or a non-finite
+    step), and before a step that would raise a free cutoff by more than
+    _NEWTON_RISE: the damped map approaches its fixed point from above,
+    so a rise points at another fixed point or at an overshoot. The
+    open lanes step together: _psi_terms prices every free cutoff's
+    residual and psi', and lanes with the same free set share one
+    stacked solve (_newton_moves). ends are _project's.
     """
     lower, upper = ends[2:]
+    steps = np.full(len(x), _NEWTON_STEPS)
+    lanes = np.arange(len(x))
+    xs, cs = x, couplings  # the open lanes' cutoffs and couplings
     for step in range(_NEWTON_STEPS):
-        load = port.coupling @ _tails(port, x)
-        new, flags = _project(x, load, ends)
-        free = np.flatnonzero(flags == "none")
-        if free.size:
-            resid = np.array([float(virtual_surplus(port.economies[i], float(x[i]),
-                                                    port.contracts[i].advance,
-                                                    port.contracts[i].slope))
-                              for i in free]) + load[free]
-            try:
-                move = np.linalg.solve(_cutoff_jacobian(port, x, free), -resid)
-            except np.linalg.LinAlgError:
-                return x, step
-            new[free] = np.clip(x[free] + move, lower[free], upper[free])
-            if not np.all(np.isfinite(move)) \
-                    or np.any(new[free] - x[free] > _NEWTON_RISE):
-                return x, step
-        moved = float(np.max(np.abs(new - x)))
-        x = new
-        if moved <= _NEWTON_STOP:
-            return x, step + 1
-    return x, _NEWTON_STEPS
+        load = _loads(cs, _tails(port, xs))
+        new, codes = _project(xs, load, ends)
+        free = codes == 0
+        stop = np.zeros(len(xs), dtype=bool)  # lanes that stay at xs
+        if free.any():
+            psi, pdf, dpsi = _psi_terms(port, xs, free)
+            for rows, cols, at in _free_sets(free):
+                xf = xs[at]
+                move = _newton_moves(_jacobians(cs[rows], pdf[rows], dpsi[rows], cols),
+                                     -(psi[at] + load[at]))
+                moved = np.clip(xf + move, lower[cols], upper[cols])
+                new[at] = moved
+                stop[rows] = ~np.isfinite(move).all(axis=1) \
+                    | (moved - xf > _NEWTON_RISE).any(axis=1)
+        done = stop | (np.max(np.abs(new - xs), axis=1) <= _NEWTON_STOP)
+        if done.any():
+            x[lanes[done]] = np.where(stop[:, None], xs, new)[done]
+            steps[lanes[done]] = np.where(stop[done], step, step + 1)
+            if done.all():
+                return x, steps
+            lanes, new, cs = lanes[~done], new[~done], cs[~done]
+        xs = new
+    x[lanes] = xs
+    return x, steps
+
+
+def _newton_moves(jacobians, rhs):
+    """Solutions of a stack of Newton systems, nan for a singular Jacobian.
+
+    One np.linalg.solve on the stack; when it raises, each lane is
+    solved on its own, so only a singular lane goes without a move.
+    """
+    try:
+        return np.linalg.solve(jacobians, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if len(jacobians) == 1:
+            return np.full(rhs.shape, np.nan)
+        return np.concatenate([_newton_moves(j[None], r[None])
+                               for j, r in zip(jacobians, rhs)])
+
+
+def _free_sets(free):
+    """(lanes, columns, block) of each distinct nonempty row of the mask free.
+
+    lanes indexes the rows that share it, a slice when that is every
+    row; columns are its free entries, and block indexes those lanes'
+    entries there.
+    """
+    sets = {}
+    for lane, row in enumerate(free):
+        sets.setdefault(row.tobytes(), []).append(lane)
+    for lanes in sets.values():
+        cols = np.flatnonzero(free[lanes[0]])
+        if not cols.size:
+            continue
+        if len(lanes) == len(free):
+            yield slice(None), cols, (slice(None), cols)
+        else:
+            rows = np.array(lanes)
+            yield rows, cols, (rows[:, None], cols)
+
+
+def _free_columns(free):
+    """(i, lanes) of each relationship i free on some lane of the mask free.
+
+    lanes indexes the rows where i is free: a slice when that is every
+    row, else the mask's column.
+    """
+    for i, col in enumerate(free.T.tolist()):
+        if any(col):
+            yield i, slice(None) if all(col) else free[:, i]
+
+
+def _loads(couplings, tails):
+    """Complementarity load on each relationship: one C @ tails per lane."""
+    return (couplings @ tails[..., None])[..., 0]
 
 
 def _tails(port: PortfolioEconomy, x) -> np.ndarray:
-    """Mass 1 - F_i(x_i) each relationship serves at its cutoff."""
-    return np.array([1.0 - float(e.dist.cdf(t))
-                     for e, t in zip(port.economies, x)])
+    """Mass 1 - F_i(x_i) each relationship serves at its cutoff.
+
+    x holds one row of cutoffs per lane; each relationship takes one
+    cdf call over the lanes. The result is C-contiguous, so the loads'
+    stacked matmul sees one layout whatever the number of lanes.
+    """
+    cdf = np.array([e.dist.cdf(t) for e, t in zip(port.economies, x.T)], float)
+    return np.ascontiguousarray((1.0 - cdf).T)
 
 
 def portfolio_value(port: PortfolioEconomy, cutoffs) -> tuple[float, np.ndarray]:
@@ -310,7 +392,7 @@ def portfolio_value(port: PortfolioEconomy, cutoffs) -> tuple[float, np.ndarray]
     split half-and-half between the two relationships involved.
     """
     x = np.asarray(cutoffs, float)
-    tails = _tails(port, x)
+    tails = _tails(port, x[None])[0]
     per = np.empty(len(x))
     for i, (e, c) in enumerate(zip(port.economies, port.contracts)):
         base = screening_integral(e, float(x[i]), c.advance, c.slope, 256)
@@ -332,24 +414,39 @@ def _rebuild(port: PortfolioEconomy, j: int, R_j: float) -> PortfolioEconomy:
     return PortfolioEconomy(tuple(econs), port.coupling, tuple(contracts))
 
 
-def _cutoff_jacobian(port, cutoffs, free):
-    """Jacobian of the cutoff conditions in the free (unclamped) cutoffs.
+def _psi_terms(port, x, free):
+    """psi_i, f_i and psi_i' at the cutoffs x where relationship i is free, 0 elsewhere.
+
+    x holds one row of cutoffs per lane and free is its mask. psi' is a
+    central difference whose stencil is moved inside the support when a
+    cutoff lies within its step of an end. Each relationship takes one
+    virtual_surplus call, at its free lanes' cutoffs and both sides of
+    their stencils.
+    """
+    psi, pdf, dpsi = np.zeros((3, *x.shape))
+    h = 1e-6
+    for i, on in _free_columns(free):
+        e, c = port.economies[i], port.contracts[i]
+        t = x[on, i]
+        m = t.size
+        pdf[on, i] = e.dist.pdf(t)
+        s = np.minimum(np.maximum(t, e.dist.lower + h), e.dist.upper - h)
+        vals = virtual_surplus(e, np.concatenate((t, s + h, s - h)), c.advance, c.slope)
+        psi[on, i] = vals[:m]
+        dpsi[on, i] = (vals[m:2 * m] - vals[2 * m:]) / (2 * h)
+    return psi, pdf, dpsi
+
+
+def _jacobians(couplings, pdf, dpsi, cols):
+    """Jacobians of the cutoff conditions in the free cutoffs cols, one per lane.
 
     Clamped cutoffs sit at a support endpoint and do not move locally.
-    psi' is a central difference whose stencil is moved inside the
-    support when a cutoff lies within its step of an end.
+    couplings stacks the lanes' matrices; pdf and dpsi are
+    _psi_terms' rows of the same lanes.
     """
-    x = cutoffs[free].tolist()
-    pdf = np.array([float(port.economies[k].dist.pdf(t))
-                    for k, t in zip(free, x)])
-    jac = -(port.coupling[np.ix_(free, free)] * pdf)
-    h = 1e-6
-    for m, (i, t) in enumerate(zip(free, x)):
-        e, c = port.economies[i], port.contracts[i]
-        t = min(max(t, e.dist.lower + h), e.dist.upper - h)
-        jac[m, m] = (float(virtual_surplus(e, t + h, c.advance, c.slope))
-                     - float(virtual_surplus(e, t - h, c.advance, c.slope))) \
-            / (2 * h)
+    jac = -(couplings[:, cols[:, None], cols] * pdf[:, None, cols])
+    diag = np.arange(cols.size)
+    jac[:, diag, diag] = dpsi[:, cols]
     return jac
 
 
@@ -359,19 +456,21 @@ def _all_centralities(port, cutoffs, clamped):
     One Jacobian solve, a column per free j; clamped relationships get 0.
     """
     out = np.zeros(len(port.economies))
-    free = np.flatnonzero(np.asarray(clamped) == "none")
-    if free.size == 0:
+    free = np.asarray(clamped) == "none"
+    cols = np.flatnonzero(free)
+    if cols.size == 0:
         return out
     rhs = np.diag([marginal_r(port.economies[j].financing,
                               port.economies[j].working_capital
-                              - port.contracts[j].advance) for j in free])
+                              - port.contracts[j].advance) for j in cols])
+    _, pdf, dpsi = _psi_terms(port, cutoffs[None], free[None])
     try:
-        sens = np.linalg.solve(_cutoff_jacobian(port, cutoffs, free), rhs)
+        sens = np.linalg.solve(_jacobians(port.coupling[None], pdf, dpsi, cols)[0], rhs)
     except np.linalg.LinAlgError as exc:
         raise DegeneracyError(f"singular cutoff Jacobian: {exc}") from exc
-    weighted = port.coupling[np.ix_(free, free)] * sens
+    weighted = port.coupling[np.ix_(cols, cols)] * sens
     np.fill_diagonal(weighted, 0.0)
-    out[free] = weighted.sum(axis=0)
+    out[cols] = weighted.sum(axis=0)
     return out
 
 
@@ -379,20 +478,24 @@ def _contagion_terms(econ: EconomyPrimitives, contract: Contract):
     """The analytic response of book value to econ's tightness, per cutoff.
 
     Returns terms(that) -> (direct_financing, screening_spillover) at
-    the relationship's coupled cutoff that. direct_financing is the
-    mechanical financing-cost effect at the fixed contract;
-    screening_spillover is the contract-response term:
-    bilateral._envelope_slope in the direction (a'(R), b1'(R)) at that,
-    where psi + load = 0, so the cutoff's move adds no term. The
-    schedule rates and Phi_R are computed once, here.
+    the relationship's coupled cutoffs that, a 1-d array with one lane
+    per book, as two arrays. direct_financing is the mechanical
+    financing-cost effect at the fixed contract; screening_spillover is
+    the contract-response term: bilateral._envelope_slope in the
+    direction (a'(R), b1'(R)) at that, where psi + load = 0, so the
+    cutoff's move adds no term. The schedule rates and Phi_R are
+    computed once, here; the lanes share one rent-tail integral, and
+    each lane prices its tail at a scalar type, as _envelope_slope does.
     """
     b1p = slope_calibration_prime(econ.financing.tightness)
     ap = advance_response(econ, contract, b1p)
     phi_r = marginal_r(econ.financing, econ.working_capital - contract.advance)
 
-    def terms(that: float) -> tuple[float, float]:
-        tail = 1.0 - float(econ.dist.cdf(that))
-        return -phi_r * tail, _envelope_slope(econ, that, contract.advance, ap, b1p)
+    def terms(that: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        tail = np.array([1.0 - float(econ.dist.cdf(t)) for t in that.tolist()])
+        return -phi_r * tail, _envelope_slope(econ, that,
+                                              np.full(that.shape, contract.advance),
+                                              np.full(that.shape, ap), b1p)
     return terms
 
 
@@ -410,8 +513,8 @@ def contagion_derivative(port: PortfolioEconomy, j: int) -> dict:
     R_j = e_j.financing.tightness
     up = solve_cutoffs(_rebuild(port, j, R_j + _FD_R)).total_value
     dn = solve_cutoffs(_rebuild(port, j, R_j - _FD_R)).total_value
-    that = float(_coupled_cutoffs(port, _uncoupled(port))[0][j])
-    direct, spillover = _contagion_terms(e_j, c_j)(that)
+    that = _coupled_cutoffs(port, _uncoupled(port), port.coupling[None])[0][:, j]
+    direct, spillover = (float(v[0]) for v in _contagion_terms(e_j, c_j)(that))
     K = e_j.working_capital
     flagged = (c_j.advance <= 1e-9 or c_j.advance >= K - 1e-9
                or c_j.slope <= 1e-9)
@@ -425,21 +528,19 @@ def contagion_share(port: PortfolioEconomy, delta_grid) -> float:
 
     Each coupling in delta_grid counts when the analytic response of
     contagion_derivative to relationship 0's tightness is positive on
-    port's relationships and contracts at that coupling. The uncoupled
-    start and the terms of the response are computed once; each
-    coupling then solves the book's coupled cutoffs only.
+    port's relationships and contracts at that coupling. Each coupling
+    is one lane of a single coupled-cutoff solve from port's uncoupled
+    start, and the terms of the response take every lane at once.
     """
     deltas = [float(d) for d in delta_grid]
     if not deltas:
         raise DomainError("contagion_share needs at least one coupling")
-    terms = _contagion_terms(port.economies[0], port.contracts[0])
-    start = _uncoupled(port)
-    hits = 0
-    for dlt in deltas:
-        book = make_portfolio(port.economies, delta=dlt, contracts=port.contracts)
-        direct, spillover = terms(float(_coupled_cutoffs(book, start)[0][0]))
-        hits += direct + spillover > 0.0
-    return hits / len(deltas)
+    couplings = np.array([make_portfolio(port.economies, delta=d,
+                                         contracts=port.contracts).coupling
+                          for d in deltas])
+    x = _coupled_cutoffs(port, _uncoupled(port), couplings)[0]
+    direct, spillover = _contagion_terms(port.economies[0], port.contracts[0])(x[:, 0])
+    return int(np.count_nonzero(direct + spillover > 0.0)) / len(deltas)
 
 
 EMPIRICAL_DELTA_GRID = np.arange(0.0, 2.5 + 1e-9, 0.05)
@@ -487,14 +588,19 @@ def hump_scan(R_grid, delta: float) -> dict:
 
     Returns grid values, value_independent (each book at coupling 0),
     finite-difference slopes, the sub-intervals where the slope is
-    positive, and the interior peak if one exists.
+    positive, and the interior peak if one exists. Each tightness solves
+    its coupled book and its book at coupling 0 as two lanes of one
+    coupled-cutoff solve.
     """
     Rs = np.asarray(R_grid, float)
-    books = [symmetric_portfolio(float(R), delta) for R in Rs]
-    vals = np.array([solve_cutoffs(p).total_value for p in books])
-    alone = np.array([solve_cutoffs(make_portfolio(p.economies, delta=0.0,
-                                                   contracts=p.contracts)).total_value
-                      for p in books])
+    vals, alone = np.empty(len(Rs)), np.empty(len(Rs))
+    for k, R in enumerate(Rs.tolist()):
+        port = symmetric_portfolio(R, delta)
+        single = make_portfolio(port.economies, delta=0.0, contracts=port.contracts)
+        x = _coupled_cutoffs(port, _uncoupled(port),
+                             np.array([port.coupling, single.coupling]))[0]
+        vals[k] = portfolio_value(port, x[0])[0]
+        alone[k] = portfolio_value(single, x[1])[0]
     slopes = np.diff(vals) / np.diff(Rs)
     positive = []
     start = None
@@ -533,7 +639,8 @@ def independent_cutoff_value(port: PortfolioEconomy) -> dict:
     against the larger of the two values' magnitudes (at least 1e-9).
     """
     start = _uncoupled(port)
-    coupled, _ = portfolio_value(port, _coupled_cutoffs(port, start)[0])
+    coupled, _ = portfolio_value(port, _coupled_cutoffs(port, start,
+                                                        port.coupling[None])[0][0])
     v_ind, _ = portfolio_value(port, start[0])
     scale = max(abs(coupled), abs(v_ind), 1e-9)
     return {"coupled": coupled, "at_independent": v_ind,

@@ -1133,6 +1133,21 @@ def test_batched_lanes_equal_their_one_lane_calls():
             lanes = cutoff(econ, a, b)
             single = [cutoff(econ, x, y) for x, y in zip(a.tolist(), b.tolist())]
             assert [_bits(col) for col in lanes] == [_bits(col) for col in zip(*single)]
+            # a book's loads, one per lane: with one contract for every
+            # lane, and with a contract per lane
+            loads = np.linspace(-1.0, 1.0, len(a))
+            x0, y0 = float(a[len(a) // 2]), float(b[len(b) // 2])
+            for per_load, one_load in (
+                    (cutoff(econ, x0, y0, loads),
+                     [cutoff(econ, x0, y0, w) for w in loads.tolist()]),
+                    (cutoff(econ, a, b, loads),
+                     [cutoff(econ, x, y, w)
+                      for x, y, w in zip(a.tolist(), b.tolist(), loads.tolist())])):
+                assert [_bits(col) for col in per_load] \
+                    == [_bits(col) for col in zip(*one_load)], name
+                kinds.update("loaded_" + ("all_served" if t == econ.dist.lower else
+                                          "top_cutoff" if t == econ.dist.upper
+                                          else "rooted") for t in per_load[0].tolist())
             # psi at the support ends is virtual surplus on np.linspace's grid
             ts = np.linspace(econ.dist.lower, econ.dist.upper, 257)
             for (_, psi_lo, psi_hi), x, y in zip(single, a.tolist(), b.tolist()):
@@ -1150,5 +1165,6 @@ def test_batched_lanes_equal_their_one_lane_calls():
                       "interior" if 0.0 < x < econ.working_capital else "clamp")
         kinds.update("all_served" if t == econ.dist.lower else "top_cutoff"
                      if t == econ.dist.upper else "rooted" for t in that.tolist())
-    assert kinds == {"empty", "interior", "clamp", "all_served", "top_cutoff", "rooted"}
+    assert kinds == {"empty", "interior", "clamp", "all_served", "top_cutoff", "rooted",
+                     "loaded_all_served", "loaded_top_cutoff", "loaded_rooted"}
 

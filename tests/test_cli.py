@@ -13,6 +13,8 @@ from liqscreen.portfolio import independent_cutoff_value, symmetric_portfolio
 
 # default-config (seed 42) artifacts; every command must keep writing these bytes
 REFERENCE = Path(__file__).parent / "reference" / "cli"
+# table contagion under other couplings: table_contagion_delta_<delta>.csv
+CONTAGION = Path(__file__).parent / "reference" / "contagion"
 
 
 def _rows(path):
@@ -97,6 +99,19 @@ def test_contagion_table_value_reduction_is_the_books_relative_loss(tmp_path):
     for R, row in zip(R_TABLE, rows):
         loss = independent_cutoff_value(symmetric_portfolio(R, 0.6))["relative_loss"]
         assert row["value_reduction"] == f"{loss:.6f}", R
+
+
+@pytest.mark.parametrize("delta", ["0.1", "0.6", "2.5"])
+def test_contagion_table_keeps_its_bytes_under_other_couplings(tmp_path, delta):
+    # the benchmark's configs draw delta from [0.1, 2.5]; each table's
+    # 26-coupling share and its value reduction are pinned at three of them
+    cfg = tmp_path / "portfolio.json"
+    cfg.write_text(json.dumps({"portfolio": {"delta": float(delta)}}))
+    assert main(["--config", str(cfg), "--out", str(tmp_path),
+                 "table", "contagion"]) == 0
+    ref = CONTAGION / f"table_contagion_delta_{delta}.csv"
+    assert (tmp_path / "table_contagion.csv").read_bytes() == ref.read_bytes(), \
+        f"table_contagion.csv at delta = {delta} differs from {ref.name}"
 
 
 @pytest.mark.parametrize("command, roots", [("table contagion", len(R_TABLE)),

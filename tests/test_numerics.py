@@ -304,6 +304,48 @@ def test_fixed_point_contraction():
         fixed_point(lambda x: 0.5 * x + 1.0, 0.0)
 
 
+def _row_rates():
+    # contractions of three rates from starts in each row, so the rows
+    # converge after different numbers of passes; plain arithmetic, so a
+    # row's values cannot depend on how many rows share a call
+    return np.array([0.2, 0.6, 0.95]), np.array([[0.0, 1.0], [2.0, -1.0], [0.5, 3.0]])
+
+
+def test_fixed_point_rows_equal_their_one_row_calls():
+    rates, starts = _row_rates()
+    tol = Tolerance(abs_f=1e-12, max_iter=2000)
+    calls = []
+
+    def g(x, rows):
+        calls.append(rows.tolist())
+        return rates[rows, None] * x / (1.0 + x * x) + 0.3
+
+    x, residuals, iterations = fixed_point(g, starts, tol)
+    assert x.shape == starts.shape
+    assert len(set(iterations.tolist())) == 3
+    for k, rate in enumerate(rates.tolist()):
+        xk, rk, ik = fixed_point(lambda y, r=rate: r * y / (1.0 + y * y) + 0.3,
+                                 starts[k], tol)
+        assert x[k].tobytes() == xk.tobytes()
+        assert (residuals[k], iterations[k]) == (rk, ik)
+        # a converged row is not passed to g again
+        assert sum(k in rows for rows in calls) == ik
+
+
+def test_fixed_point_raises_when_a_row_exhausts_its_budget():
+    # the second row's map is expansive; the first converges on its own
+    def g(x, rows):
+        return np.array([[0.5], [2.0]])[rows] * x + 1.0
+
+    with pytest.raises(ConvergenceError) as err:
+        fixed_point(g, np.array([[0.3], [0.3]]),
+                    Tolerance(abs_x=1e-12, abs_f=1e-12, max_iter=200))
+    assert err.value.last.shape == (2, 1)
+    assert abs(err.value.last[0, 0] - 2.0) < 1e-10
+    with pytest.raises(ValueError, match="1-d or 2-d"):
+        fixed_point(g, np.zeros((1, 1, 1)))
+
+
 def test_fixed_point_budget():
     # expansive map: damping cannot rescue it, the budget runs out
     with pytest.raises(ConvergenceError):

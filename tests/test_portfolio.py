@@ -116,6 +116,26 @@ def test_portfolio_needs_a_relationship():
         make_portfolio([], delta=0.5)
 
 
+def test_a_book_keeps_its_coupling_as_a_float_array():
+    # a nested list used to pass validation and then fail the solve at
+    # coupling[np.ix_(free, free)]; an int matrix was kept as int64
+    econ = benchmark(R=1.0)
+    c = calibrated_contract(econ)
+    econs, contracts = (econ, econ), (c, c)
+    for given, state in (([[0.0, 0.5], [0.5, 0.0]], "none"),
+                         (np.array([[0, 1], [1, 0]]), "all_served")):
+        floats = np.array(given, dtype=float)
+        ref = solve_cutoffs(PortfolioEconomy(econs, floats, contracts))
+        assert ref.clamped == (state, state)
+        port = PortfolioEconomy(econs, given, contracts)
+        assert port.coupling.dtype == np.float64
+        sol = solve_cutoffs(port)
+        assert sol.cutoffs.tobytes() == ref.cutoffs.tobytes()
+        assert (sol.clamped, sol.total_value) == (ref.clamped, ref.total_value)
+        # a float64 matrix is kept as given, not copied
+        assert PortfolioEconomy(econs, floats, contracts).coupling is floats
+
+
 def test_symmetric_cutoff_closed_form_and_degenerate_denominator():
     theta, clamped = symmetric_cutoff(0.3, 0.5, 0.2, v=2.0)
     assert abs(theta - (0.3 + 0.5 - 0.2) / (1.0 + 0.5 - 0.2)) < 1e-12
@@ -423,19 +443,80 @@ def _book_of(econ, delta, contract):
 @pytest.mark.parametrize("R", R_TABLE)
 def test_coupled_cutoffs_from_one_shared_start_equal_full_solves(R):
     # the table's books share relationships and contracts, so one uncoupled
-    # start serves every coupling, bit for bit, and no solve writes into it
+    # start serves every coupling, as one lane each of a single solve, bit
+    # for bit, and no solve writes into it
     econ = benchmark(v=2.0, mu0=0.0, K=1.0, R=R)
     c = calibrated_contract(econ)
-    start = portfolio._uncoupled(_book_of(econ, 0.0, c))
+    book = _book_of(econ, 0.0, c)
+    start = portfolio._uncoupled(book)
     before = start.tobytes()
-    for delta in _TABLE_DELTAS:
-        x, flags, residual, iterations = portfolio._coupled_cutoffs(
-            _book_of(econ, float(delta), c), start)
+    couplings = np.array([_book_of(econ, float(d), c).coupling for d in _TABLE_DELTAS])
+    lanes = portfolio._coupled_cutoffs(book, start, couplings)
+    for k, delta in enumerate(_TABLE_DELTAS):
+        x, flags, residual, iterations = (out[k] for out in lanes)
         sol = solve_cutoffs(symmetric_portfolio(R, float(delta)))
         assert x.tobytes() == sol.cutoffs.tobytes(), delta
         assert (flags, residual, iterations) \
             == (sol.clamped, sol.residual, sol.iterations), delta
     assert start.tobytes() == before
+
+
+# the table's couplings at every tightness, and R = 0.5 at couplings above
+# its stable ones: Newton hands those books over at once, and the damped
+# map crawls 41 passes to the all-served corner, or reaches it in 3
+_LANE_CASES = [(R, _TABLE_DELTAS) for R in R_TABLE] \
+    + [(0.5, np.array([2.0, 2.25, 2.5, 2.75])),
+       (0.5, np.concatenate([_TABLE_DELTAS, [2.25, 2.75]]))]
+
+
+def _lanes_of(port, couplings):
+    """One stacked solve of couplings on port, each lane checked against
+    the stack of that lane alone: cutoffs, flags, residual and iterations."""
+    start = portfolio._uncoupled(port)
+    x, flags, residual, iterations = portfolio._coupled_cutoffs(port, start, couplings)
+    assert x.shape == (len(couplings), len(port.economies))
+    assert len(flags) == len(couplings)
+    for k in range(len(couplings)):
+        one = portfolio._coupled_cutoffs(port, start, couplings[k:k + 1])
+        assert x[k].tobytes() == one[0][0].tobytes(), k
+        assert flags[k] == one[1][0], k
+        assert residual[k] == one[2][0] and iterations[k] == one[3][0], k
+    return iterations
+
+
+@pytest.mark.parametrize("R, deltas", _LANE_CASES)
+def test_lane_solves_equal_one_lane_solves(R, deltas):
+    # each lane stops on its own rules: a stack mixes lanes that Newton
+    # finishes, lanes it hands to the damped map, and clamped lanes
+    port = symmetric_portfolio(R, 0.0)
+    iterations = _lanes_of(port, np.array([
+        make_portfolio(port.economies, delta=float(d), contracts=port.contracts).coupling
+        for d in deltas]))
+    if R == 0.5:  # lanes that crawl to the corner share stacks with quick ones
+        assert iterations.max() > 40 and iterations.min() < 10
+
+
+def test_lane_solves_equal_one_lane_solves_on_random_books():
+    # books of 2-12 uniform or truncated-exponential relationships, each
+    # at six multiples of its own coupling matrix
+    for port in _random_books(12):
+        _lanes_of(port, np.array([port.coupling * m
+                                  for m in (0.0, 0.1, 0.5, 1.0, 2.0, 4.0)]))
+
+
+def test_a_singular_lane_leaves_the_other_lanes_their_newton_moves():
+    # a stacked np.linalg.solve raises for the whole stack when one
+    # Jacobian is singular; the lanes are then solved one by one, so only
+    # the singular lane goes without a move, as it would alone
+    jac = np.array([[[2.0, 1.0], [1.0, 3.0]],
+                    [[1.0, 2.0], [2.0, 4.0]],
+                    [[4.0, -1.0], [0.5, 1.0]]])
+    rhs = np.array([[1.0, 2.0], [3.0, 4.0], [-1.0, 0.5]])
+    moves = portfolio._newton_moves(jac, rhs)
+    assert np.all(np.isnan(moves[1]))
+    for k in (0, 2):
+        alone = portfolio._newton_moves(jac[k:k + 1], rhs[k:k + 1])
+        assert moves[k].tobytes() == alone[0].tobytes()
 
 
 def test_a_solve_start_is_read_only():
@@ -471,11 +552,20 @@ def test_contagion_share_counts_the_analytic_derivatives_of_each_book(R,
     share = contagion_share(symmetric_portfolio(R, 0.0), _TABLE_DELTAS)
     assert share == sum(a > 0.0 for a in reference) / len(_TABLE_DELTAS)
     assert np.array(seen).tobytes() == np.array(reference).tobytes()
+    # the terms take every coupling's cutoff in one call
+    assert len(seen) == 1 and seen[0].shape == (len(_TABLE_DELTAS),)
 
 
 def test_contagion_share_needs_a_coupling():
     with pytest.raises(DomainError):
         contagion_share(symmetric_portfolio(1.0, 0.0), [])
+
+
+@pytest.mark.parametrize("grid", [[0.5, -0.1], [0.5, math.nan], [math.inf]],
+                         ids=["negative", "nan", "inf"])
+def test_contagion_share_rejects_a_coupling_no_book_may_hold(grid):
+    with pytest.raises(DomainError):
+        contagion_share(symmetric_portfolio(1.0, 0.0), grid)
 
 
 @pytest.fixture(scope="module")

@@ -152,11 +152,6 @@ def slope_cap(econ: EconomyPrimitives) -> float:
 # virtual surplus and the screening program
 
 
-def _lanes(x) -> list:
-    """x, a float or a 1-d numpy array of lanes, as a list of floats."""
-    return x.tolist() if isinstance(x, np.ndarray) else [x]
-
-
 def _psi(econ, t, phi, b1):
     """V - c - phi - b1 * mu' * (1 - F)/f at types t, one row per lane of phi, b1.
 
@@ -296,26 +291,26 @@ def _screening_value(econ: EconomyPrimitives, a: float,
     return ps - phi * tail - rent - a, decomp, that
 
 
-def _envelope_slope(econ: EconomyPrimitives, that, a, da, db):
+def _envelope_slope(econ: EconomyPrimitives, that, a, da, db) -> np.ndarray:
     """Derivative of the screening value at advance a along (da, db) in (a, b1).
 
     The served set [that, upper] is held fixed: virtual surplus vanishes
     at the cutoff, so by the envelope theorem moving it adds no term.
     With tail = 1 - F(that) the derivative is
     -da * (1 - Phi'(K - a) * tail) - db * rent_tail(that). that, a and
-    da are floats, or equal-length 1-d arrays of lanes (db then a float
-    or one more such array), and the result is a float or an array. The
-    rent tails take one integrate call; the relief term is added lane by
-    lane, and skipped, not multiplied by 0, on a lane with da = 0. It
-    prices F(that) at a scalar type: numpy's array power can differ
-    from its scalar power in the last bit, and a lane must match the
-    one-lane call.
+    da are equal-length 1-d arrays, one entry per lane, and db is a
+    float or one more such array; the result has one entry per lane.
+    The rent tails take one integrate call; the relief term is added
+    lane by lane, and skipped, not multiplied by 0, on a lane with
+    da = 0. It prices F(that) at a scalar type: numpy's array power can
+    differ from its scalar power in the last bit, and a lane must match
+    the one-lane call.
     """
     slope = -db * rent_tail(econ, that, _SCREENING_PANELS)
     fin, K, cdf = econ.financing, econ.working_capital, econ.dist.cdf
-    out = [s - r * (1.0 - marginal_ell(fin, K - x) * (1.0 - float(cdf(t)))) if r else s
-           for s, t, x, r in zip(_lanes(slope), _lanes(that), _lanes(a), _lanes(da))]
-    return np.array(out) if isinstance(a, np.ndarray) else out[0]
+    return np.array([s - r * (1.0 - marginal_ell(fin, K - x) * (1.0 - float(cdf(t))))
+                     if r else s for s, t, x, r in zip(slope.tolist(), that.tolist(),
+                                                       a.tolist(), da.tolist())])
 
 
 def sufficient_statistics(econ: EconomyPrimitives,
@@ -339,7 +334,8 @@ def sufficient_statistics(econ: EconomyPrimitives,
     residual = math.nan
     if abs(mu_lo) >= 1e-12 and tail >= 1e-12:
         db = 1.0 / ir_slope(econ, a)
-        residual = _envelope_slope(econ, sol.cutoff, a, 1.0, db) / tail
+        residual = float(_envelope_slope(econ, np.array([sol.cutoff]), np.array([a]),
+                                         np.ones(1), db)[0]) / tail
     return {"marginal_financing_relief": phi_l,
             "marginal_screening_cost": phi_l - residual,
             "residual": residual,

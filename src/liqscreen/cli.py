@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .bilateral import (_acceptance, advance_share, binding_slope,
+from .bilateral import (Contract, _acceptance, advance_share, binding_slope,
                         closed_form_ell_star, pure_advance_value,
                         pure_contingent_value, solve_mixed, solve_optimal,
                         sweep_R)
@@ -25,9 +25,8 @@ from .economy import (_config_number, _config_object, benchmark,
                       with_tightness)
 from .errors import LiqscreenError
 from .portfolio import (contagion_share, contagion_threshold,
-                        independent_cutoff_value, hump_scan,
-                        symmetric_cutoff, symmetric_cutoff_iterative,
-                        symmetric_portfolio)
+                        independent_cutoff_value, hump_scan, make_portfolio,
+                        solve_cutoffs, symmetric_cutoff, symmetric_portfolio)
 
 R_TABLE = (0.5, 1.0, 2.0, 3.0, 5.0)
 
@@ -265,15 +264,18 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
     checks.append(_check("mixed_dominance", max(worst, 0.0), 1e-6,
                          "R in {0.5,1,2}"))
 
-    # symmetric fixed point vs closed form
+    # symmetric fixed point vs closed form: the book solver on two copies
+    # of a benchmark whose tightness puts Phi(K - a) = a
     worst = 0.0
+    a = 0.27
+    e = benchmark(v=2, mu0=0.0, K=1.0, R=2.0 * a / (1.0 - a) ** 2)
     for delta in (0.1, 0.3, 0.5):
         for b1 in (0.3, 0.6, 0.9):
-            t_closed, cl = symmetric_cutoff(0.27, b1, delta)
+            t_closed, cl = symmetric_cutoff(a, b1, delta)
             if cl != "none":
                 continue
-            t_iter, _, _ = symmetric_cutoff_iterative(0.27, b1, delta)
-            worst = max(worst, abs(t_closed - t_iter))
+            book = make_portfolio([e, e], delta, contracts=(Contract(a, b1),) * 2)
+            worst = max(worst, abs(t_closed - solve_cutoffs(book).cutoffs[0]))
     checks.append(_check("symmetric_fixed_point", worst, 1e-8,
                          "3x3 (delta, b1) grid"))
 

@@ -72,6 +72,9 @@ def truncated_exponential(rate: float, lo: float = 0.0,
     if not (math.isfinite(rate) and rate > 0):
         raise DomainError("rate must be finite and positive")
     z = 1.0 - math.exp(-rate * (hi - lo))
+    if not z > 0.0:
+        raise DomainError("truncated_exponential rate is too small: "
+                          "1 - exp(-rate * (hi - lo)) rounds to 0")
     return TypeDistribution(
         lower=lo, upper=hi,
         cdf=lambda t: (1.0 - np.exp(-rate * (np.asarray(t, float) - lo))) / z,

@@ -40,7 +40,11 @@ _SIGMA_MIN = 1e-6  # smallest monitoring intensity solved; below it sigma* is 0
 
 @dataclass(frozen=True, eq=False)
 class PosteriorState:
-    """Discrete belief over compliance types on an ascending uniform grid."""
+    """Discrete belief over compliance types on an ascending uniform grid.
+
+    grid and weights are kept as the validated float64 arrays, whatever
+    array-like was given (the same objects when they are ones already).
+    """
 
     grid: np.ndarray
     weights: np.ndarray
@@ -48,8 +52,11 @@ class PosteriorState:
     def __post_init__(self):
         g = np.asarray(self.grid, float)
         w = np.asarray(self.weights, float)
-        if g.ndim != 1 or g.size < 2 or np.any(np.diff(g) <= 0):
-            raise DomainError("grid must be ascending with at least 2 points")
+        object.__setattr__(self, "grid", g)
+        object.__setattr__(self, "weights", w)
+        if (g.ndim != 1 or g.size < 2 or not np.all(np.isfinite(g))
+                or np.any(np.diff(g) <= 0)):
+            raise DomainError("grid must be finite and ascending with at least 2 points")
         steps = np.diff(g)
         if np.max(np.abs(steps - steps[0])) > 1e-9 * steps[0]:
             raise DomainError("grid must be uniformly spaced")

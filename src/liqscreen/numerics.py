@@ -220,44 +220,40 @@ def best_candidate(candidates) -> tuple[float, float]:
 
 def fixed_point(g: Callable[..., np.ndarray], x0,
                 tol: Tolerance = DEFAULT_TOL):
-    """Damped fixed point of x <- g(x) on a 1-d array, or on each row of a 2-d one.
+    """Damped fixed point of x <- g(x) on each row of a 2-d start.
 
-    Each step moves halfway: x <- x + 0.5 * (g(x) - x). A 1-d start
-    returns (x, residual, iterations) where residual is the sup norm of
-    g(x) - x at the returned point. A 2-d start holds one lane per row,
-    and each row iterates until its own residual is at most abs_f: g is
-    called as g(x[rows], rows) with the rows still open and their
-    indices, and returns their images, so a converged row is not passed
-    again. It returns (x, residuals, iterations) with one entry per row,
-    each row's bit for bit that of a 1-d call from it. Raises
-    ConvergenceError (with .last) when max_iter is hit first, on a 2-d
-    start when any row is still open.
+    Each step moves halfway: x <- x + 0.5 * (g(x) - x). Each row is one
+    lane and iterates until its own residual, the sup norm of g(x) - x
+    at the returned point, is at most abs_f: g is called as
+    g(x[rows], rows) with the rows still open and their indices, and
+    returns their images, so a converged row is not passed again.
+    Returns (x, residuals, iterations) with one entry per row. Raises
+    ConvergenceError (with .last) when max_iter is hit while any row is
+    still open.
     """
-    start = np.array(x0, dtype=float)
-    if start.ndim not in (1, 2):
-        raise ValueError(f"fixed_point needs a 1-d or 2-d start, got shape {start.shape}")
-    rowwise = start.ndim == 2
-    step = g if rowwise else lambda x, _: np.asarray(g(x[0]), float)[None]
-    x = xs = np.atleast_2d(start)  # x: the open rows, whose indices are rows
+    xs = np.array(x0, dtype=float)
+    if xs.ndim != 2:
+        raise ValueError(f"fixed_point needs a 2-d start, one lane per row, "
+                         f"got shape {xs.shape}")
+    x = xs  # the open rows, whose indices are rows
     residuals = np.zeros(len(xs))
     iterations = np.zeros(len(xs), dtype=int)
     rows = np.arange(len(xs))
     for it in range(1, tol.max_iter + 1):
-        gx = np.asarray(step(x, rows), float)
+        gx = np.asarray(g(x, rows), float)
         r = np.max(np.abs(gx - x), axis=1)
         done = r <= tol.abs_f
         if done.any():
             hit = rows[done]
             xs[hit], residuals[hit], iterations[hit] = gx[done], r[done], it
             if done.all():
-                return ((xs, residuals, iterations) if rowwise
-                        else (xs[0], float(residuals[0]), int(iterations[0])))
+                return xs, residuals, iterations
             rows, x, gx = rows[~done], x[~done], gx[~done]
         x = x + 0.5 * (gx - x)
     xs[rows] = x
     raise ConvergenceError(
         f"fixed point not converged in {tol.max_iter} iterations "
-        f"(residual {float(np.max(r)):.3g})", last=xs if rowwise else xs[0])
+        f"(residual {float(np.max(r)):.3g})", last=xs)
 
 
 def integrate(f: Callable, lo, hi: float, panels: int = 512):

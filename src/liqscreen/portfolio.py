@@ -156,41 +156,23 @@ def symmetric_portfolio(R: float, delta: float,
 # coupled cutoffs
 
 
-def symmetric_cutoff(a: float, b1: float, delta: float, v: float = 2.0):
-    """Closed-form symmetric coupled cutoff on the uniform benchmark.
+def symmetric_cutoff(a: float, b1: float, delta: float):
+    """Closed-form symmetric coupled cutoff on the uniform benchmark (v = 2).
 
-    (a + b1 - delta) / (v - 1 + b1 - delta), using the manifold identity
+    (a + b1 - delta) / (1 + b1 - delta), using the manifold identity
     Phi(K - a) = a; clamped to [0, 1] with the clamp reported. A negative
     denominator makes that root unstable; the damped map then runs from
     the uncoupled cutoff to 0 if it starts below the root, else to 1.
     """
-    denom = (v - 1.0) + b1 - delta
+    denom = 1.0 + b1 - delta
     if abs(denom) <= 1e-9:
         raise DegeneracyError("coupled-cutoff denominator vanishes")
     theta = (a + b1 - delta) / denom
     if denom < 0.0:
-        start = min(max((a + b1) / ((v - 1.0) + b1), 0.0), 1.0)
+        start = min(max((a + b1) / (1.0 + b1), 0.0), 1.0)
         return (0.0 if start < theta else 1.0), True
     clamped = theta < 0.0 or theta > 1.0
     return min(max(theta, 0.0), 1.0), clamped
-
-
-def symmetric_cutoff_iterative(a: float, b1: float, delta: float,
-                               v: float = 2.0,
-                               tol: Tolerance = FP_TOL) -> tuple[float, float, int]:
-    """Damped fixed-point iteration of the symmetric coupled-cutoff map.
-
-    Iterates theta <- clamp((a + b1 - delta(1 - theta)) / (v - 1 + b1))
-    from theta = 0.5, using the manifold identity Phi(K - a) = a.
-    Returns (theta, residual, iterations); raises ConvergenceError when
-    the budget runs out.
-    """
-    den = (v - 1.0) + b1
-    c0 = (a + b1 - delta) / den
-    c1 = delta / den
-    x, residual, iters = fixed_point(lambda x: np.clip(c0 + c1 * x, 0.0, 1.0),
-                                     np.array([0.5]), tol)
-    return float(x[0]), residual, iters
 
 
 def _project(x, load, ends):
@@ -474,29 +456,25 @@ def _all_centralities(port, cutoffs, clamped):
     return out
 
 
-def _contagion_terms(econ: EconomyPrimitives, contract: Contract):
+def _contagion_terms(econ: EconomyPrimitives, contract: Contract,
+                     that: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The analytic response of book value to econ's tightness, per cutoff.
 
-    Returns terms(that) -> (direct_financing, screening_spillover) at
-    the relationship's coupled cutoffs that, a 1-d array with one lane
-    per book, as two arrays. direct_financing is the mechanical
-    financing-cost effect at the fixed contract; screening_spillover is
-    the contract-response term: bilateral._envelope_slope in the
-    direction (a'(R), b1'(R)) at that, where psi + load = 0, so the
-    cutoff's move adds no term. The schedule rates and Phi_R are
-    computed once, here; the lanes share one rent-tail integral, and
-    each lane prices its tail at a scalar type, as _envelope_slope does.
+    that holds the relationship's coupled cutoffs, a 1-d array with one
+    lane per book. Returns (direct_financing, screening_spillover) as
+    two arrays. direct_financing is the mechanical financing-cost effect
+    at the fixed contract; screening_spillover is the contract-response
+    term: bilateral._envelope_slope in the direction (a'(R), b1'(R)) at
+    that, where psi + load = 0, so the cutoff's move adds no term. The
+    lanes share one rent-tail integral, and each lane prices its tail at
+    a scalar type, as _envelope_slope does.
     """
     b1p = slope_calibration_prime(econ.financing.tightness)
     ap = advance_response(econ, contract, b1p)
     phi_r = marginal_r(econ.financing, econ.working_capital - contract.advance)
-
-    def terms(that: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        tail = np.array([1.0 - float(econ.dist.cdf(t)) for t in that.tolist()])
-        return -phi_r * tail, _envelope_slope(econ, that,
-                                              np.full(that.shape, contract.advance),
-                                              np.full(that.shape, ap), b1p)
-    return terms
+    tail = np.array([1.0 - float(econ.dist.cdf(t)) for t in that.tolist()])
+    return -phi_r * tail, _envelope_slope(econ, that, np.full(that.shape, contract.advance),
+                                          np.full(that.shape, ap), b1p)
 
 
 def contagion_derivative(port: PortfolioEconomy, j: int) -> dict:
@@ -514,7 +492,7 @@ def contagion_derivative(port: PortfolioEconomy, j: int) -> dict:
     up = solve_cutoffs(_rebuild(port, j, R_j + _FD_R)).total_value
     dn = solve_cutoffs(_rebuild(port, j, R_j - _FD_R)).total_value
     that = _coupled_cutoffs(port, _uncoupled(port), port.coupling[None])[0][:, j]
-    direct, spillover = (float(v[0]) for v in _contagion_terms(e_j, c_j)(that))
+    direct, spillover = (float(v[0]) for v in _contagion_terms(e_j, c_j, that))
     K = e_j.working_capital
     flagged = (c_j.advance <= 1e-9 or c_j.advance >= K - 1e-9
                or c_j.slope <= 1e-9)
@@ -539,7 +517,7 @@ def contagion_share(port: PortfolioEconomy, delta_grid) -> float:
                                          contracts=port.contracts).coupling
                           for d in deltas])
     x = _coupled_cutoffs(port, _uncoupled(port), couplings)[0]
-    direct, spillover = _contagion_terms(port.economies[0], port.contracts[0])(x[:, 0])
+    direct, spillover = _contagion_terms(port.economies[0], port.contracts[0], x[:, 0])
     return int(np.count_nonzero(direct + spillover > 0.0)) / len(deltas)
 
 

@@ -7,7 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from liqscreen.bilateral import Contract
 from liqscreen.economy import benchmark
+from liqscreen.portfolio import make_portfolio
 
 
 @pytest.fixture
@@ -43,3 +45,14 @@ def runtime_budget(seconds):
     yield
     elapsed = time.perf_counter() - start
     assert elapsed < seconds, f"runtime {elapsed:.2f}s exceeds {seconds:.0f}s budget"
+
+
+def two_copy_book(a, b1, delta):
+    """Two copies of Contract(a, b1) on the uniform benchmark, coupled at delta.
+
+    The tightness R = 2a / (1 - a)**2 puts Phi(K - a) = a, the premise
+    of portfolio.symmetric_cutoff; mu(lower) = 0, so the contract sits
+    on the participation manifold for every b1.
+    """
+    econ = benchmark(v=2.0, mu0=0.0, K=1.0, R=2.0 * a / (1.0 - a) ** 2)
+    return make_portfolio([econ, econ], delta, contracts=(Contract(a, b1),) * 2)

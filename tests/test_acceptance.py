@@ -31,7 +31,6 @@ from liqscreen.extensions import (
     solve_monitoring,
     solve_renegotiation,
 )
-from liqscreen.numerics import Tolerance
 from liqscreen.oracle import (
     decreasing_slope_mechanism,
     grid_search_optimal,
@@ -43,12 +42,12 @@ from liqscreen.portfolio import (
     contagion_derivative,
     contagion_threshold,
     hump_scan,
+    solve_cutoffs,
     symmetric_cutoff,
-    symmetric_cutoff_iterative,
     symmetric_portfolio,
     uniform_subsidy_effect,
 )
-from conftest import runtime_budget
+from conftest import runtime_budget, two_copy_book
 
 ADVANCE_TABLE = {0.5: 0.17, 1.0: 0.27, 2.0: 0.38, 3.0: 0.45, 5.0: 0.54}
 DOMINANCE_GRID = (0.25, 0.5, 1.0, 2.0, 3.0, 5.0)
@@ -128,16 +127,15 @@ def test_c06_ic_verifier_passes_solution_and_catches_counterexample():
 
 
 def test_c07_symmetric_fixed_point_matches_closed_form():
-    a, v = 0.3, 2.0
-    tol = Tolerance(abs_x=1e-11, abs_f=1e-12, max_iter=20000)
+    # the book solver is the second route to the closed form
+    a = 0.3
     compared = 0
     for b1 in np.linspace(0.0, 2.0, 10):
         for delta in np.linspace(0.0, 2.4, 10):
-            if (v - 1.0) + b1 - delta <= 0.05:
+            if 1.0 + b1 - delta <= 0.05:
                 continue
-            closed, _ = symmetric_cutoff(a, float(b1), float(delta), v=v)
-            x, _, _ = symmetric_cutoff_iterative(a, float(b1), float(delta),
-                                                 v=v, tol=tol)
+            closed, _ = symmetric_cutoff(a, float(b1), float(delta))
+            x = solve_cutoffs(two_copy_book(a, float(b1), float(delta))).cutoffs[0]
             assert abs(x - closed) <= 1e-8, (b1, delta, x, closed)
             compared += 1
     assert compared >= 50, compared

@@ -1158,8 +1158,8 @@ def test_batched_lanes_equal_their_one_lane_calls():
                                                          for t in that.tolist())
             envelope = _envelope_slope(econ, that, a, rate, 1.0)
             assert _bits(envelope) == _bits(
-                _envelope_slope(econ, t, x, r, 1.0)
-                for t, x, r in zip(that.tolist(), a.tolist(), rate.tolist()))
+                _envelope_slope(econ, that[k:k + 1], a[k:k + 1], rate[k:k + 1], 1.0)[0]
+                for k in range(len(that)))
         for s, x in zip(manifold, a.tolist()):
             kinds.add("empty" if s is None else
                       "interior" if 0.0 < x < econ.working_capital else "clamp")

@@ -217,6 +217,18 @@ def test_negative_signal_scale_config_is_rejected_at_load(tmp_path, capsys):
     assert not (tmp_path / "verify_report.json").exists()
 
 
+def test_truncated_exponential_rate_too_small_is_rejected_at_load(tmp_path, capsys):
+    # its nan types made verify write "worst_violation": NaN and pass
+    # rent_identity at worst 0
+    cfg = tmp_path / "tiny_rate.json"
+    cfg.write_text(json.dumps(
+        {"dist": {"kind": "truncated_exponential", "params": {"rate": 1e-20}}}))
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "verify"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+    assert not (tmp_path / "verify_report.json").exists()
+
+
 # malformed values used to end in a TypeError or AttributeError traceback
 # (exit 1, verify's code for a failed check); each now names its field
 MALFORMED = {

@@ -57,6 +57,13 @@ def test_truncated_exponential_normalized():
         truncated_exponential(0.0)
 
 
+def test_truncated_exponential_rejects_a_rate_whose_normaliser_rounds_to_0():
+    # below about 1.1e-16, 1 - exp(-rate) rounds to 0 and cdf and pdf
+    # came out nan
+    with pytest.raises(DomainError, match="too small"):
+        truncated_exponential(1e-20)
+
+
 def test_power_distribution_shape():
     d = power(2.0)
     assert abs(float(d.cdf(0.5)) - 0.25) < 1e-12

@@ -51,11 +51,30 @@ def test_posterior_validation():
         PosteriorState(np.array([0.5]), np.array([1.0]))
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
-def test_posterior_rejects_a_non_finite_weight(bad):
-    # a nan weight made the sum nan, which passed the tolerance test
-    with pytest.raises(DomainError, match="probability vector"):
-        PosteriorState(np.linspace(0.0, 1.0, 3), np.array([0.5, bad, 0.5]))
+@pytest.mark.parametrize("grid, weights, match", [
+    ([0.0, 0.5, 1.0], [0.5, math.nan, 0.5], "probability vector"),
+    ([0.0, 0.5, 1.0], [0.5, math.inf, 0.5], "probability vector"),
+    ([0.0, math.nan, 1.0], [0.25, 0.5, 0.25], "grid must be finite"),
+    ([0.0, 0.5, math.inf], [0.25, 0.5, 0.25], "grid must be finite"),
+], ids=["nan", "inf", "grid_nan", "grid_inf"])
+def test_posterior_rejects_a_non_finite_weight(grid, weights, match):
+    # a nan weight made the sum nan, which passed the tolerance test, and
+    # a nan grid point passed both the ascending and the spacing test
+    with pytest.raises(DomainError, match=match):
+        PosteriorState(np.array(grid), np.array(weights))
+
+
+def test_list_built_posterior_keeps_float_arrays():
+    # lists used to be stored as given: hazard_shrink_check raised
+    # AttributeError and dynamic_path TypeError on such a prior
+    prior = PosteriorState([0.0, 0.25, 0.5, 0.75, 1.0], [0.2] * 5)
+    assert prior.grid.dtype == prior.weights.dtype == np.float64
+    assert hazard_shrink_check(prior, bayes_update(prior, 0))
+    recs = dynamic_path(_bench_half(), 0.3, 3, seed=1, prior=prior)
+    assert len(recs) == 4 and recs[0].posterior is prior
+    # a float64 array is kept as given, not copied
+    grid = np.linspace(0.0, 1.0, 5)
+    assert PosteriorState(grid, np.full(5, 0.2)).grid is grid
 
 
 @pytest.mark.parametrize("kwargs", [{"kappa0": math.nan}, {"kappa0": math.inf},

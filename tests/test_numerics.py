@@ -295,13 +295,15 @@ def test_integrate_lets_a_scalar_only_integrand_fail():
 
 
 def test_fixed_point_contraction():
-    x, resid, _ = fixed_point(lambda x: 0.5 * x + 1.0, np.array([0.0]),
+    x, resid, _ = fixed_point(lambda x, _: 0.5 * x + 1.0, np.array([[0.0]]),
                               Tolerance(abs_x=1e-12, abs_f=1e-12, max_iter=500))
-    assert x.shape == (1,)
-    assert abs(x[0] - 2.0) < 1e-10
-    assert abs(resid) < 1e-10
-    with pytest.raises(ValueError, match="1-d"):
-        fixed_point(lambda x: 0.5 * x + 1.0, 0.0)
+    assert x.shape == (1, 1)
+    assert abs(x[0, 0] - 2.0) < 1e-10
+    assert abs(resid[0]) < 1e-10
+    # a scalar or a 1-d start is not a stack of rows
+    for start in (0.0, np.array([0.0])):
+        with pytest.raises(ValueError, match="2-d"):
+            fixed_point(lambda x, _: 0.5 * x + 1.0, start)
 
 
 def _row_rates():
@@ -324,12 +326,12 @@ def test_fixed_point_rows_equal_their_one_row_calls():
     assert x.shape == starts.shape
     assert len(set(iterations.tolist())) == 3
     for k, rate in enumerate(rates.tolist()):
-        xk, rk, ik = fixed_point(lambda y, r=rate: r * y / (1.0 + y * y) + 0.3,
-                                 starts[k], tol)
-        assert x[k].tobytes() == xk.tobytes()
-        assert (residuals[k], iterations[k]) == (rk, ik)
+        xk, rk, ik = fixed_point(lambda y, _, r=rate: r * y / (1.0 + y * y) + 0.3,
+                                 starts[k:k + 1], tol)
+        assert x[k].tobytes() == xk[0].tobytes()
+        assert (residuals[k], iterations[k]) == (rk[0], ik[0])
         # a converged row is not passed to g again
-        assert sum(k in rows for rows in calls) == ik
+        assert sum(k in rows for rows in calls) == ik[0]
 
 
 def test_fixed_point_raises_when_a_row_exhausts_its_budget():
@@ -342,12 +344,12 @@ def test_fixed_point_raises_when_a_row_exhausts_its_budget():
                     Tolerance(abs_x=1e-12, abs_f=1e-12, max_iter=200))
     assert err.value.last.shape == (2, 1)
     assert abs(err.value.last[0, 0] - 2.0) < 1e-10
-    with pytest.raises(ValueError, match="1-d or 2-d"):
+    with pytest.raises(ValueError, match="2-d"):
         fixed_point(g, np.zeros((1, 1, 1)))
 
 
 def test_fixed_point_budget():
     # expansive map: damping cannot rescue it, the budget runs out
     with pytest.raises(ConvergenceError):
-        fixed_point(lambda x: 2.0 * x + 1.0, np.array([0.3]),
+        fixed_point(lambda x, _: 2.0 * x + 1.0, np.array([[0.3]]),
                     Tolerance(abs_x=1e-12, abs_f=1e-12, max_iter=50))

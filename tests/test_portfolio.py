@@ -29,10 +29,10 @@ from liqscreen.portfolio import (
     slope_calibration_prime,
     solve_cutoffs,
     symmetric_cutoff,
-    symmetric_cutoff_iterative,
     symmetric_portfolio,
     uniform_subsidy_effect,
 )
+from conftest import two_copy_book
 
 
 def test_slope_calibration_continuous_and_decreasing():
@@ -137,27 +137,25 @@ def test_a_book_keeps_its_coupling_as_a_float_array():
 
 
 def test_symmetric_cutoff_closed_form_and_degenerate_denominator():
-    theta, clamped = symmetric_cutoff(0.3, 0.5, 0.2, v=2.0)
+    theta, clamped = symmetric_cutoff(0.3, 0.5, 0.2)
     assert abs(theta - (0.3 + 0.5 - 0.2) / (1.0 + 0.5 - 0.2)) < 1e-12
     assert not clamped
     with pytest.raises(DegeneracyError):
-        symmetric_cutoff(0.3, 0.5, 1.5, v=2.0)
+        symmetric_cutoff(0.3, 0.5, 1.5)
 
 
-def test_iterative_cutoff_agrees_with_closed_form():
-    tol = Tolerance(abs_x=1e-12, abs_f=1e-12, max_iter=20000)
-    closed, _ = symmetric_cutoff(0.3, 0.5, 0.2)
-    x, resid, its = symmetric_cutoff_iterative(0.3, 0.5, 0.2, tol=tol)
-    assert type(x) is float and type(resid) is float and type(its) is int
-    assert abs(x - closed) < 1e-9
-    assert abs(resid) < 1e-9
-    assert its >= 1
-
-
-def test_iterative_cutoff_budget_exhaustion_raises():
-    with pytest.raises(ConvergenceError):
-        symmetric_cutoff_iterative(0.3, 0.5, 0.2,
-                                   tol=Tolerance(abs_f=1e-12, max_iter=3))
+def test_verify_grid_book_route_is_interior_and_matches_closed_form():
+    # verify's symmetric_fixed_point grid: every case is interior on both
+    # routes, so a check that skips clamped cases compares all nine
+    compared = 0
+    for delta in (0.1, 0.3, 0.5):
+        for b1 in (0.3, 0.6, 0.9):
+            closed, clamped = symmetric_cutoff(0.27, b1, delta)
+            sol = solve_cutoffs(two_copy_book(0.27, b1, delta))
+            assert not clamped and sol.clamped == ("none", "none"), (delta, b1)
+            assert abs(sol.cutoffs[0] - closed) <= 1e-8, (delta, b1)
+            compared += 1
+    assert compared == 9
 
 
 @pytest.mark.parametrize("R", [0.5, 1.0, 2.0])
@@ -539,14 +537,10 @@ def test_contagion_share_counts_the_analytic_derivatives_of_each_book(R,
     seen = []
     real = portfolio._contagion_terms
 
-    def recorded(econ, contract):
-        terms = real(econ, contract)
-
-        def record(that):
-            direct, spillover = terms(that)
-            seen.append(direct + spillover)
-            return direct, spillover
-        return record
+    def recorded(econ, contract, that):
+        direct, spillover = real(econ, contract, that)
+        seen.append(direct + spillover)
+        return direct, spillover
 
     monkeypatch.setattr(portfolio, "_contagion_terms", recorded)
     share = contagion_share(symmetric_portfolio(R, 0.0), _TABLE_DELTAS)

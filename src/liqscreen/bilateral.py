@@ -184,26 +184,46 @@ def cutoff(econ: EconomyPrimitives, a, b1, load: float = 0.0):
     arrays with one lane each, a float then serving every lane (a and b1
     are both floats or both arrays); each of the three then comes back
     as an array, lane by lane bit for bit the scalar call's. All lanes
-    price psi on one 257-point type grid, and each lane roots its own
-    sign change.
+    price psi on one 257-point type grid (_psi_row), and each lane roots
+    its own sign change (_first_crossing).
     """
-    d = econ.dist
-    ts = grid(d.lower, d.upper, 257)
+    ts = _cutoff_grid(econ)
+    return _first_crossing(econ, ts, _psi_row(econ, ts, a, b1), a, b1, load)
+
+
+def _cutoff_grid(econ):
+    """cutoff's 257-point grid of types, from the lower to the upper end."""
+    return grid(econ.dist.lower, econ.dist.upper, 257)
+
+
+def _psi_row(econ, ts, a, b1):
+    """psi at the types ts without load: one row for float a and b1, else one per lane."""
     fin, K = econ.financing, econ.working_capital
     if isinstance(a, np.ndarray):
         phi = np.array([financing_cost(fin, K - x) for x in a.tolist()])
-        psi = _psi(econ, ts, phi[:, None], b1[:, None])
-    else:  # one row for every lane, 1-d, which is cheaper
-        psi = _psi(econ, ts, financing_cost(fin, K - a), b1)
+        return _psi(econ, ts, phi[:, None], b1[:, None])
+    return _psi(econ, ts, financing_cost(fin, K - a), b1)  # one row, cheaper
+
+
+def _first_crossing(econ, ts, psi, a, b1, load):
+    """cutoff's answer for the psi rows of (a, b1) on the grid ts, at load.
+
+    psi is _psi_row(econ, ts, a, b1), which does not depend on load, so
+    a caller that holds it re-roots the crossing at any load without
+    pricing psi again. a, b1 and load take cutoff's shapes. Each lane
+    finds the first grid point where psi + load >= 0 and roots the
+    scalar psi + load in the cell before it.
+    """
+    d = econ.dist
 
     def lane(vals, a_k, b1_k, load_k):
         ends = float(vals[0]), float(vals[-1])
-        if vals[0] >= 0.0:
+        if ends[0] >= 0.0:
             return d.lower, *ends
-        idx = np.nonzero(vals >= 0.0)[0]
-        if idx.size == 0:
+        served = vals >= 0.0
+        i = int(served.argmax())  # the first served point, 0 when none is
+        if i == 0:
             return d.upper, *ends
-        i = int(idx[0])
         return find_root(lambda t: virtual_surplus(econ, t, a_k, b1_k) + load_k,
                          Bracket(float(ts[i - 1]), float(ts[i])),
                          ends=(float(vals[i - 1]), float(vals[i]))), *ends
@@ -215,15 +235,6 @@ def cutoff(econ: EconomyPrimitives, a, b1, load: float = 0.0):
                 for x in (a, b1, load)]
     out = [lane(*lane_args) for lane_args in zip(rows, *per_lane)]
     return tuple(np.array(out, dtype=float).reshape(-1, 3).T)
-
-
-def rent_schedule(econ: EconomyPrimitives, b1: float, theta: float) -> float:
-    """Information rent of type theta: integral of b1*mu' - c' from the bottom."""
-    lo = econ.dist.lower
-    if theta <= lo:
-        return 0.0
-    return integrate(lambda t: b1 * signal_slope(econ, t) - cost_slope(econ, t),
-                     lo, theta, panels=256)
 
 
 def rent_tail(econ: EconomyPrimitives, x, panels: int = 512):

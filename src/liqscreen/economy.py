@@ -68,13 +68,19 @@ def uniform(lo: float = 0.0, hi: float = 1.0) -> TypeDistribution:
 
 def truncated_exponential(rate: float, lo: float = 0.0,
                           hi: float = 1.0) -> TypeDistribution:
-    """Exponential(rate) restricted to [lo, hi]."""
+    """Exponential(rate) restricted to [lo, hi].
+
+    The normaliser 1 - exp(-rate * (hi - lo)) cancels as rate * (hi - lo)
+    shrinks: cdf(0.5) on [0, 1] is off by 1.1e-4 relative at rate 1e-12
+    and by 1.1e-7 at 1e-9, against 2.5e-9 at 1e-8. So a rate below
+    1e-8 / (hi - lo) is rejected.
+    """
     if not (math.isfinite(rate) and rate > 0):
         raise DomainError("rate must be finite and positive")
-    z = 1.0 - math.exp(-rate * (hi - lo))
-    if not z > 0.0:
+    if lo < hi and rate * (hi - lo) < 1e-8:  # TypeDistribution rejects lo >= hi
         raise DomainError("truncated_exponential rate is too small: "
-                          "1 - exp(-rate * (hi - lo)) rounds to 0")
+                          "rate * (hi - lo) < 1e-8 loses the cdf's accuracy")
+    z = 1.0 - math.exp(-rate * (hi - lo))
     return TypeDistribution(
         lower=lo, upper=hi,
         cdf=lambda t: (1.0 - np.exp(-rate * (np.asarray(t, float) - lo))) / z,

@@ -14,12 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bilateral import (Contract, _envelope_slope, binding_ir_advance, cutoff,
-                        screening_integral, virtual_surplus)
+from .bilateral import (Contract, _cutoff_grid, _envelope_slope, _first_crossing,
+                        _psi_row, binding_ir_advance, cutoff, screening_integral,
+                        virtual_surplus)
 from .economy import (EconomyPrimitives, benchmark, marginal_ell, marginal_r,
                       with_tightness)
 from .errors import DegeneracyError, DomainError
-from .numerics import Tolerance, fixed_point
+from .numerics import Tolerance, _simpson, fixed_point
 
 FP_TOL = Tolerance(abs_x=1e-10, abs_f=1e-12, max_iter=20000)
 _FD_R = 1e-4  # tightness step of the finite-difference contagion responses
@@ -190,26 +191,37 @@ def _project(x, load, ends):
             np.where(all_served, 1, 2 * empty))
 
 
-def _uncoupled(port: PortfolioEconomy) -> np.ndarray:
-    """A book solve's start: a read-only 5 x n array, one column per relationship.
+def _uncoupled(port: PortfolioEconomy) -> tuple[np.ndarray, np.ndarray]:
+    """A book solve's start: (columns, rows), two read-only arrays.
 
-    Row 0 is the uncoupled cutoff, from the zero-load cutoff(e, a, b1)
-    of each relationship's contract; rows 1-4 are _project's ends:
-    psi(lower), psi(upper), lower and upper. One start serves every book
-    of the same relationships and contracts, whatever the coupling.
+    columns is 5 x n, one column per relationship. Row 0 is the
+    uncoupled cutoff, cutoff(e, a, b1) at load 0 for each relationship's
+    contract; rows 1-4 are _project's ends: psi(lower), psi(upper),
+    lower and upper. rows is n x 257: each relationship's psi on
+    cutoff's type grid, priced once here. The rows depend on neither the
+    coupling nor the load, so every later step that needs psi on that
+    grid reads them: the damped map's responses and the all-served
+    values of portfolio_value. One start serves every book of the same
+    relationships and contracts, whatever the coupling.
     """
-    start = np.array([(*cutoff(e, c.advance, c.slope), e.dist.lower, e.dist.upper)
-                      for e, c in zip(port.economies, port.contracts)]).T
-    start.setflags(write=False)
+    cols, rows = [], []
+    for e, c in zip(port.economies, port.contracts):
+        ts = _cutoff_grid(e)
+        rows.append(_psi_row(e, ts, c.advance, c.slope))
+        cols.append((*_first_crossing(e, ts, rows[-1], c.advance, c.slope, 0.0),
+                     e.dist.lower, e.dist.upper))
+    start = np.array(cols).T, np.array(rows)
+    for part in start:
+        part.setflags(write=False)
     return start
 
 
 def solve_cutoffs(port: PortfolioEconomy) -> PortfolioSolution:
     """Coupled cutoffs from the uncoupled start, with value split and centralities."""
-    x, clamped, residual, iterations = _coupled_cutoffs(port, _uncoupled(port),
-                                                        port.coupling[None])
+    start = _uncoupled(port)
+    x, clamped, residual, iterations = _coupled_cutoffs(port, start, port.coupling[None])
     x, clamped = x[0].copy(), clamped[0]  # a 1-d array, not a view of the stack
-    total, per = portfolio_value(port, x)
+    total, per = portfolio_value(port, x, start)
     return PortfolioSolution(cutoffs=x, clamped=clamped, total_value=total,
                              per_value=per,
                              centralities=_all_centralities(port, x, clamped),
@@ -217,7 +229,7 @@ def solve_cutoffs(port: PortfolioEconomy) -> PortfolioSolution:
                              iterations=int(iterations[0]))
 
 
-def _coupled_cutoffs(port: PortfolioEconomy, start: np.ndarray, couplings):
+def _coupled_cutoffs(port: PortfolioEconomy, start, couplings):
     """Coupled cutoffs by projected Newton, certified by the damped map.
 
     couplings is an L x n x n stack of coupling matrices, the lanes, on
@@ -232,21 +244,25 @@ def _coupled_cutoffs(port: PortfolioEconomy, start: np.ndarray, couplings):
     start is _uncoupled(port), or that of a book with the same
     relationships and contracts. Every lane starts from it and stops on
     its own rules, so its iterates are bit for bit those of a solve of
-    that lane alone. Returns (cutoffs, clamp flags, residuals,
+    that lane alone. A response roots each free cutoff at its load on
+    the start's psi row (_first_crossing), bit for bit
+    cutoff(e, a, b1, load), so no pass prices psi on a grid. Returns (cutoffs, clamp flags, residuals,
     iterations), one row or entry per lane: an L x n array, a list of
     tuples and two arrays. iterations counts Newton steps plus
     damped-map passes, and the clamp flags come from the pass that
     produced the cutoffs.
     """
-    x0, ends = start[0], start[1:]
+    cols, rows = start
+    x0, ends = cols[0], cols[1:]
     codes = np.zeros((len(couplings), len(x0)), dtype=int)
 
     def responses(x, lanes):
         load = _loads(couplings[lanes], _tails(port, x))
         out, pattern = _project(x, load, ends)
         for i, on in _free_columns(pattern == 0):
-            c = port.contracts[i]
-            out[on, i] = cutoff(port.economies[i], c.advance, c.slope, load[on, i])[0]
+            e, c = port.economies[i], port.contracts[i]
+            out[on, i] = _first_crossing(e, _cutoff_grid(e), rows[i], c.advance, c.slope,
+                                         load[on, i])[0]
         codes[lanes] = pattern
         return out
 
@@ -366,18 +382,29 @@ def _tails(port: PortfolioEconomy, x) -> np.ndarray:
     return np.ascontiguousarray((1.0 - cdf).T)
 
 
-def portfolio_value(port: PortfolioEconomy, cutoffs) -> tuple[float, np.ndarray]:
+def portfolio_value(port: PortfolioEconomy, cutoffs, start) -> tuple[float, np.ndarray]:
     """Portfolio value at given cutoffs, with a per-relationship split.
 
     Each relationship books its own screening value minus its advance;
     every pairwise complementarity term counts once in the total and is
-    split half-and-half between the two relationships involved.
+    split half-and-half between the two relationships involved. The
+    screening value is screening_integral(e, x, a, b1, 256). start is
+    _uncoupled(port), or that of a book with the same relationships and
+    contracts: a cutoff exactly at its support's lower end integrates
+    the start's psi row times f by the same Simpson sum on the same
+    grid, bit for bit that integral, without pricing psi again.
     """
     x = np.asarray(cutoffs, float)
+    rows = start[1]
     tails = _tails(port, x[None])[0]
     per = np.empty(len(x))
     for i, (e, c) in enumerate(zip(port.economies, port.contracts)):
-        base = screening_integral(e, float(x[i]), c.advance, c.slope, 256)
+        t, d = float(x[i]), e.dist
+        if t == d.lower:
+            f = np.asarray(d.pdf(_cutoff_grid(e)), float)
+            base = float(_simpson(rows[i] * f, (d.upper - t) / 256))
+        else:
+            base = screening_integral(e, t, c.advance, c.slope, 256)
         pair = 0.5 * float(np.sum(port.coupling[i] * tails)) * tails[i]
         per[i] = base + pair - c.advance
     return float(np.sum(per)), per
@@ -575,10 +602,10 @@ def hump_scan(R_grid, delta: float) -> dict:
     for k, R in enumerate(Rs.tolist()):
         port = symmetric_portfolio(R, delta)
         single = make_portfolio(port.economies, delta=0.0, contracts=port.contracts)
-        x = _coupled_cutoffs(port, _uncoupled(port),
-                             np.array([port.coupling, single.coupling]))[0]
-        vals[k] = portfolio_value(port, x[0])[0]
-        alone[k] = portfolio_value(single, x[1])[0]
+        start = _uncoupled(port)
+        x = _coupled_cutoffs(port, start, np.array([port.coupling, single.coupling]))[0]
+        vals[k] = portfolio_value(port, x[0], start)[0]
+        alone[k] = portfolio_value(single, x[1], start)[0]
     slopes = np.diff(vals) / np.diff(Rs)
     positive = []
     start = None
@@ -618,8 +645,8 @@ def independent_cutoff_value(port: PortfolioEconomy) -> dict:
     """
     start = _uncoupled(port)
     coupled, _ = portfolio_value(port, _coupled_cutoffs(port, start,
-                                                        port.coupling[None])[0][0])
-    v_ind, _ = portfolio_value(port, start[0])
+                                                        port.coupling[None])[0][0], start)
+    v_ind, _ = portfolio_value(port, start[0][0], start)
     scale = max(abs(coupled), abs(v_ind), 1e-9)
     return {"coupled": coupled, "at_independent": v_ind,
             "relative_loss": (v_ind - coupled) / scale}

@@ -29,7 +29,6 @@ from liqscreen.bilateral import (
     ir_slope,
     pure_advance_value,
     pure_contingent_value,
-    rent_schedule,
     rent_tail,
     screening_integral,
     served_interval,
@@ -40,11 +39,11 @@ from liqscreen.bilateral import (
     sweep_R,
     virtual_surplus,
 )
-from liqscreen.economy import (FinancingCost, benchmark, bimodal, power,
-                               truncated_exponential)
+from liqscreen.economy import (FinancingCost, benchmark, bimodal, cost_slope,
+                               power, signal_slope, truncated_exponential)
 from liqscreen.errors import BracketError, DomainError
 from liqscreen.extensions import solve_renegotiation
-from liqscreen.numerics import best_candidate
+from liqscreen.numerics import best_candidate, integrate
 from liqscreen.portfolio import solve_cutoffs, symmetric_portfolio
 
 
@@ -125,11 +124,21 @@ def test_cutoff_keeps_numpy_inf_where_the_density_vanishes():
     assert econ.dist.lower < that < econ.dist.upper
 
 
+def _rent_schedule(econ, b1, theta):
+    """Reference: information rent of type theta, the integral of
+    b1*mu' - c' from the bottom type."""
+    lo = econ.dist.lower
+    if theta <= lo:
+        return 0.0
+    return integrate(lambda t: b1 * signal_slope(econ, t) - cost_slope(econ, t),
+                     lo, theta, panels=256)
+
+
 def test_rent_schedule_zero_slope_is_pure_cost():
     econ = benchmark(v=2.0, mu0=0.0, K=1.0, R=1.0)
     # pre-participation-offset rent integrates -c' when b1 = 0
-    assert abs(rent_schedule(econ, 0.0, 0.7) - (-0.7)) < 1e-9
-    assert rent_schedule(econ, 0.0, 0.0) == 0.0
+    assert abs(_rent_schedule(econ, 0.0, 0.7) - (-0.7)) < 1e-9
+    assert _rent_schedule(econ, 0.0, 0.0) == 0.0
 
 
 def test_solve_optimal_uninformative_prefers_advance_only():
@@ -280,10 +289,10 @@ def test_no_root_prices_a_bracket_end_twice(monkeypatch):
         solve_renegotiation(econ, 0.5)
     crossing_threshold(benchmark(v=2.0, mu0=0.0))
     solve_cutoffs(symmetric_portfolio(1.0, 0.6))
-    # each of the five callers holds both end values and gives them; the
-    # book's responses root psi + load inside cutoff
+    # each of the five callers holds both end values and gives them; cutoff
+    # and the book's responses root psi + load inside _first_crossing
     assert {caller for caller, _, _ in roots} == {
-        "_served", "binding_ir_advance", "cutoff", "crossing_threshold",
+        "_served", "binding_ir_advance", "_first_crossing", "crossing_threshold",
         "solve_renegotiation"}
     assert all(given for _, given, _ in roots)
 

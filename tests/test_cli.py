@@ -218,15 +218,16 @@ def test_negative_signal_scale_config_is_rejected_at_load(tmp_path, capsys):
 
 
 def test_truncated_exponential_rate_too_small_is_rejected_at_load(tmp_path, capsys):
-    # its nan types made verify write "worst_violation": NaN and pass
-    # rent_identity at worst 0
-    cfg = tmp_path / "tiny_rate.json"
-    cfg.write_text(json.dumps(
-        {"dist": {"kind": "truncated_exponential", "params": {"rate": 1e-20}}}))
-    assert main(["--config", str(cfg), "--out", str(tmp_path), "verify"]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: "), err
-    assert not (tmp_path / "verify_report.json").exists()
+    # at 1e-20 its nan types made verify write "worst_violation": NaN and
+    # pass rent_identity at worst 0; at 1e-9 its cdf loses 1e-7 relative
+    for rate in (1e-20, 1e-9):
+        cfg = tmp_path / "tiny_rate.json"
+        cfg.write_text(json.dumps(
+            {"dist": {"kind": "truncated_exponential", "params": {"rate": rate}}}))
+        assert main(["--config", str(cfg), "--out", str(tmp_path), "verify"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: "), err
+        assert not (tmp_path / "verify_report.json").exists()
 
 
 # malformed values used to end in a TypeError or AttributeError traceback

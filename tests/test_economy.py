@@ -64,6 +64,22 @@ def test_truncated_exponential_rejects_a_rate_whose_normaliser_rounds_to_0():
         truncated_exponential(1e-20)
 
 
+def test_truncated_exponential_rejects_a_rate_that_loses_accuracy():
+    # 1 - exp(-rate * (hi - lo)) cancels: at rate * (hi - lo) = 1e-9,
+    # cdf(0.5) is off by 1.1e-7 relative
+    for rate, lo, hi in ((1e-9, 0.0, 1.0), (1e-6, 0.0, 1e-3)):
+        with pytest.raises(DomainError, match="too small"):
+            truncated_exponential(rate, lo, hi)
+    # at 1e-7 the kept formula is within 1e-8 relative of the expm1 form
+    rate = 1e-7
+    d = truncated_exponential(rate)
+    ts = np.linspace(0.0, 1.0, 11)[1:]
+    cdf = np.expm1(-rate * ts) / math.expm1(-rate)
+    pdf = rate * np.exp(-rate * ts) / -math.expm1(-rate)
+    assert np.max(np.abs(d.cdf(ts) / cdf - 1.0)) <= 1e-8
+    assert np.max(np.abs(d.pdf(ts) / pdf - 1.0)) <= 1e-8
+
+
 def test_power_distribution_shape():
     d = power(2.0)
     assert abs(float(d.cdf(0.5)) - 0.25) < 1e-12

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from liqscreen import portfolio
+from liqscreen import bilateral, portfolio
 from liqscreen.bilateral import (binding_ir_advance, cutoff, screening_integral,
                                  solve_mixed, virtual_surplus)
 from liqscreen.cli import R_TABLE
@@ -205,7 +205,7 @@ def test_cutoff_at_a_load_roots_psi_plus_load_over_the_support(dist):
 def test_portfolio_value_consistent_with_solution():
     port = symmetric_portfolio(1.0, 0.8)
     sol = solve_cutoffs(port)
-    total, per = portfolio_value(port, sol.cutoffs)
+    total, per = portfolio_value(port, sol.cutoffs, portfolio._uncoupled(port))
     assert abs(total - sol.total_value) < 1e-12
     assert abs(float(np.sum(per)) - total) < 1e-12
 
@@ -386,33 +386,84 @@ def test_damped_fallback_budget_exhaustion_raises(monkeypatch):
         solve_cutoffs(symmetric_portfolio(0.5, 2.0))
 
 
-@pytest.mark.parametrize("v_odd, delta, state", [
-    (2.0, 2.0, "all_served"),
-    (2.0, 0.002, "none"),
-    # v = 1.3 serves no type uncoupled, so Newton starts these five
-    # cutoffs at the top of the support, where psi' needs the inner stencil
-    (1.3, 0.05, "none"),
-], ids=["all_served", "interior", "interior_from_top"])
-def test_book_solve_makes_at_most_two_response_passes(monkeypatch, v_odd,
-                                                      delta, state):
-    calls = []
-    real = portfolio.cutoff
-
-    def counted(*args):
-        if len(args) > 3:  # a response at a book load, not an uncoupled start
-            calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(portfolio, "cutoff", counted)
-    n = 10
-    port = make_portfolio([benchmark(v=v_odd if i % 2 else 2.0, R=float(R))
+def _alternating_book(v_odd, delta, n=10):
+    """n benchmark relationships at spread tightness, every other one at v_odd."""
+    return make_portfolio([benchmark(v=v_odd if i % 2 else 2.0, R=float(R))
                            for i, R in enumerate(np.linspace(0.5, 3.0, n))],
                           delta=delta)
+
+
+@pytest.mark.parametrize("book, state, passes", [
+    (lambda: _alternating_book(2.0, 2.0), "all_served", 0),
+    (lambda: _alternating_book(2.0, 0.002), "none", 2),
+    # v = 1.3 serves no type uncoupled, so Newton starts these five
+    # cutoffs at the top of the support, where psi' needs the inner stencil
+    (lambda: _alternating_book(1.3, 0.05), "none", 2),
+    # an unstable interior fixed point: Newton hands over at once and the
+    # damped map crawls 41 passes to the all-served corner
+    (lambda: symmetric_portfolio(0.5, 2.0), "all_served", 41),
+], ids=["all_served", "interior", "interior_from_top", "crawl_to_corner"])
+def test_book_solve_makes_at_most_two_response_passes(monkeypatch, book, state,
+                                                      passes):
+    priced, responses = [], []
+
+    def counted(real, calls):
+        def call(*args):
+            calls.append(args)
+            return real(*args)
+        return call
+
+    # psi rows are priced in bilateral (cutoff) or in portfolio (the start)
+    for mod in (bilateral, portfolio):
+        monkeypatch.setattr(mod, "_psi_row", counted(mod._psi_row, priced))
+    real = portfolio._first_crossing
+
+    def crossing(econ, ts, psi, a, b1, load):
+        if isinstance(load, np.ndarray):  # a response at a book load, not the start
+            responses.append(load)
+        return real(econ, ts, psi, a, b1, load)
+
+    monkeypatch.setattr(portfolio, "_first_crossing", crossing)
+    port = book()
+    n = len(port.economies)
     sol = solve_cutoffs(port)
     assert sol.clamped == (state,) * n
-    # the damped map alone makes 38 to 42 passes of n calls on such books;
-    # clamped relationships skip the root
-    assert len(calls) <= (0 if state == "all_served" else 2 * n)
+    # one psi row per relationship per solve, however many passes read it
+    assert len(priced) == n
+    # the damped map alone makes 38 to 42 passes of n responses on the
+    # ten-relationship books; clamped relationships skip the root
+    assert len(responses) <= passes * n
+
+
+def test_book_values_and_responses_equal_the_routes_that_price_psi_again(monkeypatch):
+    # an all-served value sums the start's psi row times f, and a response
+    # roots psi + load on that row: each is bit for bit the route that
+    # prices psi again, screening_integral at the lower end and cutoff
+    crossings = []
+    real = portfolio._first_crossing
+
+    def recorded(econ, ts, psi, a, b1, load):
+        out = real(econ, ts, psi, a, b1, load)
+        crossings.append((econ, a, b1, load, out[0]))
+        return out
+
+    monkeypatch.setattr(portfolio, "_first_crossing", recorded)
+    got, want = [], []
+    for port in _symmetric_books() + _random_books():
+        sol = solve_cutoffs(port)
+        tails = portfolio._tails(port, sol.cutoffs[None])[0]
+        for i, (e, c) in enumerate(zip(port.economies, port.contracts)):
+            if sol.clamped[i] == "all_served":
+                pair = 0.5 * float(np.sum(port.coupling[i] * tails)) * tails[i]
+                got.append(sol.per_value[i])
+                want.append(screening_integral(e, e.dist.lower, c.advance, c.slope, 256)
+                            + pair - c.advance)
+    assert len(got) > 200
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    responses = [x for x in crossings if isinstance(x[3], np.ndarray)]
+    assert len(responses) > 300
+    for econ, a, b1, load, x in crossings:
+        assert np.array(cutoff(econ, a, b1, load)[0]).tobytes() == np.array(x).tobytes()
 
 
 def test_contagion_derivative_sign_flips_with_coupling():
@@ -447,7 +498,7 @@ def test_coupled_cutoffs_from_one_shared_start_equal_full_solves(R):
     c = calibrated_contract(econ)
     book = _book_of(econ, 0.0, c)
     start = portfolio._uncoupled(book)
-    before = start.tobytes()
+    before = [part.tobytes() for part in start]
     couplings = np.array([_book_of(econ, float(d), c).coupling for d in _TABLE_DELTAS])
     lanes = portfolio._coupled_cutoffs(book, start, couplings)
     for k, delta in enumerate(_TABLE_DELTAS):
@@ -456,7 +507,7 @@ def test_coupled_cutoffs_from_one_shared_start_equal_full_solves(R):
         assert x.tobytes() == sol.cutoffs.tobytes(), delta
         assert (flags, residual, iterations) \
             == (sol.clamped, sol.residual, sol.iterations), delta
-    assert start.tobytes() == before
+    assert [part.tobytes() for part in start] == before
 
 
 # the table's couplings at every tightness, and R = 0.5 at couplings above
@@ -518,9 +569,9 @@ def test_a_singular_lane_leaves_the_other_lanes_their_newton_moves():
 
 
 def test_a_solve_start_is_read_only():
-    start = portfolio._uncoupled(symmetric_portfolio(1.0, 0.5))
-    assert start.shape == (5, 2)
-    for row in (start, start[0], start[1:]):
+    cols, rows = portfolio._uncoupled(symmetric_portfolio(1.0, 0.5))
+    assert cols.shape == (5, 2) and rows.shape == (2, 257)
+    for row in (cols, cols[0], cols[1:], rows, rows[0]):
         assert not row.flags.writeable
         with pytest.raises(ValueError):
             row[..., 0] = 0.5

@@ -152,15 +152,29 @@ def slope_cap(econ: EconomyPrimitives) -> float:
 # virtual surplus and the screening program
 
 
+def _type_rows(econ, t):
+    """V - c, mu' and (1 - F)/f at types t: the rows that psi combines with phi and b1."""
+    return (np.asarray(econ.surplus(t), float) - np.asarray(econ.cost(t), float),
+            signal_slope(econ, t), wedge(econ.dist, t))
+
+
 def _psi(econ, t, phi, b1):
     """V - c - phi - b1 * mu' * (1 - F)/f at types t, one row per lane of phi, b1.
 
-    phi and b1 are floats, or column arrays with one lane per row. The
-    association ((V - c) - phi) - (b1 * mu') * (1 - F)/f is the same
-    for every shape, so each lane's row is bit for bit the scalar one.
+    phi and b1 are floats, or column arrays with one lane per row.
     """
-    return (np.asarray(econ.surplus(t), float) - np.asarray(econ.cost(t), float)
-            - phi - b1 * signal_slope(econ, t) * wedge(econ.dist, t))
+    return _psi_from(_type_rows(econ, t), phi, b1)
+
+
+def _psi_from(rows, phi, b1):
+    """psi from _type_rows' rows.
+
+    The association ((V - c) - phi) - (b1 * mu') * (1 - F)/f is the same
+    for every shape of phi and b1, so each lane's row is bit for bit the
+    scalar one.
+    """
+    gains, mu_p, w = rows
+    return gains - phi - b1 * mu_p * w
 
 
 def virtual_surplus(econ: EconomyPrimitives, theta, a: float, b1: float):

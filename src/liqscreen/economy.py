@@ -12,7 +12,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -300,32 +300,58 @@ def benchmark(v: float = 2.0, mu0: float = 0.0, K: float = 1.0, R: float = 1.0,
     mu = mu0 + signal_scale*theta (kind "affine") or mu identically 0
     (kind "flat", which requires mu0 = 0). A negative affine scale is
     rejected: the signal would fall in the type, and so is a v, mu0 or
-    signal_scale that is not finite.
+    signal_scale that is not finite. The type primitives (the
+    distribution, V, c, mu, c' and mu') are built once per distinct
+    (v, mu0, signal_kind, signal_scale, dist), so economies that differ
+    only in K or R share them as objects (_benchmark_types).
     """
     if not all(math.isfinite(x) for x in (v, mu0, signal_scale)):
         raise DomainError("benchmark v, mu0 and signal scale must be finite")
     if signal_kind == "affine":
         if signal_scale < 0:
             raise DomainError("affine signal scale must be nonnegative")
-        mu = (lambda t, s=signal_scale: mu0 + s * np.asarray(t, float))
-        mu_prime = (lambda t, s=signal_scale: s * np.ones_like(np.asarray(t, float)))
     elif signal_kind == "flat":
         if mu0 != 0.0:
             raise DomainError("flat signal requires mu0 = 0")
-        mu = (lambda t: np.zeros_like(np.asarray(t, float)))
-        mu_prime = (lambda t: np.zeros_like(np.asarray(t, float)))
     else:
         raise DomainError(f"unknown signal kind {signal_kind!r}")
+    params = (float(v), float(mu0), signal_kind, float(signal_scale), dist)
+    try:
+        types = _benchmark_types(*params)
+    except TypeError:  # a dist holding an unhashable callable is built uncached
+        types = _benchmark_types.__wrapped__(*params)
+    dist, surplus, cost, mu, cost_prime, mu_prime = types
     return EconomyPrimitives(
-        dist=dist if dist is not None else uniform(),
-        surplus=lambda t: v * np.asarray(t, float),
-        cost=lambda t: np.asarray(t, float),
-        signal_mean=mu,
+        dist=dist, surplus=surplus, cost=cost, signal_mean=mu,
         financing=FinancingCost(tightness=R),
         working_capital=K,
-        cost_prime=lambda t: np.ones_like(np.asarray(t, float)),
+        cost_prime=cost_prime,
         signal_mean_prime=mu_prime,
         label=f"benchmark(v={v}, mu0={mu0}, K={K}, R={R})")
+
+
+_UNIT_UNIFORM = uniform()  # benchmark's types when no dist is given
+
+
+@lru_cache(maxsize=32)
+def _benchmark_types(v, mu0, signal_kind, signal_scale, dist):
+    """benchmark's type primitives (dist, V, c, mu, c', mu') for validated parameters.
+
+    Cached on the parameters, so each distinct set is built once while
+    it stays among the 32 most recently used.
+    """
+    if signal_kind == "affine":
+        mu = (lambda t, s=signal_scale: mu0 + s * np.asarray(t, float))
+        mu_prime = (lambda t, s=signal_scale: s * np.ones_like(np.asarray(t, float)))
+    else:
+        mu = (lambda t: np.zeros_like(np.asarray(t, float)))
+        mu_prime = (lambda t: np.zeros_like(np.asarray(t, float)))
+    return (_UNIT_UNIFORM if dist is None else dist,
+            lambda t: v * np.asarray(t, float),
+            lambda t: np.asarray(t, float),
+            mu,
+            lambda t: np.ones_like(np.asarray(t, float)),
+            mu_prime)
 
 
 def with_tightness(econ: EconomyPrimitives, R: float) -> EconomyPrimitives:

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .bilateral import (Contract, _cutoff_grid, _envelope_slope, _first_crossing,
-                        _psi_row, binding_ir_advance, cutoff, screening_integral,
-                        virtual_surplus)
-from .economy import (EconomyPrimitives, benchmark, marginal_ell, marginal_r,
-                      with_tightness)
+                        _psi_from, _type_rows, binding_ir_advance, cutoff,
+                        screening_integral, virtual_surplus)
+from .economy import (EconomyPrimitives, benchmark, financing_cost, marginal_ell,
+                      marginal_r, with_tightness)
 from .errors import DegeneracyError, DomainError
 from .numerics import Tolerance, _simpson, fixed_point
 
@@ -50,7 +51,9 @@ def slope_calibration(R: float) -> float:
 
 
 def slope_calibration_prime(R: float) -> float:
-    """Derivative of the calibration schedule."""
+    """Derivative of the calibration schedule, on slope_calibration's domain."""
+    if R < 0:
+        raise DomainError("tightness must be nonnegative")
     if R <= 1.5:
         return -0.7 * math.exp(-2.0 * (R - 1.0))
     return -0.35 * math.exp(-1.0) * 1.5 / (R * R)
@@ -116,6 +119,24 @@ class PortfolioEconomy:
             raise DomainError("complementarities must be nonnegative")
         if len(self.contracts) != n:
             raise DomainError("one contract per economy required")
+
+    @cached_property
+    def _type_groups(self) -> list[np.ndarray]:
+        """Indices of the relationships that share type primitives, one array per group.
+
+        Relationships share when their dist, surplus, cost, signal_mean
+        and signal_mean_prime are the same objects, as benchmark builds
+        them for equal type parameters and with_tightness copies them.
+        These fix psi's rows V - c, mu' and (1 - F)/f and the cdf. Any
+        other relationship, hand-built or re-wrapped, is a group of one.
+        Built once per book: its economies are a tuple of frozen objects.
+        """
+        groups = {}
+        for i, e in enumerate(self.economies):
+            key = tuple(map(id, (e.dist, e.surplus, e.cost, e.signal_mean,
+                                 e.signal_mean_prime)))
+            groups.setdefault(key, []).append(i)
+        return [np.array(g) for g in groups.values()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,19 +219,29 @@ def _uncoupled(port: PortfolioEconomy) -> tuple[np.ndarray, np.ndarray]:
     uncoupled cutoff, cutoff(e, a, b1) at load 0 for each relationship's
     contract; rows 1-4 are _project's ends: psi(lower), psi(upper),
     lower and upper. rows is n x 257: each relationship's psi on
-    cutoff's type grid, priced once here. The rows depend on neither the
-    coupling nor the load, so every later step that needs psi on that
-    grid reads them: the damped map's responses and the all-served
-    values of portfolio_value. One start serves every book of the same
-    relationships and contracts, whatever the coupling.
+    cutoff's type grid. Each group of relationships that share type
+    primitives (port._type_groups) prices that grid and its rows V - c,
+    mu' and (1 - F)/f once; each member's psi row is then written into
+    rows, bit for bit _psi_row's, and roots its own zero-load crossing.
+    The rows depend on neither the coupling nor the load, so every later
+    step that needs psi on that grid reads them: the damped map's
+    responses and the all-served values of portfolio_value. One start
+    serves every book of the same relationships and contracts, whatever
+    the coupling.
     """
-    cols, rows = [], []
-    for e, c in zip(port.economies, port.contracts):
-        ts = _cutoff_grid(e)
-        rows.append(_psi_row(e, ts, c.advance, c.slope))
-        cols.append((*_first_crossing(e, ts, rows[-1], c.advance, c.slope, 0.0),
-                     e.dist.lower, e.dist.upper))
-    start = np.array(cols).T, np.array(rows)
+    n = len(port.economies)
+    cols, rows = np.empty((n, 5)), np.empty((n, 257))
+    for group in port._type_groups:
+        first = port.economies[group[0]]
+        ts = _cutoff_grid(first)
+        type_rows = _type_rows(first, ts)
+        for i in group.tolist():
+            e, c = port.economies[i], port.contracts[i]
+            phi = financing_cost(e.financing, e.working_capital - c.advance)
+            rows[i] = _psi_from(type_rows, phi, c.slope)
+            cols[i] = (*_first_crossing(e, ts, rows[i], c.advance, c.slope, 0.0),
+                       e.dist.lower, e.dist.upper)
+    start = cols.T, rows
     for part in start:
         part.setflags(write=False)
     return start
@@ -374,12 +405,16 @@ def _loads(couplings, tails):
 def _tails(port: PortfolioEconomy, x) -> np.ndarray:
     """Mass 1 - F_i(x_i) each relationship serves at its cutoff.
 
-    x holds one row of cutoffs per lane; each relationship takes one
-    cdf call over the lanes. The result is C-contiguous, so the loads'
+    x holds one row of cutoffs per lane; each group of port._type_groups
+    takes one cdf call over its columns and lanes, elementwise the cdf
+    call of each relationship. The result is C-contiguous, so the loads'
     stacked matmul sees one layout whatever the number of lanes.
     """
-    cdf = np.array([e.dist.cdf(t) for e, t in zip(port.economies, x.T)], float)
-    return np.ascontiguousarray((1.0 - cdf).T)
+    tails = np.empty(x.shape)
+    for group in port._type_groups:
+        cdf = port.economies[group[0]].dist.cdf
+        tails[:, group] = 1.0 - np.asarray(cdf(x[:, group]), float)
+    return tails
 
 
 def portfolio_value(port: PortfolioEconomy, cutoffs, start) -> tuple[float, np.ndarray]:

@@ -2,11 +2,12 @@
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
+from liqscreen import economy
 from liqscreen.economy import (
     FinancingCost,
     TypeDistribution,
@@ -212,6 +213,57 @@ def test_with_tightness_replaces_only_financing():
     assert moved.financing.tightness == 3.0
     assert moved.dist is econ.dist
     assert econ.financing.tightness == 1.0
+
+
+_TYPE_PRIMITIVES = ("dist", "surplus", "cost", "signal_mean", "cost_prime",
+                    "signal_mean_prime")
+
+
+def _shared(e1, e2):
+    """Which of the type primitives two economies hold as one object."""
+    return [getattr(e1, k) is getattr(e2, k) for k in _TYPE_PRIMITIVES]
+
+
+def test_benchmark_shares_type_primitives_per_type_parameters():
+    base = benchmark(v=2.5, mu0=0.1, signal_scale=0.8, R=1.0)
+    for other in (benchmark(v=2.5, mu0=0.1, signal_scale=0.8, R=2.0),
+                  benchmark(v=2.5, mu0=0.1, signal_scale=0.8, K=1.5),
+                  with_tightness(base, 3.0)):
+        assert _shared(base, other) == [True] * 6
+    # any other type parameter builds its own callables; without a dist
+    # every benchmark takes the one unit uniform
+    for other in (benchmark(v=2.4, mu0=0.1, signal_scale=0.8),
+                  benchmark(v=2.5, mu0=0.2, signal_scale=0.8),
+                  benchmark(v=2.5, mu0=0.1, signal_scale=0.7),
+                  benchmark(v=2.5, signal_kind="flat")):
+        assert _shared(base, other) == [True] + [False] * 5
+    types = uniform()
+    on_types = benchmark(v=2.5, mu0=0.1, signal_scale=0.8, dist=types)
+    assert on_types.dist is types
+    assert _shared(base, on_types) == [False] * 6
+    assert _shared(on_types, benchmark(v=2.5, mu0=0.1, signal_scale=0.8, R=3.0,
+                                       dist=types)) == [True] * 6
+    assert _shared(on_types, benchmark(v=2.5, mu0=0.1, signal_scale=0.8,
+                                       dist=uniform())) == [False] * 6
+    # a dist with an unhashable callable cannot key the cache: it is built afresh
+    @dataclass
+    class Cdf:
+        def __call__(self, t):
+            return np.asarray(t, float)
+
+    odd = TypeDistribution(0.0, 1.0, cdf=Cdf(), pdf=np.ones_like)
+    assert benchmark(dist=odd).dist is odd
+    assert benchmark(dist=odd).surplus is not benchmark(dist=odd).surplus
+    # so two benchmarks of equal parameters are equal economies
+    assert benchmark(R=1.0) == benchmark(R=1.0)
+    assert benchmark(R=1.0) != benchmark(R=2.0)
+
+
+def test_benchmark_type_cache_stays_at_its_bound():
+    bound = economy._benchmark_types.cache_info().maxsize
+    for k in range(bound + 5):
+        benchmark(v=3.0 + k / 64)
+    assert economy._benchmark_types.cache_info().currsize == bound
 
 
 def test_working_capital_must_be_positive():

@@ -1,6 +1,7 @@
 """Multi-relationship coupling: fixed points, contagion, book statics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from liqscreen import bilateral, portfolio
 from liqscreen.bilateral import (binding_ir_advance, cutoff, screening_integral,
                                  solve_mixed, virtual_surplus)
 from liqscreen.cli import R_TABLE
-from liqscreen.economy import (benchmark, marginal_r, truncated_exponential,
+from liqscreen.economy import (EconomyPrimitives, FinancingCost, benchmark,
+                               marginal_r, power, truncated_exponential, uniform,
                                with_tightness)
 from liqscreen.errors import ConvergenceError, DegeneracyError, DomainError
 from liqscreen.numerics import Bracket, Tolerance, find_root
@@ -50,6 +52,9 @@ def test_slope_calibration_prime_matches_finite_difference():
     for R in (0.7, 1.2, 2.5):
         fd = (slope_calibration(R + 1e-6) - slope_calibration(R - 1e-6)) / 2e-6
         assert abs(fd - slope_calibration_prime(R)) < 1e-6
+    # the schedule is defined from R = 0, and so is its derivative
+    with pytest.raises(DomainError):
+        slope_calibration_prime(-0.1)
 
 
 def _schedule_fd(econ, h=1e-5):
@@ -393,18 +398,18 @@ def _alternating_book(v_odd, delta, n=10):
                           delta=delta)
 
 
-@pytest.mark.parametrize("book, state, passes", [
-    (lambda: _alternating_book(2.0, 2.0), "all_served", 0),
-    (lambda: _alternating_book(2.0, 0.002), "none", 2),
+@pytest.mark.parametrize("book, state, passes, groups", [
+    (lambda: _alternating_book(2.0, 2.0), "all_served", 0, 1),
+    (lambda: _alternating_book(2.0, 0.002), "none", 2, 1),
     # v = 1.3 serves no type uncoupled, so Newton starts these five
     # cutoffs at the top of the support, where psi' needs the inner stencil
-    (lambda: _alternating_book(1.3, 0.05), "none", 2),
+    (lambda: _alternating_book(1.3, 0.05), "none", 2, 2),
     # an unstable interior fixed point: Newton hands over at once and the
     # damped map crawls 41 passes to the all-served corner
-    (lambda: symmetric_portfolio(0.5, 2.0), "all_served", 41),
+    (lambda: symmetric_portfolio(0.5, 2.0), "all_served", 41, 1),
 ], ids=["all_served", "interior", "interior_from_top", "crawl_to_corner"])
 def test_book_solve_makes_at_most_two_response_passes(monkeypatch, book, state,
-                                                      passes):
+                                                      passes, groups):
     priced, responses = [], []
 
     def counted(real, calls):
@@ -413,9 +418,10 @@ def test_book_solve_makes_at_most_two_response_passes(monkeypatch, book, state,
             return real(*args)
         return call
 
-    # psi rows are priced in bilateral (cutoff) or in portfolio (the start)
-    for mod in (bilateral, portfolio):
-        monkeypatch.setattr(mod, "_psi_row", counted(mod._psi_row, priced))
+    # the grid's rows are priced by cutoff (_psi_row) or once per group of
+    # relationships that share type primitives (the start's _type_rows)
+    monkeypatch.setattr(bilateral, "_psi_row", counted(bilateral._psi_row, priced))
+    monkeypatch.setattr(portfolio, "_type_rows", counted(portfolio._type_rows, priced))
     real = portfolio._first_crossing
 
     def crossing(econ, ts, psi, a, b1, load):
@@ -428,11 +434,111 @@ def test_book_solve_makes_at_most_two_response_passes(monkeypatch, book, state,
     n = len(port.economies)
     sol = solve_cutoffs(port)
     assert sol.clamped == (state,) * n
-    # one psi row per relationship per solve, however many passes read it
-    assert len(priced) == n
+    # one pricing per group per solve, however many relationships and
+    # passes read the rows: the books' benchmarks differ in R or not at all
+    assert len(priced) == groups
     # the damped map alone makes 38 to 42 passes of n responses on the
     # ten-relationship books; clamped relationships skip the root
     assert len(responses) <= passes * n
+
+
+def _rewrapped(econ):
+    """econ with every callable wrapped afresh: it shares no primitive."""
+    def fresh(f):
+        return None if f is None else (lambda t: f(t))
+
+    d = econ.dist
+    return replace(econ, dist=replace(d, cdf=fresh(d.cdf), pdf=fresh(d.pdf)),
+                   **{k: fresh(getattr(econ, k)) for k in
+                      ("surplus", "cost", "signal_mean", "cost_prime", "signal_mean_prime")})
+
+
+def _hand_built(R):
+    """A curved signal with no mu' closure, so psi takes the central difference."""
+    return EconomyPrimitives(dist=uniform(), surplus=lambda t: 2.2 * np.asarray(t, float),
+                             cost=lambda t: np.asarray(t, float),
+                             signal_mean=lambda t: 0.1 + np.asarray(t, float)
+                             + 0.5 * np.asarray(t, float) ** 2,
+                             financing=FinancingCost(tightness=R))
+
+
+def _grouping_books(count=30):
+    """Books of 2-25 relationships that mix shared and unshared type primitives.
+
+    Benchmarks on one uniform, truncated-exponential or power type
+    object per book with v and mu0 from short lists (so several
+    relationships share), with_tightness copies, and one hand-built
+    economy held twice; the last book is two copies of one benchmark.
+    """
+    rng = np.random.Generator(np.random.Philox(32))
+    books = []
+    for _ in range(count - 1):
+        n = int(rng.integers(2, 26))
+        types = (None, truncated_exponential(float(rng.uniform(0.5, 3.0))),
+                 power(float(rng.choice([0.8, 2.0]))))
+        hand = _hand_built(float(rng.uniform(0.5, 3.0)))
+        econs = []
+        for _ in range(n):
+            pick, R = int(rng.integers(0, 6)), float(rng.uniform(0.5, 3.0))
+            if pick < 3:
+                econs.append(benchmark(v=float(rng.choice([1.6, 2.0, 2.4])),
+                                       mu0=float(rng.choice([0.0, 0.2])), R=R,
+                                       dist=types[pick]))
+            elif pick == 3 and econs:
+                econs.append(with_tightness(econs[int(rng.integers(len(econs)))], R))
+            else:
+                econs.append(hand)
+        coupling = np.triu(rng.uniform(0.0, 1.0, (n, n)), 1)
+        coupling *= 3.0 * 10.0 ** rng.uniform(-3.0, 0.0) \
+            / coupling[np.triu_indices(n, 1)].mean()
+        books.append(make_portfolio(econs, coupling=coupling + coupling.T))
+    return books + [two_copy_book(0.3, 0.2, 0.5)]
+
+
+def _solved_bytes(port):
+    """Every PortfolioSolution field's bytes, or the failure and its last iterate."""
+    try:
+        sol = solve_cutoffs(port)
+    except ConvergenceError as exc:
+        return str(exc), exc.last.tobytes()
+    return (sol.cutoffs.tobytes(), sol.clamped, np.float64(sol.total_value).tobytes(),
+            sol.per_value.tobytes(), sol.centralities.tobytes(),
+            np.float64(sol.residual).tobytes(), sol.iterations)
+
+
+def test_grouping_relationships_by_shared_primitives_changes_no_bit(monkeypatch):
+    # a central-difference mu' leaves the responses noise near 1e-11, so the
+    # damped map can stall above abs_f = 1e-12 (one book here does); such a
+    # book must then fail alike both ways, and a short budget keeps it quick
+    monkeypatch.setattr(portfolio, "FP_TOL", Tolerance(abs_x=1e-10, abs_f=1e-12,
+                                                       max_iter=120))
+    shared, failed = 0, 0
+    # power(2) has f(lower) = 0, so its wedge and psi there are infinite
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k, port in enumerate(_grouping_books()):
+            n = len(port.economies)
+            alone = make_portfolio([_rewrapped(e) for e in port.economies],
+                                   coupling=port.coupling, contracts=port.contracts)
+            assert len(alone._type_groups) == n
+            assert sorted(np.concatenate(port._type_groups).tolist()) == list(range(n))
+            shared += n - len(port._type_groups)
+            got = _solved_bytes(port)
+            assert got == _solved_bytes(alone), k
+            failed += isinstance(got[0], str)
+            # the start's rows and ends are cutoff's, relationship by relationship
+            cols, rows = portfolio._uncoupled(port)
+            for i, (e, c) in enumerate(zip(port.economies, port.contracts)):
+                ts = bilateral._cutoff_grid(e)
+                row = bilateral._psi_row(e, ts, c.advance, c.slope)
+                assert rows[i].tobytes() == row.tobytes(), (k, i)
+                want = (*cutoff(e, c.advance, c.slope), e.dist.lower, e.dist.upper)
+                assert cols[:, i].tobytes() == np.array(want).tobytes(), (k, i)
+            # one cdf call per group is each relationship's own cdf call
+            x = np.array([cols[0], np.linspace(0.05, 0.95, n), np.linspace(1.0, 0.0, n)])
+            want = np.array([1.0 - np.asarray(e.dist.cdf(x[:, i]), float)
+                             for i, e in enumerate(port.economies)]).T
+            assert portfolio._tails(port, x).tobytes() == want.tobytes(), k
+    assert shared > 150 and failed < 3
 
 
 def test_book_values_and_responses_equal_the_routes_that_price_psi_again(monkeypatch):

@@ -158,18 +158,11 @@ def _type_rows(econ, t):
             signal_slope(econ, t), wedge(econ.dist, t))
 
 
-def _psi(econ, t, phi, b1):
-    """V - c - phi - b1 * mu' * (1 - F)/f at types t, one row per lane of phi, b1.
-
-    phi and b1 are floats, or column arrays with one lane per row.
-    """
-    return _psi_from(_type_rows(econ, t), phi, b1)
-
-
 def _psi_from(rows, phi, b1):
-    """psi from _type_rows' rows.
+    """V - c - phi - b1 * mu' * (1 - F)/f from _type_rows' rows.
 
-    The association ((V - c) - phi) - (b1 * mu') * (1 - F)/f is the same
+    phi and b1 are floats, or column arrays with one lane per row. The
+    association ((V - c) - phi) - (b1 * mu') * (1 - F)/f is the same
     for every shape of phi and b1, so each lane's row is bit for bit the
     scalar one.
     """
@@ -182,8 +175,9 @@ def virtual_surplus(econ: EconomyPrimitives, theta, a: float, b1: float):
 
     V - c - Phi(K - a) - b1 * mu' * (1 - F)/f; elementwise over theta.
     """
-    out = _psi(econ, np.asarray(theta, dtype=float),
-               financing_cost(econ.financing, econ.working_capital - a), b1)
+    t = np.asarray(theta, dtype=float)
+    out = _psi_from(_type_rows(econ, t),
+                    financing_cost(econ.financing, econ.working_capital - a), b1)
     return float(out) if np.isscalar(theta) else out
 
 
@@ -210,13 +204,18 @@ def _cutoff_grid(econ):
     return grid(econ.dist.lower, econ.dist.upper, 257)
 
 
-def _psi_row(econ, ts, a, b1):
-    """psi at the types ts without load: one row for float a and b1, else one per lane."""
+def _psi_row(econ, ts, a, b1, rows=None):
+    """psi at the types ts without load: one row for float a and b1, else one per lane.
+
+    rows are _type_rows(econ, ts), priced here unless given.
+    """
     fin, K = econ.financing, econ.working_capital
+    if rows is None:
+        rows = _type_rows(econ, ts)
     if isinstance(a, np.ndarray):
         phi = np.array([financing_cost(fin, K - x) for x in a.tolist()])
-        return _psi(econ, ts, phi[:, None], b1[:, None])
-    return _psi(econ, ts, financing_cost(fin, K - a), b1)  # one row, cheaper
+        return _psi_from(rows, phi[:, None], b1[:, None])
+    return _psi_from(rows, financing_cost(fin, K - a), b1)  # one row, cheaper
 
 
 def _first_crossing(econ, ts, psi, a, b1, load):

@@ -258,7 +258,6 @@ class EconomyPrimitives:
     working_capital: float = 1.0  # K > 0
     cost_prime: Callable | None = None
     signal_mean_prime: Callable | None = None
-    label: str = "custom"
 
     def __post_init__(self):
         K = self.working_capital
@@ -326,8 +325,7 @@ def benchmark(v: float = 2.0, mu0: float = 0.0, K: float = 1.0, R: float = 1.0,
         financing=FinancingCost(tightness=R),
         working_capital=K,
         cost_prime=cost_prime,
-        signal_mean_prime=mu_prime,
-        label=f"benchmark(v={v}, mu0={mu0}, K={K}, R={R})")
+        signal_mean_prime=mu_prime)
 
 
 _UNIT_UNIFORM = uniform()  # benchmark's types when no dist is given

@@ -590,19 +590,18 @@ def reduce_2d(alpha, theta, econ: EconomyPrimitives, v_scale: float = 2.0,
 
     dist = TypeDistribution(lower=lo, upper=hi, cdf=cdf, pdf=pdf,
                             name="empirical_xi")
-    sol = solve_optimal(_reduced_economy(econ, dist, v_scale, "reduced_2d"))
+    sol = solve_optimal(analytic_reduced_economy(econ, dist, v_scale))
     return {"xi_distribution": dist, "solution_2d": sol,
             "rejected": rejected, "degenerate": False, "xi_range": (lo, hi)}
 
 
 def analytic_reduced_economy(econ: EconomyPrimitives, dist: TypeDistribution,
                              v_scale: float = 2.0) -> EconomyPrimitives:
-    """Reference reduced economy with an exact ratio distribution."""
-    return _reduced_economy(econ, dist, v_scale, "reduced_2d_analytic")
+    """Ratio economy on dist: surplus v_scale * xi, unit cost, signal mean xi.
 
-
-def _reduced_economy(econ, dist, v_scale, label):
-    """Ratio economy: surplus v_scale * xi, unit cost, signal mean xi."""
+    With an exact ratio distribution it is the reference for reduce_2d,
+    which builds it on the empirical one.
+    """
     return EconomyPrimitives(
         dist=dist,
         surplus=lambda t: v_scale * np.asarray(t, float),
@@ -611,5 +610,4 @@ def _reduced_economy(econ, dist, v_scale, label):
         financing=econ.financing,
         working_capital=econ.working_capital,
         cost_prime=lambda t: np.zeros_like(np.asarray(t, float)),
-        signal_mean_prime=lambda t: np.ones_like(np.asarray(t, float)),
-        label=label)
+        signal_mean_prime=lambda t: np.ones_like(np.asarray(t, float)))

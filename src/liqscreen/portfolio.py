@@ -16,10 +16,10 @@ from functools import cached_property
 import numpy as np
 
 from .bilateral import (Contract, _cutoff_grid, _envelope_slope, _first_crossing,
-                        _psi_from, _type_rows, binding_ir_advance, cutoff,
+                        _psi_row, _type_rows, binding_ir_advance, cutoff,
                         screening_integral, virtual_surplus)
-from .economy import (EconomyPrimitives, benchmark, financing_cost, marginal_ell,
-                      marginal_r, with_tightness)
+from .economy import (EconomyPrimitives, benchmark, marginal_ell, marginal_r,
+                      with_tightness)
 from .errors import DegeneracyError, DomainError
 from .numerics import Tolerance, _simpson, fixed_point
 
@@ -221,8 +221,9 @@ def _uncoupled(port: PortfolioEconomy) -> tuple[np.ndarray, np.ndarray]:
     lower and upper. rows is n x 257: each relationship's psi on
     cutoff's type grid. Each group of relationships that share type
     primitives (port._type_groups) prices that grid and its rows V - c,
-    mu' and (1 - F)/f once; each member's psi row is then written into
-    rows, bit for bit _psi_row's, and roots its own zero-load crossing.
+    mu' and (1 - F)/f once; _psi_row then builds each member's psi row
+    from them into rows, and each member roots its own zero-load
+    crossing.
     The rows depend on neither the coupling nor the load, so every later
     step that needs psi on that grid reads them: the damped map's
     responses and the all-served values of portfolio_value. One start
@@ -237,8 +238,7 @@ def _uncoupled(port: PortfolioEconomy) -> tuple[np.ndarray, np.ndarray]:
         type_rows = _type_rows(first, ts)
         for i in group.tolist():
             e, c = port.economies[i], port.contracts[i]
-            phi = financing_cost(e.financing, e.working_capital - c.advance)
-            rows[i] = _psi_from(type_rows, phi, c.slope)
+            rows[i] = _psi_row(e, ts, c.advance, c.slope, type_rows)
             cols[i] = (*_first_crossing(e, ts, rows[i], c.advance, c.slope, 0.0),
                        e.dist.lower, e.dist.upper)
     start = cols.T, rows
@@ -309,15 +309,16 @@ def _newton_cutoffs(port, couplings, x, ends):
     place; steps holds one count per lane. Each step jumps the clamped
     cutoffs to their support end and moves the free ones by a Newton
     step with _jacobians, clipped to the support. A lane stops once no
-    cutoff moves by more
-    than _NEWTON_STOP. It also stops, leaving the rest to the damped
-    map, at _NEWTON_STEPS, at a singular Jacobian (or a non-finite
-    step), and before a step that would raise a free cutoff by more than
-    _NEWTON_RISE: the damped map approaches its fixed point from above,
-    so a rise points at another fixed point or at an overshoot. The
-    open lanes step together: _psi_terms prices every free cutoff's
-    residual and psi', and lanes with the same free set share one
-    stacked solve (_newton_moves). ends are _project's.
+    cutoff moves by more than _NEWTON_STOP. It also stops, leaving the
+    rest to the damped map, at _NEWTON_STEPS, at a singular Jacobian (or
+    a non-finite free move), and before a step that would raise a free
+    cutoff by more than _NEWTON_RISE: the damped map approaches its
+    fixed point from above, so a rise points at another fixed point or
+    at an overshoot. The open lanes step together: _psi_terms prices
+    every free cutoff's residual and psi', and one stacked solve
+    (_newton_moves) takes every lane's whole system, in which a clamped
+    cutoff's equation is the identity's with right-hand side 0, so its
+    move is 0. ends are _project's.
     """
     lower, upper = ends[2:]
     steps = np.full(len(x), _NEWTON_STEPS)
@@ -330,14 +331,11 @@ def _newton_cutoffs(port, couplings, x, ends):
         stop = np.zeros(len(xs), dtype=bool)  # lanes that stay at xs
         if free.any():
             psi, pdf, dpsi = _psi_terms(port, xs, free)
-            for rows, cols, at in _free_sets(free):
-                xf = xs[at]
-                move = _newton_moves(_jacobians(cs[rows], pdf[rows], dpsi[rows], cols),
-                                     -(psi[at] + load[at]))
-                moved = np.clip(xf + move, lower[cols], upper[cols])
-                new[at] = moved
-                stop[rows] = ~np.isfinite(move).all(axis=1) \
-                    | (moved - xf > _NEWTON_RISE).any(axis=1)
+            move = _newton_moves(_jacobians(cs, pdf, dpsi, free),
+                                 np.where(free, -(psi + load), 0.0))
+            moved = np.clip(xs + move, lower, upper)
+            new = np.where(free, moved, new)
+            stop = (free & (~np.isfinite(move) | (moved - xs > _NEWTON_RISE))).any(axis=1)
         done = stop | (np.max(np.abs(new - xs), axis=1) <= _NEWTON_STOP)
         if done.any():
             x[lanes[done]] = np.where(stop[:, None], xs, new)[done]
@@ -363,27 +361,6 @@ def _newton_moves(jacobians, rhs):
             return np.full(rhs.shape, np.nan)
         return np.concatenate([_newton_moves(j[None], r[None])
                                for j, r in zip(jacobians, rhs)])
-
-
-def _free_sets(free):
-    """(lanes, columns, block) of each distinct nonempty row of the mask free.
-
-    lanes indexes the rows that share it, a slice when that is every
-    row; columns are its free entries, and block indexes those lanes'
-    entries there.
-    """
-    sets = {}
-    for lane, row in enumerate(free):
-        sets.setdefault(row.tobytes(), []).append(lane)
-    for lanes in sets.values():
-        cols = np.flatnonzero(free[lanes[0]])
-        if not cols.size:
-            continue
-        if len(lanes) == len(free):
-            yield slice(None), cols, (slice(None), cols)
-        else:
-            rows = np.array(lanes)
-            yield rows, cols, (rows[:, None], cols)
 
 
 def _free_columns(free):
@@ -481,23 +458,29 @@ def _psi_terms(port, x, free):
     return psi, pdf, dpsi
 
 
-def _jacobians(couplings, pdf, dpsi, cols):
-    """Jacobians of the cutoff conditions in the free cutoffs cols, one per lane.
+def _jacobians(couplings, pdf, dpsi, free):
+    """Jacobians of the cutoff conditions, one n x n system per lane.
 
-    Clamped cutoffs sit at a support endpoint and do not move locally.
-    couplings stacks the lanes' matrices; pdf and dpsi are
-    _psi_terms' rows of the same lanes.
+    couplings stacks the lanes' matrices, free is their mask of free
+    cutoffs, and pdf and dpsi are _psi_terms' rows of the same lanes.
+    A clamped cutoff sits at a support endpoint and does not move
+    locally, so its row and column are the identity's. They are
+    assigned, not masked by a product, which would turn an infinite
+    density in a free column into nan. The free block is the Jacobian
+    in the free cutoffs alone.
     """
-    jac = -(couplings[:, cols[:, None], cols] * pdf[:, None, cols])
-    diag = np.arange(cols.size)
-    jac[:, diag, diag] = dpsi[:, cols]
+    jac = -(couplings * pdf[:, None, :])
+    jac[~(free[:, :, None] & free[:, None, :])] = 0.0
+    diag = np.arange(free.shape[1])
+    jac[:, diag, diag] = np.where(free, dpsi, 1.0)
     return jac
 
 
 def _all_centralities(port, cutoffs, clamped):
     """Coupling-weighted response of the other cutoffs to each R_j.
 
-    One Jacobian solve, a column per free j; clamped relationships get 0.
+    One solve on the free block of the book's Jacobian (_jacobians), a
+    column per free j; clamped relationships get 0.
     """
     out = np.zeros(len(port.economies))
     free = np.asarray(clamped) == "none"
@@ -508,8 +491,9 @@ def _all_centralities(port, cutoffs, clamped):
                               port.economies[j].working_capital
                               - port.contracts[j].advance) for j in cols])
     _, pdf, dpsi = _psi_terms(port, cutoffs[None], free[None])
+    jac = _jacobians(port.coupling[None], pdf, dpsi, free[None])[0]
     try:
-        sens = np.linalg.solve(_jacobians(port.coupling[None], pdf, dpsi, cols)[0], rhs)
+        sens = np.linalg.solve(jac[np.ix_(cols, cols)], rhs)
     except np.linalg.LinAlgError as exc:
         raise DegeneracyError(f"singular cutoff Jacobian: {exc}") from exc
     weighted = port.coupling[np.ix_(cols, cols)] * sens

@@ -227,7 +227,7 @@ def test_c14_two_dimensional_reduction_matches_one_dimensional():
         signal_mean=base.signal_mean, financing=base.financing,
         working_capital=1.0,
         cost_prime=lambda t: np.zeros_like(np.asarray(t, float)),
-        signal_mean_prime=base.signal_mean_prime, label="unit_cost")
+        signal_mean_prime=base.signal_mean_prime)
     rng = np.random.Generator(np.random.Philox(42))
     theta = rng.uniform(0.0, 1.0, 100_000)
     out = reduce_2d(np.ones_like(theta), theta, econ)

@@ -492,7 +492,7 @@ def test_best_advance_prices_the_accepting_side_at_the_flat_slope():
     for econ, value in ((FLAT_CORNER, 0.5 * closed_form_ell_star(0.25) ** 2),
                         (TABULATED, 0.385047896709704)):
         a, v, _ = _best_advance(econ, 1.0)
-        assert abs(v - value) < 1e-9, (econ.label, v)
+        assert abs(v - value) < 1e-9, (value, v)
         assert served_interval(econ, a, 1.0)[1] == econ.dist.upper
     # the node advance K - 0.5 is a kink of the tabulated W(a)
     assert 0.5 in _advance_kinks(TABULATED, 0.6)[0]

@@ -215,6 +215,13 @@ def test_with_tightness_replaces_only_financing():
     assert econ.financing.tightness == 1.0
 
 
+def test_with_tightness_equals_the_benchmark_built_at_that_tightness():
+    # an economy holds no field that remembers the tightness it was built at
+    assert with_tightness(benchmark(R=1.0), 2.0) == benchmark(R=2.0)
+    assert with_tightness(benchmark(v=2.5, K=1.5, R=0.5), 3.0) \
+        == benchmark(v=2.5, K=1.5, R=3.0)
+
+
 _TYPE_PRIMITIVES = ("dist", "surplus", "cost", "signal_mean", "cost_prime",
                     "signal_mean_prime")
 

@@ -356,8 +356,7 @@ def test_reduce_2d_mixture_distribution_matches_analytic_cdf():
         signal_mean=lambda t: np.asarray(t, float) ** 2,
         financing=base.financing, working_capital=1.0,
         cost_prime=base.cost_prime,
-        signal_mean_prime=lambda t: 2.0 * np.asarray(t, float),
-        label="quadratic_signal")
+        signal_mean_prime=lambda t: 2.0 * np.asarray(t, float))
     rng = np.random.Generator(np.random.Philox(42))
     theta = rng.uniform(0.1, 1.0, 100_000)
     alpha = rng.choice([1.0, 2.0], size=theta.size)

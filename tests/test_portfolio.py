@@ -674,6 +674,68 @@ def test_a_singular_lane_leaves_the_other_lanes_their_newton_moves():
         assert moves[k].tobytes() == alone[0].tobytes()
 
 
+def _newton_log(monkeypatch):
+    """Record each Newton step's (x, free, psi terms) and each stacked solve's
+    (jacobians, rhs, moves), in call order."""
+    log = []
+    real_terms, real_moves = portfolio._psi_terms, portfolio._newton_moves
+
+    def terms(port, x, free):
+        out = real_terms(port, x, free)
+        log.append(("step", x.copy(), free.copy(), out))
+        return out
+
+    def moves(jacobians, rhs):
+        out = real_moves(jacobians, rhs)
+        log.append(("solve", jacobians, rhs, out))
+        return out
+
+    monkeypatch.setattr(portfolio, "_psi_terms", terms)
+    monkeypatch.setattr(portfolio, "_newton_moves", moves)
+    return log
+
+
+def test_newton_solves_every_open_lane_in_one_call_per_step(monkeypatch):
+    # at coupling multiples 0-4 this seven-relationship book's lanes start
+    # with four different nonempty free sets, and still share each solve
+    log = _newton_log(monkeypatch)
+    port = _random_books(10)[9]
+    couplings = np.array([port.coupling * m for m in (0.0, 1.0, 2.0, 3.0, 4.0)])
+    portfolio._coupled_cutoffs(port, portfolio._uncoupled(port), couplings)
+    steps = [free for kind, _, free, _ in log if kind == "step"]
+    solves = [jac for kind, jac, _, _ in log if kind == "solve"]
+    assert len({row.tobytes() for row in steps[0] if row.any()}) == 4
+    assert len(steps) > 1 and len(solves) == len(steps)
+    assert [len(jac) for jac in solves] == [len(free) for free in steps]
+
+
+def test_newton_moves_clamped_cutoffs_by_zero_and_free_ones_as_their_block(monkeypatch):
+    # reference: the free-block step, the Newton system in the free
+    # cutoffs alone; the whole system's identity rows for the clamped
+    # cutoffs leave its moves within a few ulps of that block's
+    log = _newton_log(monkeypatch)
+    mixed = 0
+    for port in _random_books():
+        start = portfolio._uncoupled(port)
+        for m in (0.5, 1.0, 2.0, 4.0):
+            coupling = port.coupling * m
+            log.clear()
+            portfolio._coupled_cutoffs(port, start, coupling[None])
+            for (_, x, free, (psi, pdf, dpsi)), (_, _, _, moves) in zip(log[::2], log[1::2]):
+                free, moves = free[0], moves[0]
+                if free.all():
+                    continue
+                mixed += 1
+                assert np.all(moves[~free] == 0.0)
+                cols = np.flatnonzero(free)
+                load = portfolio._loads(coupling[None], portfolio._tails(port, x))[0]
+                jac = -(coupling[np.ix_(cols, cols)] * pdf[0, cols])
+                jac[np.arange(cols.size), np.arange(cols.size)] = dpsi[0, cols]
+                ref = np.linalg.solve(jac, -(psi[0, cols] + load[cols]))
+                assert np.all(np.abs(moves[cols] - ref) <= 8 * np.spacing(np.abs(ref)))
+    assert mixed > 400
+
+
 def test_a_solve_start_is_read_only():
     cols, rows = portfolio._uncoupled(symmetric_portfolio(1.0, 0.5))
     assert cols.shape == (5, 2) and rows.shape == (2, 257)

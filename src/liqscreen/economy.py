@@ -30,7 +30,6 @@ class TypeDistribution:
     upper: float
     cdf: Callable
     pdf: Callable
-    name: str = "custom"
 
     def __post_init__(self):
         if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
@@ -62,8 +61,7 @@ def uniform(lo: float = 0.0, hi: float = 1.0) -> TypeDistribution:
     return TypeDistribution(
         lower=lo, upper=hi,
         cdf=lambda t: np.clip((np.asarray(t, float) - lo) / width, 0.0, 1.0),
-        pdf=lambda t: np.full_like(np.asarray(t, float), 1.0 / width),
-        name="uniform")
+        pdf=lambda t: np.full_like(np.asarray(t, float), 1.0 / width))
 
 
 def truncated_exponential(rate: float, lo: float = 0.0,
@@ -84,8 +82,7 @@ def truncated_exponential(rate: float, lo: float = 0.0,
     return TypeDistribution(
         lower=lo, upper=hi,
         cdf=lambda t: (1.0 - np.exp(-rate * (np.asarray(t, float) - lo))) / z,
-        pdf=lambda t: rate * np.exp(-rate * (np.asarray(t, float) - lo)) / z,
-        name="truncated_exponential")
+        pdf=lambda t: rate * np.exp(-rate * (np.asarray(t, float) - lo)) / z)
 
 
 def power(exponent: float, lo: float = 0.0, hi: float = 1.0) -> TypeDistribution:
@@ -97,8 +94,7 @@ def power(exponent: float, lo: float = 0.0, hi: float = 1.0) -> TypeDistribution
         lower=lo, upper=hi,
         cdf=lambda t: ((np.asarray(t, float) - lo) / width) ** exponent,
         pdf=lambda t: (exponent / width)
-        * ((np.asarray(t, float) - lo) / width) ** (exponent - 1.0),
-        name="power")
+        * ((np.asarray(t, float) - lo) / width) ** (exponent - 1.0))
 
 
 def _norm_cdf(x, mean, sd):
@@ -137,7 +133,7 @@ def bimodal(modes: tuple[float, float] = (0.25, 0.75), sd: float = 0.05,
     def pdf(t):
         return (0.5 * _norm_pdf(t, m1, sd) + 0.5 * _norm_pdf(t, m2, sd)) / mass
 
-    return TypeDistribution(lower=lo, upper=hi, cdf=cdf, pdf=pdf, name="bimodal")
+    return TypeDistribution(lower=lo, upper=hi, cdf=cdf, pdf=pdf)
 
 
 def wedge(dist: TypeDistribution, t):

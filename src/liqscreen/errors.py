@@ -29,7 +29,7 @@ class DegeneracyError(LiqscreenError):
 
 
 class SingularityError(LiqscreenError):
-    """An ODE trajectory blew up; t is the point where it first diverged."""
+    """A quantity a solver divides by vanishes; t is the type where it first does."""
 
     def __init__(self, message, t=None):
         super().__init__(message)

@@ -469,7 +469,6 @@ class BidFunction:
     grid: np.ndarray
     bids: np.ndarray
     full_info: np.ndarray
-    n_bidders: int
 
     def __post_init__(self):
         if np.any(self.bids < self.full_info - 1e-9):
@@ -484,18 +483,31 @@ def solve_bid_function(econ: EconomyPrimitives, n: int,
                        steps: int = 2000) -> BidFunction:
     """Equilibrium bids among n privately informed counterparties.
 
-    Integrates beta' = (n - 1) * f/(1 - F) * (beta - beta_fb) backward
-    from the top boundary beta(upper - eps) = beta_fb(upper - eps); the
-    hazard factor is singular at the top, hence the offset requirement.
-    The default offset grows with n to keep the first steps inside the
-    integrator's stability region. A diverging trajectory raises
-    SingularityError whose t is the type at the failing step.
+    The bid ODE beta' = (n - 1) * f/(1 - F) * (beta - beta_fb) is linear:
+    with w = (1 - F)**(n - 1), the bid is the full-information advance
+    plus a markup, beta(t) = [w(t_hi) * beta_fb(t_hi) + int_t^t_hi
+    beta_fb |dw|] / w(t), from beta = beta_fb at t_hi = upper - eps.
+    Each two-step panel integrates beta_fb |dw| by Simpson's rule on its
+    uneven nodes in w, scaled to 1 at the panel's lower type, or by the
+    trapezoid where one half spans over twice the other's change in w
+    (there Simpson's end weights turn negative; so where nodes coincide
+    on a flat stretch of F). beta <- beta * w(t_j)/w(t_j+1) + panel then
+    carries the bid down, and no factor exceeds 1.
+
+    w vanishes at the top, hence the offset. Its default span * (n - 1)
+    / steps grows with n so that one panel never shrinks w by more than
+    a factor e (exactly so on uniform types); DomainError names n and
+    steps when that offset covers the support. A cdf of 1 (or nan) at a
+    grid type raises SingularityError whose t is the highest such type.
     """
     if n < 2:
         raise DomainError("need at least two bidders")
     d = econ.dist
     span = d.upper - d.lower
     if eps is None:
+        if n - 1 >= steps:
+            raise DomainError(f"the default offset span * (n - 1)/steps covers the support: "
+                              f"n = {n} needs steps > {n - 1}, got steps = {steps}")
         eps = span * max(1e-3, (n - 1) / steps)
     if not 0 < eps < span:
         raise DomainError(f"boundary offset eps = {eps!r} must lie in (0, span = {span!r})")
@@ -503,46 +515,32 @@ def solve_bid_function(econ: EconomyPrimitives, n: int,
     t_hi = d.upper - eps
     ts_half = np.linspace(t_hi, d.lower, 2 * steps + 1)
     fb_half = np.array([binding_ir_advance(econ, b1, float(t)) for t in ts_half])
-    F = np.asarray(d.cdf(ts_half), float)
-    f = np.asarray(d.pdf(ts_half), float)
-    k_half = (n - 1) * f / (1.0 - F)
-    h = -(t_hi - d.lower) / steps
-    try:
-        ys = _rk4_affine(k_half.tolist(), fb_half.tolist(),
-                         float(fb_half[0]), h, steps)
-    except OverflowError as exc:
-        message, step = exc.args
-        raise SingularityError(message, t=float(ts_half[2 * step])) from exc
+    tail = 1.0 - np.asarray(d.cdf(ts_half), float)
+    if not np.all(tail > 0.0):  # nan included
+        t = float(ts_half[np.argmin(tail > 0.0)])
+        raise SingularityError(f"w = (1 - F)**(n - 1) is not positive at type {t!r}", t=t)
+    # w at the top, middle and lower node of each panel over w at its lower node
+    low = tail[2::2]
+    w_top = (tail[:-2:2] / low) ** (n - 1)
+    w_mid = (tail[1::2] / low) ** (n - 1)
+    h_top, h_low = w_mid - w_top, 1.0 - w_mid
+    fb_top, fb_mid, fb_low = fb_half[:-2:2], fb_half[1::2], fb_half[2::2]
+    even = (h_top > 0.0) & (h_top <= 2.0 * h_low) & (h_low <= 2.0 * h_top)
+    top = np.where(even, h_top, 1.0)  # Simpson divides only on even panels
+    bot = np.where(even, h_low, 1.0)
+    width = h_top + h_low
+    simpson = width / 6.0 * ((2.0 - bot / top) * fb_top
+                             + width ** 2 / (top * bot) * fb_mid
+                             + (2.0 - top / bot) * fb_low)
+    trapezoid = 0.5 * (h_top * (fb_top + fb_mid) + h_low * (fb_mid + fb_low))
+    panels = np.where(even, simpson, trapezoid)
+    bids = [float(fb_half[0])]
+    for factor, panel in zip(w_top.tolist(), panels.tolist()):
+        bids.append(bids[-1] * factor + panel)
     # copies, not views: a view would keep its whole half-step array alive
     return BidFunction(grid=ts_half[::2][::-1].copy(),
-                       bids=np.asarray(ys, float)[::-1].copy(),
-                       full_info=fb_half[::2][::-1].copy(), n_bidders=n)
-
-
-def _rk4_affine(k_half, m_half, y0, h, steps):
-    """Fixed-step RK4 for y' = k(t) * (y - m(t)) with tabulated coefficients.
-
-    k_half and m_half hold k and m sampled at half-step resolution
-    (2*steps + 1 values, node i at t0 + i*h/2; h may be negative for
-    backward integration). Returns the list of steps+1 y values. A
-    non-finite iterate raises OverflowError(message, step) naming the
-    failing step.
-    """
-    if len(k_half) != 2 * steps + 1 or len(m_half) != 2 * steps + 1:
-        raise ValueError("coefficient tables must have 2*steps + 1 entries")
-    out = [0.0] * (steps + 1)
-    out[0] = y = y0
-    for i in range(steps):
-        j = 2 * i
-        k1 = k_half[j] * (y - m_half[j])
-        k2 = k_half[j + 1] * (y + 0.5 * h * k1 - m_half[j + 1])
-        k3 = k_half[j + 1] * (y + 0.5 * h * k2 - m_half[j + 1])
-        k4 = k_half[j + 2] * (y + h * k3 - m_half[j + 2])
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not math.isfinite(y):
-            raise OverflowError(f"trajectory diverged at step {i + 1}", i + 1)
-        out[i + 1] = y
-    return out
+                       bids=np.array(bids[::-1]),
+                       full_info=fb_half[::2][::-1].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -588,8 +586,7 @@ def reduce_2d(alpha, theta, econ: EconomyPrimitives, v_scale: float = 2.0,
                                       side="right") - 1, 0, bins - 1)
         return density[idx]
 
-    dist = TypeDistribution(lower=lo, upper=hi, cdf=cdf, pdf=pdf,
-                            name="empirical_xi")
+    dist = TypeDistribution(lower=lo, upper=hi, cdf=cdf, pdf=pdf)
     sol = solve_optimal(analytic_reduced_economy(econ, dist, v_scale))
     return {"xi_distribution": dist, "solution_2d": sol,
             "rejected": rejected, "degenerate": False, "xi_range": (lo, hi)}

@@ -9,15 +9,15 @@ import pytest
 
 from liqscreen import extensions
 from liqscreen.bilateral import binding_ir_advance, solve_optimal
-from liqscreen.economy import (EconomyPrimitives, benchmark, financing_cost, power,
-                               truncated_exponential, uniform, with_tightness)
+from liqscreen.economy import (EconomyPrimitives, TypeDistribution, benchmark,
+                               financing_cost, power, truncated_exponential, uniform,
+                               with_tightness)
 from liqscreen.errors import (BracketError, DegeneracyError, DomainError,
                               SingularityError)
 from liqscreen.extensions import (
     MonitoringConfig,
     PosteriorState,
     _monitoring_gap,
-    _rk4_affine,
     analytic_reduced_economy,
     bayes_update,
     d_statistic,
@@ -284,19 +284,6 @@ def test_interior_type_participation_root_property():
     assert abs(a - (0.4 + 0.5 * (1.0 - a) ** 2)) < 1e-9
 
 
-def test_rk4_affine_exponential_decay():
-    # y' = k * (y - m) with k = -1, m = 0 is y' = -y
-    ys = _rk4_affine([-1.0] * 401, [0.0] * 401, 1.0, 1.0 / 200, 200)
-    assert abs(ys[-1] - math.exp(-1.0)) < 1e-9
-    assert len(ys) == 201
-
-
-def test_rk4_affine_backward():
-    ys = _rk4_affine([-1.0] * 401, [0.0] * 401, math.exp(-1.0), -1.0 / 200, 200)
-    assert abs(ys[-1] - 1.0) < 1e-9
-    assert len(ys) == 201
-
-
 def test_bid_function_invariants_and_errors():
     econ = benchmark(v=2.0, mu0=0.0, K=1.0, R=1.0)
     bf = solve_bid_function(econ, 2)
@@ -310,6 +297,9 @@ def test_bid_function_invariants_and_errors():
         # an offset at or past the span left no types to integrate over
         with pytest.raises(DomainError, match="eps"):
             solve_bid_function(econ, 2, eps=eps)
+    # the default offset span * (n - 1)/steps reaches the span itself
+    with pytest.raises(DomainError, match=r"n = 2001 needs steps > 2000"):
+        solve_bid_function(econ, 2001)
 
 
 def test_bid_function_arrays_own_their_data():
@@ -320,15 +310,66 @@ def test_bid_function_arrays_own_their_data():
         assert arr.shape == (2001,)
 
 
-def test_bid_function_divergence_reports_the_failing_type():
+def _step_halving_drift(econ, n):
+    """Largest gap between the 2,000- and 8,000-step bids at shared types."""
+    eps = 1e-3 * (econ.dist.upper - econ.dist.lower)
+    coarse = solve_bid_function(econ, n, eps=eps, steps=2000)
+    fine = solve_bid_function(econ, n, eps=eps, steps=8000)
+    assert np.array_equal(coarse.grid, fine.grid[::4])
+    return float(np.max(np.abs(coarse.bids - fine.bids[::4])))
+
+
+def test_bid_function_converges_on_power_types():
+    # Simpson's rule in w = (1 - F)**(n - 1) per two-step panel
+    econ = benchmark(v=2.2, mu0=0.05, R=0.8, dist=power(1.7))
+    # the screening program divides by f(lower) = 0 on power types
+    with np.errstate(divide="ignore", invalid="ignore"):
+        drift = _step_halving_drift(econ, 2)
+    assert drift < 1e-9, drift
+
+
+def _gapped_uniform(density):
+    """Types uniform on [0, 0.4] and [0.6, 1], with density in between."""
+    def cdf(t):
+        t = np.asarray(t, float)
+        return np.clip(np.where(t < 0.4, 1.25 * t,
+                                np.where(t < 0.6, 0.5 + density * (t - 0.4),
+                                         0.5 + 1.25 * (t - 0.6))), 0.0, 1.0)
+
+    def pdf(t):
+        t = np.asarray(t, float)
+        return np.where((t < 0.4) | (t >= 0.6), 1.25, density)
+
+    return TypeDistribution(0.0, 1.0, cdf, pdf)
+
+
+@pytest.mark.parametrize("density", [1e-200, 1e-9], ids=["flat", "sparse"])
+def test_bid_function_converges_across_a_gap_in_the_types(density):
+    # flat: F rounds to 0.5 across the gap, so panel nodes coincide in w;
+    # sparse: a panel's halves can differ in w by a factor 1e9, where
+    # Simpson's end weights would turn negative (2,000 against 8,000 steps
+    # drifted 0.24 with Simpson's rule on every such panel)
+    econ = benchmark(v=2.2, mu0=0.05, R=0.8, dist=_gapped_uniform(density))
+    drift = _step_halving_drift(econ, 2)
+    assert drift < 1e-8, drift
+
+
+def test_bid_function_reports_where_the_cdf_reaches_one():
     base = benchmark(v=2.0, mu0=0.0, K=1.0, R=1.0)
-    # a huge density makes the hazard factor blow the first RK4 step up
     econ = replace(base, dist=replace(
-        base.dist, pdf=lambda t: np.full_like(np.asarray(t, float), 1e155)))
-    with pytest.raises(SingularityError, match="step 1") as info:
+        base.dist, cdf=lambda t: np.minimum(np.asarray(t, float) / 0.9, 1.0)))
+    with pytest.raises(SingularityError, match="not positive at type 0.999") as info:
         solve_bid_function(econ, 2)
-    # eps = 1e-3 and 2000 steps down from 0.999: step 1 ends at 0.999 + h
-    assert info.value.t == np.linspace(0.999, 0.0, 4001)[2]
+    # eps = 1e-3: the highest type with F = 1 is the top boundary 0.999
+    assert info.value.t == 0.999
+
+
+def test_bid_function_stays_finite_for_many_bidders():
+    econ = benchmark(v=2.2, mu0=0.05, R=0.8)
+    for n in (1000, 1999):
+        bf = solve_bid_function(econ, n)  # construction checks comonotonicity
+        assert np.all(np.isfinite(bf.bids)), n
+        assert bf.bids[-1] == bf.full_info[-1], n
 
 
 # --- two-dimensional reduction ------------------------------------------------

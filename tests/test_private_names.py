@@ -10,13 +10,15 @@ module never references (the package's __init__.py, which imports to
 re-export, and __future__ imports aside). No function imports inside
 its body either: the modules form no import cycle that a deferred
 import would have to break, so every dependency is stated at the top.
+Every dataclass field is read too, by some code, test or benchmark.
 """
 
 import ast
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "liqscreen"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "liqscreen"
 
 
 def _references(node):
@@ -87,3 +89,50 @@ def test_no_function_imports_inside_its_body():
                 nested += [f"{path.name}:{node.lineno}" for node in ast.walk(func)
                            if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not nested, f"imports inside a function body: {nested}"
+
+
+def _is_dataclass(node):
+    """True for a class decorated with @dataclass or @dataclass(...)."""
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def _attribute_reads(tree):
+    """Attribute names loaded, and literal names passed to getattr, in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant)):
+            yield node.args[1].value
+
+
+def test_every_dataclass_field_is_read():
+    """Each field of a dataclass under src/liqscreen is read somewhere.
+
+    A field nothing reads (a bidder count kept beside the bids it
+    produced, a label) still widens the class's equality and hash and
+    reads as meaningful. A field counts as read when any module under
+    src/, tests/ or perfbench/ loads an attribute of its name or passes
+    its name as a literal to getattr. The match is by name only, so a
+    field whose name other objects also carry (such as name, read off
+    argparse namespaces and paths) passes even if no code reads it off
+    the dataclass.
+    """
+    reads = {name for tree_root in ("src", "tests", "perfbench")
+             for path in sorted((ROOT / tree_root).rglob("*.py"))
+             for name in _attribute_reads(ast.parse(path.read_text(), str(path)))}
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                unread += [f"{path.name}:{node.name}.{stmt.target.id}"
+                           for stmt in node.body
+                           if isinstance(stmt, ast.AnnAssign)
+                           and isinstance(stmt.target, ast.Name)
+                           and stmt.target.id not in reads]
+    assert not unread, f"dataclass fields nothing reads: {unread}"
